@@ -37,13 +37,17 @@ def number_to_json(value):
     """Encode an exact number for JSON output.
 
     Values that a 64-bit float represents exactly are emitted as floats
-    (ints as ints); anything else becomes the string ``"p/q"`` so that
-    parsing the output reproduces the value bit-exactly.
+    (ints as ints); anything else, including rationals beyond the float
+    range, becomes the string ``"p/q"`` so that parsing the output
+    reproduces the value bit-exactly.
     """
     frac = as_fraction(value)
     if frac.denominator == 1:
         return int(frac)
-    as_float = float(frac)
+    try:
+        as_float = float(frac)
+    except OverflowError:
+        as_float = math.inf
     if math.isfinite(as_float) and Fraction(as_float) == frac:
         return as_float
     return f"{frac.numerator}/{frac.denominator}"

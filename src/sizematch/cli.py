@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a checked property failed, 2 malformed input
-(file syntax, JSON, bad argument values), 3 model violation (disconnected
-graph, invalid vertex data, mislocalized diagram).
+(file syntax, JSON, bad argument values, a number too large for float
+output), 3 model violation (disconnected graph, invalid vertex data,
+mislocalized diagram).
 """
 
 from __future__ import annotations
@@ -108,15 +109,16 @@ def _cmd_dist(args) -> int:
     d2 = _load_diagram(args.diagram2)
     value, matching = matching_distance(d1, d2)
     if args.format == "json":
-        report = {"value": float(value)}
+        report = {"value": number_to_json(value)}
         if args.witness:
             report["witness"] = matching.to_json_dict()
         _print_json(report)
     else:
+        rows = _matching_rows(matching) if args.witness else []  # an overflow prints nothing
         print(f"# value {float(value)}")
         if args.witness:
             print("kind,left_x,left_y,right_x,right_y,cost")
-            for row in _matching_rows(matching):
+            for row in rows:
                 print(",".join(str(cell) for cell in row))
     return 0
 
@@ -328,4 +330,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: a number is outside the float range of this output format: {exc}",
+              file=sys.stderr)
         return 2

@@ -19,9 +19,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
-from ._rational import as_fraction
+from ._rational import as_fraction, number_from_json, number_to_json
 from .core import SizePair
 from .diagram import Diagram, ExtendedPoint, extract_diagram
 
@@ -96,10 +96,10 @@ class Matching:
                 return "diag"
             if side.is_at_infinity:
                 return "inf"
-            return [float(side.x), float(side.y)]
+            return [number_to_json(side.x), number_to_json(side.y)]
 
         return {
-            "cost": float(self.cost),
+            "cost": number_to_json(self.cost),
             "pairs": [{"left": encode(l), "right": encode(r)} for l, r in self.pairs],
         }
 
@@ -120,7 +120,7 @@ class Matching:
                     )
                 return ExtendedPoint.at_infinity(abscissa)
             if isinstance(side, (list, tuple)) and len(side) == 2:
-                return ExtendedPoint(side[0], side[1])
+                return ExtendedPoint(number_from_json(side[0]), number_from_json(side[1]))
             raise ValueError(f"matching JSON: bad pair side {side!r}")
 
         pairs = []
@@ -133,7 +133,7 @@ class Matching:
                     decode(row["right"], infinity_right, "right"),
                 )
             )
-        return cls(pairs=tuple(pairs), cost=as_fraction(data["cost"]))
+        return cls(pairs=tuple(pairs), cost=number_from_json(data["cost"]))
 
     def dumps(self, indent=None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
@@ -193,139 +193,134 @@ def _max_norm(p: ExtendedPoint, q: ExtendedPoint) -> Fraction:
 
 
 class _Instance:
-    """Expanded proper points of both diagrams plus the pairwise costs.
+    """Expanded proper points of both diagrams, every cost stored as a rank.
 
     Direct edges that are strictly beaten by the route through the diagonal
     are dropped: any matching that used one can be rewired through two
     diagonal slots at no extra bottleneck cost, so feasibility thresholds
     are unchanged while witnesses keep only pairs whose ground distance is
     their max-norm.  realize() relies on that shape.
+
+    The candidate thresholds (0, the half persistences, the max-norms of
+    the kept edges) are sorted once; half persistences and edges are held as
+    ranks in that list, so the searches compare ints only.  Side 0 is the
+    first diagram; a matching is a pair of partner lists ``mate[s]`` (-1: free).
     """
 
     def __init__(self, d1: Diagram, d2: Diagram):
-        self.left = d1.expanded()
-        self.right = d2.expanded()
-        self.half_left = [p.persistence / 2 for p in self.left]
-        self.half_right = [q.persistence / 2 for q in self.right]
-        self.norm: Dict[Tuple[int, int], Fraction] = {}
-        for i, p in enumerate(self.left):
-            for j, q in enumerate(self.right):
+        self.points = (d1.expanded(), d2.expanded())
+        halves = tuple([p.persistence / 2 for p in side] for side in self.points)
+        edges = []
+        for i, p in enumerate(self.points[0]):
+            for j, q in enumerate(self.points[1]):
                 norm = _max_norm(p, q)
-                if norm <= max(self.half_left[i], self.half_right[j]):
-                    self.norm[(i, j)] = norm
+                if norm <= max(halves[0][i], halves[1][j]):
+                    edges.append((norm, i, j))
+        self.thresholds = sorted({Fraction(0), *halves[0], *halves[1], *(e[0] for e in edges)})
+        rank = {t: r for r, t in enumerate(self.thresholds)}
+        self.half_rank = tuple([rank[h] for h in side] for side in halves)
+        self.adj = tuple([[] for _ in side] for side in self.points)
+        for norm, i, j in edges:
+            self.adj[0][i].append((rank[norm], j))
+            self.adj[1][j].append((rank[norm], i))
+        for side in self.adj:
+            for row in side:
+                row.sort()
 
-    def feasible(self, t, left_alive: Sequence[int], right_alive: Sequence[int]) -> bool:
-        """Perfect matching test at threshold t on the still-unassigned points.
+    def rematch(self, mate, s: int, root: int, r: int, drop: int) -> bool:
+        """Match ``root`` of side s along an alternating path of edges of rank <= r.
 
-        Bipartite graph in the standard bottleneck form: one side holds the
-        left points plus one diagonal slot per right point, the other the
-        right points plus one diagonal slot per left point; slot-slot edges
-        are always allowed, a point reaches its own slot iff half its
-        persistence is <= t, and point-point edges need max-norm <= t.
+        The path ends at a free point of the other side (augmentation) or at
+        a matched point of side s whose half-persistence rank is <= ``drop``;
+        that point loses its partner (swap).  Every other matched point stays
+        matched.  Explicit-stack depth-first search; False if no path exists.
         """
-        nl, nr = len(left_alive), len(right_alive)
-        size = nl + nr
+        adj, mine, theirs, half = self.adj[s], mate[s], mate[1 - s], self.half_rank[s]
+        seen = set()
+        path, picks, pos = [root], [], [0]
+        while path:
+            row, k = adj[path[-1]], pos[-1]
+            if k == len(row) or row[k][0] > r:
+                path.pop()
+                pos.pop()
+                if picks:
+                    picks.pop()
+                continue
+            pos[-1] = k + 1
+            y = row[k][1]
+            if y in seen:
+                continue
+            seen.add(y)
+            picks.append(y)
+            w = theirs[y]
+            if w != -1 and half[w] > drop:
+                path.append(w)
+                pos.append(0)
+                continue
+            if w != -1:
+                mine[w] = -1
+            for x, y in zip(path, picks):
+                mine[x], theirs[y] = y, x
+            return True
+        return False
 
-        def neighbors(a: int) -> List[int]:
-            out = []
-            if a < nl:
-                i = left_alive[a]
-                for b, j in enumerate(right_alive):
-                    norm = self.norm.get((i, j))
-                    if norm is not None and norm <= t:
-                        out.append(b)
-                if self.half_left[i] <= t:
-                    out.append(nr + a)
-            else:
-                j = right_alive[a - nl]
-                if self.half_right[j] <= t:
-                    out.append(a - nl)
-                out.extend(range(nr, nr + nl))
-            return out
+    def cover(self, mate, r: int) -> bool:
+        """Feasibility of threshold rank r, extending ``mate`` in place.
 
-        match_right = [-1] * size
-        match_left = [-1] * size
-
-        def augment(a: int, seen: List[bool]) -> bool:
-            for b in neighbors(a):
-                if not seen[b]:
-                    seen[b] = True
-                    if match_right[b] == -1 or augment(match_right[b], seen):
-                        match_right[b] = a
-                        match_left[a] = b
-                        return True
-            return False
-
-        matched = 0
-        for a in range(size):
-            if augment(a, [False] * size):
-                matched += 1
-        return matched == size
+        A point whose half persistence exceeds the threshold cannot go to
+        the diagonal; call it a must point.  The threshold is feasible iff
+        some matching of edges of rank <= r covers every must point on both
+        sides (the remaining points go to the diagonal, Mendelsohn-Dulmage).
+        Uncovered must points are covered one at a time; covered ones never
+        lose their partner, so the first search that fails proves the
+        threshold infeasible.
+        """
+        for s in (0, 1):
+            for x, h in enumerate(self.half_rank[s]):
+                if h > r and mate[s][x] == -1 and not self.rematch(mate, s, x, r, r):
+                    return False
+        return True
 
 
 def matching_distance(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Matching]:
     """Bottleneck matching distance and an optimal witness.
 
-    The optimal value is located by a feasibility search over the finite
+    The optimal value is located by a binary search over the finite
     candidate set {0} | {half persistences} | {usable pairwise max-norms},
     then combined with the mandatory |infinity_x1 - infinity_x2| term.
-    Ties between witnesses are broken toward the lexicographically
-    smallest pairing (left points in (x, y) order, targets tried in (x, y)
-    order with the diagonal last).
+    Each feasibility test starts from the matching left by the last
+    infeasible one, which stays valid at every larger threshold.
+
+    The witness is read off the final matching, extended by augmenting
+    paths to the maximum number of direct pairs at the optimal threshold;
+    every other point goes to the diagonal.  It is deterministic, lists the
+    first diagram's points in (x, y) order and then the second diagram's
+    diagonal pairs, and for identical diagrams it is the identity; it is
+    not in general the lexicographically smallest optimal pairing.
     """
     inst = _Instance(d1, d2)
-    infinity_gap = abs(d1.infinity_x - d2.infinity_x)
-    candidates = {Fraction(0)}
-    candidates.update(inst.half_left)
-    candidates.update(inst.half_right)
-    candidates.update(inst.norm.values())
-    thresholds = sorted(candidates)
-    everyone_l = list(range(len(inst.left)))
-    everyone_r = list(range(len(inst.right)))
-    lo, hi = 0, len(thresholds) - 1
+    start, found = [[-1] * len(side) for side in inst.points], None
+    lo, hi = 0, len(inst.thresholds) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if inst.feasible(thresholds[mid], everyone_l, everyone_r):
-            hi = mid
+        mate = [list(side) for side in start]
+        if inst.cover(mate, mid):
+            hi, found = mid, mate
         else:
-            lo = mid + 1
-    t_star = thresholds[lo]
-    value = max(t_star, infinity_gap)
+            lo, start = mid + 1, mate
+    if found is None:  # lo is the largest threshold: no point is a must point
+        found = start
+    for i, j in enumerate(found[0]):
+        if j == -1:
+            inst.rematch(found, 0, i, lo, -1)
+    value = max(inst.thresholds[lo], abs(d1.infinity_x - d2.infinity_x))
 
-    order = sorted(everyone_l, key=lambda i: (inst.left[i].x, inst.left[i].y))
-    assigned: Dict[int, Optional[int]] = {}
-    taken = set()
-    for pos, i in enumerate(order):
-        rest = order[pos + 1 :]
-        targets = sorted(
-            (j for j in everyone_r if j not in taken and inst.norm.get((i, j), None) is not None
-             and inst.norm[(i, j)] <= t_star),
-            key=lambda j: (inst.right[j].x, inst.right[j].y),
-        )
-        choices: List[Optional[int]] = list(targets)
-        if inst.half_left[i] <= t_star:
-            choices.append(None)
-        placed = False
-        for choice in choices:
-            trial_taken = taken | ({choice} if choice is not None else set())
-            right_alive = [j for j in everyone_r if j not in trial_taken]
-            if inst.feasible(t_star, rest, right_alive):
-                assigned[i] = choice
-                taken = trial_taken
-                placed = True
-                break
-        if not placed:  # cannot happen at a feasible threshold
-            raise RuntimeError("internal error: witness construction lost feasibility")
-
+    left, right = inst.points
     pairs: List[Tuple[object, object]] = [
         (ExtendedPoint.at_infinity(d1.infinity_x), ExtendedPoint.at_infinity(d2.infinity_x))
     ]
-    for i in order:
-        j = assigned[i]
-        pairs.append((inst.left[i], DIAGONAL if j is None else inst.right[j]))
-    for j in everyone_r:
-        if j not in taken:
-            pairs.append((DIAGONAL, inst.right[j]))
+    pairs.extend((p, DIAGONAL if j == -1 else right[j]) for p, j in zip(left, found[0]))
+    pairs.extend((DIAGONAL, q) for q, i in zip(right, found[1]) if i == -1)
     return value, Matching(pairs=tuple(pairs), cost=value)
 
 

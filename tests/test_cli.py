@@ -1,9 +1,11 @@
 """End-to-end command-line behavior, run in-process via cli.main(argv)."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from sizematch._rational import number_from_json
 from sizematch.cli import main
 
 
@@ -84,6 +86,22 @@ def test_dist_single_point_versus_empty(files, capsys, tmp_path):
     code, out, _ = run(capsys, ["dist", str(a), str(b)])
     assert code == 0
     assert json.loads(out)["value"] == 1.0
+
+
+def test_dist_beyond_the_float_range(capsys, tmp_path):
+    big = tmp_path / "big.json"
+    empty = tmp_path / "empty.json"
+    big.write_text('{"infinity_x": 0, "points": [[1, %d, 1]]}' % 10**400)
+    empty.write_text('{"infinity_x": 0, "points": []}')
+    code, out, _ = run(capsys, ["dist", str(big), str(empty), "--witness"])
+    assert code == 0
+    data = json.loads(out)
+    assert number_from_json(data["value"]) == Fraction(10**400 - 1, 2)
+    assert number_from_json(data["witness"]["cost"]) == Fraction(10**400 - 1, 2)
+    code, out, err = run(capsys, ["dist", str(big), str(empty), "--format", "csv"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_dist_rejects_point_below_diagonal(files, capsys, tmp_path):

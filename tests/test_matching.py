@@ -1,7 +1,9 @@
 """Bottleneck matching distance: ground distance, solver, oracle, stability."""
 
+import json
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +20,8 @@ from sizematch import (
     pseudo_distance_d,
     stability_probe,
 )
+from sizematch._rational import number_from_json, number_to_json
+from sizematch.matching import _max_norm
 from sizematch.selftest import perturbed_values, random_diagram, random_size_pair
 
 from test_core import path_fixture
@@ -143,7 +147,7 @@ def test_brute_force_cap():
     assert brute_force_matching_distance(d, d, cap=9) == 0
 
 
-def test_witness_is_deterministic_and_lex_minimal():
+def test_witness_is_deterministic_and_identity_at_zero():
     d1 = Diagram(0, [((0, 4), 1), ((1, 3), 1)])
     d2 = Diagram(0, [((0, 4), 1), ((1, 3), 1)])
     _, m1 = matching_distance(d1, d2)
@@ -165,6 +169,147 @@ def test_witness_cost_is_max_of_pair_costs():
         value, m = matching_distance(d1, d2)
         grounds = [pseudo_distance_d(l, r) for l, r in m.pairs]
         assert max(grounds) == value == m.cost
+
+
+def _sized_diagram(rng, multiplicities, infinity_x=None):
+    """One point per entry of ``multiplicities`` on a quarter grid, ties likely."""
+    if infinity_x is None:
+        infinity_x = F(rng.randint(-8, 8), 4)
+    entries = []
+    for mult in multiplicities:
+        x = infinity_x + F(rng.randint(0, 10), 4)
+        entries.append(((x, x + F(rng.randint(1, 8), 4)), mult))
+    return Diagram(infinity_x, entries)
+
+
+def _split(rng, total):
+    """Multiplicities of 1 to 3 that add up to ``total``."""
+    out = []
+    while sum(out) < total:
+        out.append(min(rng.randint(1, 3), total - sum(out)))
+    return out
+
+
+def _direct_pairs(m):
+    return [
+        (l, r) for l, r in m.pairs
+        if l is not DIAGONAL and r is not DIAGONAL and not l.is_at_infinity
+    ]
+
+
+def test_solver_agrees_with_brute_force_at_the_cap_with_multiplicities():
+    rng = random.Random(66)
+    splits = [[2, 2, 2, 2], [2, 3, 3], [3, 2, 3], [3, 3, 2]]
+    for trial in range(20):
+        d1 = _sized_diagram(rng, rng.choice(splits))
+        d2 = _sized_diagram(rng, rng.choice(splits))
+        assert d1.total_multiplicity == d2.total_multiplicity == 8
+        solver, m = matching_distance(d1, d2)
+        brute = brute_force_matching_distance(d1, d2, cap=8)
+        assert solver == brute, f"trial {trial}: {solver} != {brute}"
+        m.verify(d1, d2)
+
+
+def _maximum_matching_size(edges, rows, cols):
+    """Size of a maximum matching of a bipartite edge list (scipy)."""
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    if not edges:
+        return 0
+    graph = sparse.csr_matrix(([1] * len(edges), tuple(zip(*edges))), shape=(rows, cols))
+    return int((csgraph.maximum_bipartite_matching(graph, perm_type="column") >= 0).sum())
+
+
+def _slot_graph_is_perfect(d1, d2, t):
+    """Perfect matching in the explicit doubled graph at threshold t."""
+    left, right = d1.expanded(), d2.expanded()
+    nl, nr = len(left), len(right)
+    # rows: left points, then one diagonal slot per right point;
+    # columns: right points, then one diagonal slot per left point
+    edges = [(nl + j, nr + i) for j in range(nr) for i in range(nl)]
+    for i, p in enumerate(left):
+        edges += [(i, j) for j, q in enumerate(right) if pseudo_distance_d(p, q) <= t]
+        if pseudo_distance_d(p, DIAGONAL) <= t:
+            edges.append((i, nr + i))
+    for j, q in enumerate(right):
+        if pseudo_distance_d(DIAGONAL, q) <= t:
+            edges.append((nl + j, j))
+    return _maximum_matching_size(edges, nl + nr, nl + nr) == nl + nr
+
+
+def _max_direct_pairs(d1, d2, t):
+    """Largest number of pairs of max-norm <= t that realize() accepts."""
+    left, right = d1.expanded(), d2.expanded()
+    edges = [
+        (i, j) for i, p in enumerate(left) for j, q in enumerate(right)
+        if pseudo_distance_d(p, q) == _max_norm(p, q) <= t
+    ]
+    return _maximum_matching_size(edges, len(left), len(right))
+
+
+def test_solver_threshold_against_scipy_slot_matching():
+    rng = random.Random(67)
+    for trial in range(10):
+        d1, d2 = (_sized_diagram(rng, _split(rng, rng.randint(20, 60)), 0) for _ in range(2))
+        value, m = matching_distance(d1, d2)
+        m.verify(d1, d2)
+        assert _slot_graph_is_perfect(d1, d2, value), f"trial {trial}"
+        candidates = {F(0)}
+        for p in d1.expanded():
+            candidates.add(pseudo_distance_d(p, DIAGONAL))
+            candidates.update(pseudo_distance_d(p, q) for q in d2.expanded())
+        candidates.update(pseudo_distance_d(DIAGONAL, q) for q in d2.expanded())
+        below = [c for c in candidates if c < value]
+        if below:
+            assert not _slot_graph_is_perfect(d1, d2, max(below)), f"trial {trial}"
+        assert len(_direct_pairs(m)) == _max_direct_pairs(d1, d2, value), f"trial {trial}"
+
+
+def test_witness_direct_pairs_cost_their_max_norm():
+    rng = random.Random(68)
+    for _ in range(60):
+        d1 = random_diagram(rng, max_points=8, max_multiplicity=3)
+        d2 = random_diagram(rng, max_points=8, max_multiplicity=3)
+        _, m = matching_distance(d1, d2)
+        for l, r in _direct_pairs(m):
+            assert pseudo_distance_d(l, r) == _max_norm(l, r)
+
+
+def test_identical_diagrams_give_the_identity_witness():
+    rng = random.Random(69)
+    for _ in range(30):
+        d = _sized_diagram(rng, [rng.randint(1, 3) for _ in range(rng.randint(0, 12))])
+        value, m = matching_distance(d, d)
+        assert value == 0
+        assert sorted(_direct_pairs(m), key=lambda pq: (pq[0].x, pq[0].y)) == [
+            (p, p) for p in d.expanded()
+        ]
+        assert all(DIAGONAL not in pair for pair in m.pairs)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_long_alternating_paths_do_not_recurse():
+    # d2's i-th point is d1's i-th point moved 3/5 toward d1's (i-1)-th one,
+    # so each point of d1 is nearest to its successor's partner and covering
+    # the last one shifts the whole staircase: one alternating path of n steps
+    n = 300
+    d1 = Diagram(0, [((i + 1, i + 3), 1) for i in range(n)])
+    d2 = Diagram(0, [((i + F(2, 5), i + F(12, 5)), 1) for i in range(n)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        value, m = matching_distance(d1, d2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == F(3, 5)
+    assert len(_direct_pairs(m)) == n
+    m.verify(d1, d2)
 
 
 # ------------------------------------------------------------- verification
@@ -215,8 +360,7 @@ def test_verify_rejects_diagonal_to_diagonal():
 
 
 def test_matching_json_round_trip():
-    # JSON carries plain floats, so the round trip is bit-exact exactly when
-    # every coordinate is float-representable (here: dyadic rationals)
+    # dyadic coordinates travel as plain floats
     d1 = extract_diagram(path_fixture())
     d2 = Diagram(F(1, 2), [((F(5, 4), F(17, 8)), 1)])
     _, m = matching_distance(d1, d2)
@@ -225,6 +369,23 @@ def test_matching_json_round_trip():
     again.verify(d1, d2)
     assert again.cost == m.cost
     assert again == m
+
+
+def test_matching_json_round_trip_is_lossless_for_any_rational():
+    d1 = Diagram(0, [((F(1, 3), F(7, 3)), 1)])
+    d2 = Diagram(0, [((F(2, 3), F(7, 3)), 1)])
+    _, m = matching_distance(d1, d2)
+    assert m.cost == F(1, 3)
+    again = Matching.from_json_dict(
+        json.loads(m.dumps()), infinity_left=d1.infinity_x, infinity_right=d2.infinity_x
+    )
+    assert again == m
+
+
+def test_number_codec_beyond_the_float_range():
+    for value in (F(10**400 + 1, 2), F(1, 3 * 10**400), F(10**400)):
+        assert number_from_json(json.loads(json.dumps(number_to_json(value)))) == value
+    assert number_to_json(F(3, 2)) == 1.5
 
 
 def test_matching_json_needs_infinity_context():
