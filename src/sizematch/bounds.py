@@ -5,9 +5,13 @@
     s = sup { min(xi - x, y - eta)  :  x <= xi < eta <= y,
                                        l1(x, y) > l2(xi, eta) }
 
-exactly (0 on an empty set).  Both step functions are constant on the
-half-open boxes cut by their own break lines, so the sup is a finite
-optimization over pairs of boxes, solved in closed form per pair.
+exactly (0 on an empty set) by the anti-diagonal reduction.  l2 is
+non-decreasing in xi and non-increasing in eta, so for fixed (x, y) the
+best (xi, eta) is (x + g, y - g), and l2(x + g, y - g) counts the units of
+d2 whose threshold max(qx - x, y - qy, 0) has been passed.  l1 is constant
+on half-open cells, so x sits at a d1 x-break and y tends to the top of
+its d1 y-cell; one sweep over these pairs gives s, and a closed-form
+4-tuple, checked by direct evaluation, witnesses it.
 
 ``exact_graph_pseudo_distance`` minimizes the sup-norm value difference
 over all graph isomorphisms (small graphs only) — an upper companion:
@@ -20,11 +24,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ._rational import as_fraction
-from .core import SizePair
-from .diagram import Diagram, extract_diagram
+from ._rational import as_fraction, number_to_json
+from .core import SizePair, _min_gap
+from .diagram import Diagram, evaluate_diagram, extract_diagram
 from .matching import Matching, matching_distance
 
 __all__ = [
@@ -36,34 +40,6 @@ __all__ = [
     "exact_graph_pseudo_distance",
     "bound_report",
 ]
-
-_NEG = -math.inf
-_POS = math.inf
-
-
-def _formula_value(diagram: Diagram, x, y) -> int:
-    """Representation sum without the x < y guard (step-function value)."""
-    total = 1 if diagram.infinity_x <= x else 0
-    for point, mult in diagram.points:
-        if point.x <= x and point.y > y:
-            total += mult
-    return total
-
-
-def _axis_cells(breaks: Sequence[Fraction]) -> List[Tuple[object, object]]:
-    """Half-open cells [a, b) cut by the breaks, including both unbounded ends."""
-    if not breaks:
-        return [(_NEG, _POS)]
-    cells: List[Tuple[object, object]] = [(_NEG, breaks[0])]
-    for a, b in zip(breaks, breaks[1:]):
-        cells.append((a, b))
-    cells.append((breaks[-1], _POS))
-    return cells
-
-
-def _cell_representative(cell: Tuple[object, object], fallback_below) -> object:
-    a, b = cell
-    return a if a != _NEG else fallback_below
 
 
 @dataclass(frozen=True)
@@ -80,13 +56,13 @@ class EarlierWitness:
 
     def to_json_dict(self) -> dict:
         return {
-            "x": float(self.x),
-            "y": float(self.y),
-            "xi": float(self.xi),
-            "eta": float(self.eta),
+            "x": number_to_json(self.x),
+            "y": number_to_json(self.y),
+            "xi": number_to_json(self.xi),
+            "eta": number_to_json(self.eta),
             "value_left": self.value_left,
             "value_right": self.value_right,
-            "achieved": float(self.achieved),
+            "achieved": number_to_json(self.achieved),
         }
 
 
@@ -96,150 +72,74 @@ def _diagram_breaks(diagram: Diagram) -> Tuple[List[Fraction], List[Fraction]]:
     return xs, ys
 
 
+def _dominating(diagram: Diagram, x, y) -> int:
+    """Units with px <= x and py >= y, the point at infinity included: l(x, y-)."""
+    total = 1 if diagram.infinity_x <= x else 0
+    for point, mult in diagram.points:
+        if point.x <= x and point.y >= y:
+            total += mult
+    return total
+
+
 def earlier_bound(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Optional[EarlierWitness]]:
     """Exact sup of min(xi - x, y - eta) over the admissible set, with a witness.
 
-    Per pair of constancy boxes with l1-value > l2-value the sup has closed
-    form: x sits at the left end of its box, y at the sup of its box, and
-    (xi, eta) at one of two corner candidates or at the balanced midpoint
-    (x + y)/2 clamped into the box (the wedge apex).  The witness is a
-    strictly admissible 4-tuple re-verified by direct evaluation; on an
-    empty admissible set the result is (0, None).
+    For a d1 x-break ``ax`` and the top ``by`` of a d1 y-cell, let
+    c = l1(ax, by-) and give every unit of d2 the threshold
+    max(qx - ax, by - qy, 0) (max(infinity_x - ax, 0) for the point at
+    infinity).  The pair is worth min((by - ax)/2, g*), g* being the c-th
+    smallest threshold (infinite if d2 has fewer than c units), and s is the
+    largest worth.  The unbounded top y-cell is cut at
+    2 * last - first + 1 over all breaks, above which no worth changes.  A
+    pair is skipped when it cannot beat the best so far: its width is at
+    most twice the best, or c units of d2 already dominate
+    (ax + best, by - best).
+
+    Every positive threshold and width is at least the minimal gap ``gap``
+    between breaks of both diagrams, so s >= gap/2, and the witness
+    x = ax, y = by - gap/8, xi = x + g, eta = y - g with g = s - gap/4 is
+    strictly admissible and separating; it is re-checked by direct
+    evaluation.  On an empty admissible set the result is (0, None).
     """
     xs1, ys1 = _diagram_breaks(d1)
     xs2, ys2 = _diagram_breaks(d2)
-    x_cells1, y_cells1 = _axis_cells(xs1), _axis_cells(ys1)
-    x_cells2, y_cells2 = _axis_cells(xs2), _axis_cells(ys2)
-    below1 = (xs1[0] if xs1 else Fraction(0)) - 1
-    below_y1 = (ys1[0] if ys1 else Fraction(0)) - 1
-    below2 = (xs2[0] if xs2 else Fraction(0)) - 1
-    below_y2 = (ys2[0] if ys2 else Fraction(0)) - 1
+    breaks = sorted(set(xs1 + ys1 + xs2 + ys2))
+    tops = ys1 + [2 * breaks[-1] - breaks[0] + 1]
+    units2 = d2.expanded()
+    best, best_pair = Fraction(0), None
+    for ax in xs1:
+        for by in reversed(tops):
+            if by - ax <= 2 * best:
+                break
+            c = _dominating(d1, ax, by)
+            if _dominating(d2, ax + best, by - best) >= c:
+                continue  # g* <= best; this also skips c == 0
+            thresholds = sorted(
+                [max(d2.infinity_x - ax, 0)]
+                + [max(q.x - ax, by - q.y, 0) for q in units2]
+            )
+            reach = thresholds[c - 1] if c <= len(thresholds) else math.inf
+            value = min((by - ax) / 2, reach)
+            if value > best:
+                best, best_pair = value, (ax, by)
 
-    values1 = [
-        [
-            _formula_value(d1, _cell_representative(cx, below1), _cell_representative(cy, below_y1))
-            for cy in y_cells1
-        ]
-        for cx in x_cells1
-    ]
-    values2 = [
-        [
-            _formula_value(d2, _cell_representative(cx, below2), _cell_representative(cy, below_y2))
-            for cy in y_cells2
-        ]
-        for cx in x_cells2
-    ]
-
-    best = Fraction(0)
-    best_cells = None
-    for ix1, (ax, bx) in enumerate(x_cells1):
-        if ax == _NEG:
-            continue  # l1 is 0 left of every abscissa
-        for iy1, (ay, by) in enumerate(y_cells1):
-            left_value = values1[ix1][iy1]
-            if left_value == 0:
-                continue
-            for ix2, (axi, bxi) in enumerate(x_cells2):
-                lo_xi = max(axi, ax)
-                if not lo_xi < bxi:
-                    continue
-                for iy2, (aeta, beta) in enumerate(y_cells2):
-                    if values2[ix2][iy2] >= left_value:
-                        continue
-                    hi_eta = min(beta, by)
-                    if not (aeta < hi_eta and lo_xi < hi_eta):
-                        continue
-                    candidates = []
-                    if bxi != _POS:
-                        eta0 = max(aeta, bxi)
-                        if eta0 <= hi_eta:
-                            candidates.append((bxi, eta0))
-                    if aeta != _NEG:
-                        xi0 = min(bxi, aeta)
-                        if xi0 >= lo_xi:
-                            candidates.append((xi0, aeta))
-                    lower = max(lo_xi, aeta)
-                    upper = min(bxi, beta, by)
-                    if lower <= upper:
-                        if by == _POS:
-                            m = upper
-                        else:
-                            m = (ax + by) / 2
-                            m = lower if m < lower else (upper if m > upper else m)
-                        candidates.append((m, m))
-                    for xi0, eta0 in candidates:
-                        margin_x = xi0 - ax
-                        margin_y = (by - eta0) if by != _POS else _POS
-                        gain = min(margin_x, margin_y)
-                        if gain > best:
-                            best = as_fraction(gain)
-                            best_cells = ((ax, bx), (ay, by), (axi, bxi), (aeta, beta))
-
-    if best_cells is None:
+    if best_pair is None:
         return Fraction(0), None
-    witness = _strict_witness(d1, d2, best_cells, xs1 + ys1 + xs2 + ys2)
+    gap = _min_gap(breaks)
+    ax, by = best_pair
+    x, y, g = ax, by - gap / 8, best - gap / 4
+    witness = EarlierWitness(
+        x=x,
+        y=y,
+        xi=x + g,
+        eta=y - g,
+        value_left=evaluate_diagram(d1, x, y),
+        value_right=evaluate_diagram(d2, x + g, y - g),
+        achieved=g,
+    )
+    if witness.value_left <= witness.value_right:
+        raise RuntimeError(f"internal error: earlier_bound witness {witness} does not separate")
     return best, witness
-
-
-def _strict_witness(d1, d2, cells, all_breaks) -> Optional[EarlierWitness]:
-    (ax, bx), (ay, by), (axi, bxi), (aeta, beta) = cells
-    breaks = sorted(set(all_breaks))
-    if len(breaks) >= 2:
-        delta = min(b - a for a, b in zip(breaks, breaks[1:])) / 4
-    else:
-        delta = Fraction(1, 4)
-    top = (breaks[-1] if breaks else Fraction(0)) + 1
-
-    def in_cell(t, cell):
-        a, b = cell
-        return (a == _NEG or a <= t) and (b == _POS or t < b)
-
-    xs = [ax, ax + delta]
-    ys = [
-        by - delta if by != _POS else None,
-        ay + delta if ay != _NEG else None,
-        top if by == _POS else None,
-    ]
-    lo_xi = max(axi if axi != _NEG else ax, ax)
-    mid = None
-    if by != _POS:
-        mid = (ax + by) / 2
-    xis = [lo_xi, lo_xi + delta, (bxi - delta) if bxi != _POS else None]
-    etas = [aeta if aeta != _NEG else None, (aeta + delta) if aeta != _NEG else None]
-    if mid is not None:
-        xis.extend([mid - delta / 2, mid])
-        etas.extend([mid + delta / 2, mid + delta])
-    best = None
-    for x in xs:
-        if x is None or not in_cell(x, (ax, bx)):
-            continue
-        for y in ys:
-            if y is None or not in_cell(y, (ay, by)) or not x < y:
-                continue
-            value_left = _formula_value(d1, x, y)
-            for xi in xis:
-                if xi is None or not in_cell(xi, (axi, bxi)) or not x <= xi:
-                    continue
-                for eta in etas + [xi + delta]:
-                    if eta is None or not in_cell(eta, (aeta, beta)):
-                        continue
-                    if not (xi < eta and eta <= y):
-                        continue
-                    value_right = _formula_value(d2, xi, eta)
-                    if value_left <= value_right:
-                        continue
-                    achieved = min(xi - x, y - eta)
-                    if best is None or achieved > best.achieved:
-                        best = EarlierWitness(
-                            x=as_fraction(x),
-                            y=as_fraction(y),
-                            xi=as_fraction(xi),
-                            eta=as_fraction(eta),
-                            value_left=value_left,
-                            value_right=value_right,
-                            achieved=as_fraction(achieved),
-                        )
-    return best
 
 
 def earlier_bound_grid_oracle(d1: Diagram, d2: Diagram, level: int = 0) -> Fraction:
@@ -256,9 +156,7 @@ def earlier_bound_grid_oracle(d1: Diagram, d2: Diagram, level: int = 0) -> Fract
     factor = 2 ** (level + 2)
     xs1, ys1 = _diagram_breaks(d1)
     xs2, ys2 = _diagram_breaks(d2)
-    base = sorted(set(xs1 + ys1 + xs2 + ys2))
-    if not base:
-        base = [Fraction(0)]
+    base = sorted(set(xs1 + ys1 + xs2 + ys2))  # never empty: it holds d1.infinity_x
     points = [base[0] - 1] + base + [base[-1] + 1]
     grid: List[Fraction] = []
     for a, b in zip(points, points[1:]):
@@ -267,16 +165,20 @@ def earlier_bound_grid_oracle(d1: Diagram, d2: Diagram, level: int = 0) -> Fract
     grid.append(points[-1])
 
     n = len(grid)
-    values1 = [[_formula_value(d1, grid[i], grid[j]) for j in range(n)] for i in range(n)]
-    values2 = [[_formula_value(d2, grid[i], grid[j]) for j in range(n)] for i in range(n)]
+    # values[i][j] is evaluated for i < j only; the entries j <= i are never read
+    values1, values2 = (
+        [[evaluate_diagram(d, grid[i], grid[j]) if i < j else 0 for j in range(n)]
+         for i in range(n)]
+        for d in (d1, d2)
+    )
     max_left = max(max(row) for row in values1)
-    # first_below[i][c]: least j with values2[i][j] < c (rows are non-increasing in j,
+    # first_below[i][c]: least j > i with values2[i][j] < c (rows are non-increasing in j,
     # so the pointer only moves forward as c decreases)
     first_below = []
     for i in range(n):
         row = values2[i]
         firsts = [n] * (max_left + 1)
-        j = 0
+        j = i + 1
         for c in range(max_left, 0, -1):
             while j < n and row[j] >= c:
                 j += 1
@@ -294,8 +196,6 @@ def earlier_bound_grid_oracle(d1: Diagram, d2: Diagram, level: int = 0) -> Fract
                 continue  # min(xi - x, y - eta) <= (y - x)/2 for nested tuples
             for ixi in range(ix, iy):
                 jeta = first_below[ixi][c]
-                if jeta <= ixi:
-                    jeta = ixi + 1
                 if jeta > iy:
                     continue
                 gain = min(grid[ixi] - x, y - grid[jeta])
@@ -397,9 +297,9 @@ class BoundReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "earlier_bound": float(self.earlier),
-            "d_match": float(self.d_match),
-            "exact_pseudo_distance": None if self.exact is None else float(self.exact),
+            "earlier_bound": number_to_json(self.earlier),
+            "d_match": number_to_json(self.d_match),
+            "exact_pseudo_distance": None if self.exact is None else number_to_json(self.exact),
             "chain_ok": True,
             "note": self.note,
             "witnesses": {
@@ -427,9 +327,7 @@ def bound_report(sp1: SizePair, sp2: SizePair, cap: int = 9) -> BoundReport:
     note: Optional[str] = None
     try:
         exact = exact_graph_pseudo_distance(sp1, sp2, cap=cap)
-    except NotIsomorphicError as exc:
-        note = str(exc)
-    except ValueError as exc:
+    except ValueError as exc:  # NotIsomorphicError, or the search cap
         note = str(exc)
     if earlier > d_match:
         raise RuntimeError(

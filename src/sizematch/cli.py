@@ -130,10 +130,11 @@ def _cmd_bound(args) -> int:
     if args.format == "json":
         print(report.dumps(indent=2))
     else:
-        print("name,value")
-        print(f"earlier_bound,{float(report.earlier)}")
-        print(f"d_match,{float(report.d_match)}")
+        earlier, d_match = float(report.earlier), float(report.d_match)  # an overflow prints nothing
         exact = "" if report.exact is None else float(report.exact)
+        print("name,value")
+        print(f"earlier_bound,{earlier}")
+        print(f"d_match,{d_match}")
         print(f"exact_pseudo_distance,{exact}")
         if report.note:
             print(f"# note: {report.note}")

@@ -352,15 +352,21 @@ def size_function_on_grid(sp: SizePair, xs: Sequence, ys: Sequence) -> Dict[Tupl
     return result
 
 
+def _min_gap(values: Sequence[Fraction]) -> Fraction:
+    """Least positive gap between neighbours of sorted ``values``; 1 if there is none."""
+    gaps = [b - a for a, b in zip(values, values[1:])]
+    positive = [g for g in gaps if g > 0]
+    if not positive:
+        return Fraction(1)
+    return min(positive)
+
+
 def _quarter_gap_grid(values: Iterable) -> Tuple[Fraction, ...]:
     """Distinct values plus offsets of a quarter of the minimal gap."""
     base = sorted({as_fraction(v) for v in values})
     if not base:
         return ()
-    if len(base) == 1:
-        step = Fraction(1, 4)
-    else:
-        step = min(b - a for a, b in zip(base, base[1:])) / 4
+    step = _min_gap(base) / 4
     grid = set(base)
     for v in base:
         grid.add(v - step)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ._rational import as_fraction
-from .core import SizePair, reduced_size_function, size_function_on_grid
+from .core import SizePair, _min_gap, reduced_size_function, size_function_on_grid
 
 __all__ = [
     "ExtendedPoint",
@@ -244,14 +244,6 @@ def evaluate_diagram_on_grid(diagram: Diagram, xs: Sequence, ys: Sequence) -> Di
                 base = 1 if diagram.infinity_x <= x else 0
                 result[(x, y)] = base + bisect_right(alive_xs, x)
     return result
-
-
-def _min_gap(values: Sequence[Fraction]) -> Fraction:
-    gaps = [b - a for a, b in zip(values, values[1:])]
-    positive = [g for g in gaps if g > 0]
-    if not positive:
-        return Fraction(1)
-    return min(positive)
 
 
 def multiplicity(sp: SizePair, x, y) -> int:

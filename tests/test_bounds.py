@@ -1,5 +1,6 @@
 """Lower and upper bounds bracketing the natural pseudo-distance."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -18,7 +19,8 @@ from sizematch import (
     matching_distance,
     evaluate_diagram,
 )
-from sizematch.selftest import random_isomorphic_pair, random_size_pair
+from sizematch.bounds import EarlierWitness
+from sizematch.selftest import random_diagram, random_isomorphic_pair, random_size_pair
 
 from test_core import path_fixture
 
@@ -80,6 +82,52 @@ def test_earlier_bound_shifted_copy():
         s, w = earlier_bound(shifted, d1)
         assert s == c, f"shift {c}: got {s}"
         assert w is not None
+
+
+def _large_diagram(rng):
+    d = random_diagram(rng, max_points=30, max_multiplicity=3)
+    while d.total_multiplicity < 10:
+        d = random_diagram(rng, max_points=30, max_multiplicity=3)
+    return d
+
+
+def _large_pair(seed):
+    """10-30 points a side, multiplicities up to 3; every third pair is a near copy."""
+    rng = random.Random(seed)
+    d1 = _large_diagram(rng)
+    if seed % 3:
+        return d1, _large_diagram(rng)
+
+    def jitter():
+        return F(rng.randint(-1, 1), 16)
+
+    return d1, Diagram(
+        d1.infinity_x + jitter(),
+        [((p.x + jitter(), p.y + jitter()), m) for p, m in d1.points],
+    )
+
+
+# computed by the cell enumeration over pairs of constancy boxes that
+# earlier_bound used before the anti-diagonal reduction
+LARGE_EXPECTED = [
+    F(1, 16), 2, F(7, 8), F(1, 16), 1, F(7, 8), F(1, 16), F(7, 8), F(1, 4), F(1, 16),
+    F(11, 4), 1, F(1, 16), 1, F(3, 4), F(1, 16), F(5, 8), F(7, 8), F(1, 16), 3,
+]
+
+
+@pytest.mark.parametrize("seed", range(len(LARGE_EXPECTED)))
+def test_earlier_bound_exact_at_larger_sizes(seed):
+    d1, d2 = _large_pair(seed)
+    s, w = earlier_bound(d1, d2)
+    assert s == LARGE_EXPECTED[seed]
+    assert (w is None) == (s == 0)
+    if w is not None:
+        assert w.x <= w.xi < w.eta <= w.y
+        assert evaluate_diagram(d1, w.x, w.y) == w.value_left
+        assert evaluate_diagram(d2, w.xi, w.eta) == w.value_right
+        assert w.value_left > w.value_right
+        assert 0 < w.achieved <= s
+    assert earlier_bound_grid_oracle(d1, d2, 0) <= s
 
 
 # ---------------------------------------------------------------- oracle
@@ -217,3 +265,19 @@ def test_bound_report_json():
     assert data["exact_pseudo_distance"] == 0.0
     assert "matching" in data["witnesses"]
     assert isinstance(report, BoundReport)
+
+
+def test_bound_json_is_lossless():
+    third = F(1, 3)
+    _, matching = matching_distance(Diagram(0, []), Diagram(0, []))
+    witness = EarlierWitness(
+        x=third, y=1, xi=F(1, 2), eta=F(2, 3), value_left=2, value_right=1, achieved=F(1, 6)
+    )
+    report = BoundReport(
+        d_match=third, earlier=third, exact=third, matching=matching, earlier_witness=witness
+    )
+    data = json.loads(report.dumps())
+    assert data["earlier_bound"] == data["d_match"] == data["exact_pseudo_distance"] == "1/3"
+    earlier = data["witnesses"]["earlier"]
+    assert (earlier["x"], earlier["eta"], earlier["achieved"]) == ("1/3", "2/3", "1/6")
+    assert witness.to_json_dict()["x"] == "1/3"

@@ -184,6 +184,30 @@ def test_bound_cap_flag(files, capsys):
     assert "cap" in data["note"]
 
 
+def test_bound_beyond_the_float_range(capsys, tmp_path):
+    # distances of 1.7e308 and 3.4e308 between values that are valid floats
+    big = Fraction(1.7e308)
+    edges = tmp_path / "e.csv"
+    edges.write_text("a,b\nb,c\n")
+    valley = tmp_path / "valley.csv"
+    valley.write_text("a,-1.7e308\nb,1.7e308\nc,-1.7e308\n")
+    peak = tmp_path / "peak.csv"
+    peak.write_text("a,1.7e308\nb,-1.7e308\nc,1.7e308\n")
+    argv = ["bound", str(valley), str(edges), str(peak), str(edges)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    data = json.loads(out)
+    assert number_from_json(data["earlier_bound"]) == big
+    assert number_from_json(data["d_match"]) == big
+    assert number_from_json(data["exact_pseudo_distance"]) == 2 * big
+    witness = data["witnesses"]["earlier"]
+    assert 0 < number_from_json(witness["achieved"]) <= big
+    code, out, err = run(capsys, argv + ["--format", "csv"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- realize
 
 
