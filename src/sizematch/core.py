@@ -289,36 +289,38 @@ def reduced_size_function(sp: SizePair, x, y) -> int:
 
 
 class _UnionFind:
-    """Union-find keeping the minimum vertex value of each class."""
+    """Union-find over the positions 0..n-1; each class is rooted at its smallest position.
 
-    __slots__ = ("parent", "birth")
+    Callers number vertices in the order they sweep them, so the root of a
+    class is its oldest vertex.
+    """
 
-    def __init__(self):
-        self.parent = {}
-        self.birth = {}
+    __slots__ = ("parent",)
 
-    def add(self, v, value):
-        self.parent[v] = v
-        self.birth[v] = value
+    def __init__(self, n: int):
+        self.parent = list(range(n))
 
-    def find(self, v):
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
+    def find(self, p: int) -> int:
+        parent = self.parent
+        root = p
+        while parent[root] != root:
+            root = parent[root]
+        while parent[p] != root:
+            parent[p], p = root, parent[p]
         return root
 
-    def union(self, u, v) -> bool:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        if self.birth[rv] < self.birth[ru]:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        if self.birth[rv] < self.birth[ru]:
-            self.birth[ru] = self.birth[rv]
-        return True
+    def union(self, p: int, q: int) -> Optional[int]:
+        """Merge the classes of p and q; return the root that stopped being one.
+
+        Returns None when p and q already share a class.
+        """
+        rp, rq = self.find(p), self.find(q)
+        if rp == rq:
+            return None
+        if rq < rp:
+            rp, rq = rq, rp
+        self.parent[rq] = rp
+        return rq
 
 
 def size_function_on_grid(sp: SizePair, xs: Sequence, ys: Sequence) -> Dict[Tuple, int]:
@@ -331,21 +333,23 @@ def size_function_on_grid(sp: SizePair, xs: Sequence, ys: Sequence) -> Dict[Tupl
     xs_sorted = sorted(set(xs))
     ys_sorted = sorted(set(ys))
     order = sorted(sp.vertex_ids, key=lambda v: (sp.value(v), str(v)))
-    uf = _UnionFind()
-    active = set()
+    position = {v: p for p, v in enumerate(order)}
+    uf = _UnionFind(len(order))
+    roots = set()
     result: Dict[Tuple, int] = {}
     index = 0
     n = len(order)
     for y in ys_sorted:
         while index < n and sp.value(order[index]) <= y:
-            v = order[index]
-            uf.add(v, sp.value(v))
-            active.add(v)
-            for u in sp.neighbors(v):
-                if u in active:
-                    uf.union(v, u)
+            roots.add(index)
+            for u in sp.neighbors(order[index]):
+                q = position[u]
+                if q < index:
+                    dead = uf.union(index, q)
+                    if dead is not None:
+                        roots.remove(dead)
             index += 1
-        births = sorted(uf.birth[root] for root in {uf.find(v) for v in active})
+        births = sorted(sp.value(order[root]) for root in roots)
         for x in xs_sorted:
             if x < y:
                 result[(x, y)] = bisect_right(births, x)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ._rational import as_fraction
-from .core import SizePair, _min_gap, reduced_size_function, size_function_on_grid
+from .core import SizePair, _UnionFind, _min_gap, reduced_size_function, size_function_on_grid
 
 __all__ = [
     "ExtendedPoint",
@@ -168,48 +168,40 @@ class Diagram:
 
 
 def extract_diagram(sp: SizePair) -> Diagram:
-    """Cornerpoint diagram of a size pair, by one elder-rule sweep.
+    """Cornerpoint diagram of a size pair, by one elder-rule sweep on integer ranks.
 
-    Vertices are activated in increasing (value, id) order; an edge appears
-    at the value of its later endpoint.  When two components merge, the
-    younger one (larger birth, ties broken toward keeping the smaller
-    vertex id) dies and contributes the pair (its birth, merge value);
-    zero-persistence pairs are discarded.  The oldest component survives
-    and becomes the cornerpoint at infinity at the global minimum.
+    The distinct values are sorted once and each gets an int rank; the
+    vertices are sorted once by (rank, str(id)) and the sweep runs on their
+    positions in that order, so it compares ints only.  An edge appears at
+    the position of its later endpoint.  The root of a class is its
+    smallest position, its oldest vertex.  When vertex p joins, the classes
+    of its earlier neighbours merge: every one of their roots but the
+    oldest dies at p's level and contributes the pair (its birth, p's
+    level), whatever order the neighbours are visited in, so the diagram
+    does not depend on the merge order.  Zero-persistence pairs are
+    discarded, and ranks become values again only for the pairs emitted.
+    The oldest class survives as the cornerpoint at infinity at the global
+    minimum.
     """
-    order = sorted(sp.vertex_ids, key=lambda v: (sp.value(v), str(v)))
-    parent: Dict = {}
-    birth: Dict = {}
-
-    def find(v):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    pairs: Dict[Tuple[Fraction, Fraction], int] = {}
-    active = set()
-    for v in order:
-        parent[v] = v
-        birth[v] = (sp.value(v), str(v))
-        active.add(v)
-        level = sp.value(v)
-        for u in sorted(sp.neighbors(v), key=lambda w: (sp.value(w), str(w))):
-            if u not in active:
-                continue
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue
-            dead, alive = (ru, rv) if birth[ru] > birth[rv] else (rv, ru)
-            born = birth[dead][0]
-            if level > born:
-                key = (as_fraction(born), as_fraction(level))
-                pairs[key] = pairs.get(key, 0) + 1
-            parent[dead] = alive
-    root = find(order[0])
-    return Diagram(birth[root][0], [(xy, m) for xy, m in sorted(pairs.items())])
+    values = sp.vertex_values
+    levels = sorted(set(values.values()))
+    rank_of = {value: r for r, value in enumerate(levels)}
+    rank = {v: rank_of[value] for v, value in values.items()}
+    order = sorted(values, key=lambda v: (rank[v], str(v)))
+    position = {v: p for p, v in enumerate(order)}
+    ranks = [rank[v] for v in order]
+    uf = _UnionFind(len(order))
+    pairs: Dict[Tuple[int, int], int] = {}
+    for p, v in enumerate(order):
+        level = ranks[p]
+        for u in sp.neighbors(v):
+            q = position[u]
+            if q < p:
+                dead = uf.union(p, q)
+                if dead is not None and ranks[dead] < level:
+                    key = (ranks[dead], level)
+                    pairs[key] = pairs.get(key, 0) + 1
+    return Diagram(levels[0], [((levels[b], levels[d]), m) for (b, d), m in pairs.items()])
 
 
 def evaluate_diagram(diagram: Diagram, x, y) -> int:

@@ -92,19 +92,8 @@ class RectField:
 
     def value_at(self, column: int, y) -> Fraction:
         """Exact field value on a column at height y (linear between breaks)."""
-        y = as_fraction(y)
-        ys = self.y_breaks_per_column[column]
-        vs = self.values_per_column[column]
-        if not ys[0] <= y <= ys[-1]:
-            raise ValueError(f"y={y} outside the field range [{ys[0]}, {ys[-1]}]")
-        k = bisect_right(ys, y)
-        if k == len(ys):
-            return vs[-1]
-        if ys[k - 1] == y:
-            return vs[k - 1]
-        a, b = ys[k - 1], ys[k]
-        va, vb = vs[k - 1], vs[k]
-        return va + (vb - va) * (y - a) / (b - a)
+        ys, vs = self.y_breaks_per_column[column], self.values_per_column[column]
+        return _sample(ys, vs, (as_fraction(y),))[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -199,16 +188,33 @@ class RealizationParams:
         }
 
 
-def _profile_value(profile: Sequence[Tuple[Fraction, Fraction]], y: Fraction) -> Fraction:
-    """Evaluate a piecewise-linear breakpoint list at y."""
-    for (ya, va), (yb, vb) in zip(profile, profile[1:]):
-        if ya <= y <= yb:
-            if y == ya:
-                return va
-            if y == yb:
-                return vb
-            return va + (vb - va) * (y - ya) / (yb - ya)
-    raise ValueError(f"y={y} outside the profile range")
+def _sample(
+    ys: Sequence[Fraction], vs: Sequence[Fraction], grid: Sequence[Fraction]
+) -> List[Fraction]:
+    """Values at the ascending, non-empty heights ``grid`` of the column that
+    is linear between the points (ys[i], vs[i]), in one walk.
+
+    ``ys`` is strictly increasing; a height outside [ys[0], ys[-1]] raises
+    ValueError.
+    """
+    for y in (grid[0], grid[-1]):
+        if not ys[0] <= y <= ys[-1]:
+            raise ValueError(f"y={y} outside the field range [{ys[0]}, {ys[-1]}]")
+    last = len(ys) - 1
+    i = bisect_right(ys, grid[0], 0, last) - 1
+    slope = None
+    out = []
+    for y in grid:
+        while i < last and ys[i + 1] <= y:
+            i += 1
+            slope = None
+        if y == ys[i]:
+            out.append(vs[i])
+        else:
+            if slope is None:
+                slope = (vs[i + 1] - vs[i]) / (ys[i + 1] - ys[i])
+            out.append(vs[i] + slope * (y - ys[i]))
+    return out
 
 
 def _structures_from_matching(matching: Matching) -> List[Tuple[str, object, object]]:
@@ -322,13 +328,14 @@ def realize(
     y_grid = tuple(sorted(y_breaks))
 
     def build(column_profiles) -> RectField:
-        values = tuple(
-            tuple(_profile_value(column_profiles[x], y) for y in y_grid) for x in x_breaks
-        )
+        values = []
+        for x in x_breaks:
+            ys, vs = zip(*column_profiles[x])
+            values.append(tuple(_sample(ys, vs, y_grid)))
         return RectField(
             x_breaks=x_breaks,
             y_breaks_per_column=(y_grid,) * len(x_breaks),
-            values_per_column=values,
+            values_per_column=tuple(values),
             S=S,
             min_phi=min_phi,
         )
@@ -372,17 +379,19 @@ def discretize(field: RectField, refine: int = 1) -> SizePair:
     shared = field.y_breaks_per_column[0]
     if any(column != shared for column in field.y_breaks_per_column):
         raise ValueError("discretize needs one shared y grid across columns")
-    ys: List[Fraction] = []
-    for a, b in zip(shared, shared[1:]):
-        step = (b - a) / refine
-        ys.extend(a + step * k for k in range(refine))
-    ys.append(shared[-1])
+    # value_at at a + (b - a) * k / refine is va + (vb - va) * k / refine, exactly
     vertices = []
-    for ci in range(field.n_columns):
-        for ri, y in enumerate(ys):
-            vertices.append((f"c{ci}r{ri}", field.value_at(ci, y)))
+    for ci, vs in enumerate(field.values_per_column):
+        column = []
+        for va, vb in zip(vs, vs[1:]):
+            column.append(va)
+            if refine > 1:
+                step = (vb - va) / refine
+                column.extend(va + step * k for k in range(1, refine))
+        column.append(vs[-1])
+        vertices.extend((f"c{ci}r{ri}", value) for ri, value in enumerate(column))
     edges = []
-    rows = len(ys)
+    rows = (len(shared) - 1) * refine + 1
     for ci in range(field.n_columns):
         for ri in range(rows - 1):
             edges.append((f"c{ci}r{ri}", f"c{ci}r{ri + 1}"))
@@ -402,10 +411,14 @@ def max_field_gap(field_a: RectField, field_b: RectField) -> Fraction:
     if field_a.x_breaks != field_b.x_breaks:
         raise ValueError("fields do not share their column abscissas")
     worst = Fraction(0)
-    for ci in range(field_a.n_columns):
-        ys = sorted(set(field_a.y_breaks_per_column[ci]) | set(field_b.y_breaks_per_column[ci]))
-        for y in ys:
-            gap = abs(field_a.value_at(ci, y) - field_b.value_at(ci, y))
-            if gap > worst:
-                worst = gap
+    for ya, va, yb, vb in zip(
+        field_a.y_breaks_per_column,
+        field_a.values_per_column,
+        field_b.y_breaks_per_column,
+        field_b.values_per_column,
+    ):
+        if ya != yb:
+            ys = sorted(set(ya) | set(yb))
+            va, vb = _sample(ya, va, ys), _sample(yb, vb, ys)
+        worst = max(worst, max(abs(a - b) for a, b in zip(va, vb)))
     return worst

@@ -1,10 +1,12 @@
 """End-to-end command-line behavior, run in-process via cli.main(argv)."""
 
+import importlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from sizematch import Diagram
 from sizematch._rational import number_from_json
 from sizematch.cli import main
 
@@ -242,6 +244,29 @@ def test_realize_csv(files, capsys, tmp_path):
     assert lines[0].startswith("# d_match ")
     assert lines[1] == "column_x,y,phi,psi"
     assert all(len(line.split(",")) == 4 for line in lines[2:])
+
+
+def test_realize_self_check_failure_exits_1(files, capsys, monkeypatch):
+    # at the default refine 1 the command reports realize()'s own check; the
+    # package attribute sizematch.realize is the function, so fetch the module
+    realize_module = importlib.import_module("sizematch.realize")
+    monkeypatch.setattr(realize_module, "extract_diagram", lambda sp: Diagram(7, []))
+    code, out, err = run(capsys, ["realize", files["d1"], files["d2"]])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_realize_refined_round_trip_failure_exits_1(files, capsys, monkeypatch):
+    # refine > 1 runs the command's own round trips
+    monkeypatch.setattr("sizematch.cli.extract_diagram", lambda sp: Diagram(7, []))
+    code, out, err = run(capsys, ["realize", files["d1"], files["d2"], "--refine", "2"])
+    assert code == 1
+    data = json.loads(out)
+    assert data["round_trip"] == {"refine": 2, "phi": False, "psi": False}
+    assert data["gap_equals_distance"] is True
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_realize_rejects_bad_json(files, capsys, tmp_path):

@@ -20,6 +20,7 @@ from sizematch import (
     size_function_on_grid,
     SizePair,
 )
+from sizematch.core import _quarter_gap_grid
 from sizematch.selftest import random_size_pair
 
 from test_core import path_fixture
@@ -118,6 +119,79 @@ def test_extraction_births_bound_with_ties():
         d = extract_diagram(sp)
         assert d.total_multiplicity + 1 <= sp.n_vertices
         assert d.infinity_x == sp.min_value
+
+
+def _tied_graph(seed):
+    """50-400 vertices on 3-6 shared levels of 1/12 steps, each value an int,
+    float or Fraction where that type holds it exactly; a random tree plus
+    extra edges.  Seed 0 names its vertices 0, 1, ... and one more "1"."""
+    rng = random.Random(f"extract-ranks:{seed}")
+    n = rng.randint(50, 400)
+    levels = [F(k, 12) for k in rng.sample(range(-12, 48), rng.randint(3, 6))]
+
+    def value(level):
+        forms = [level]
+        if level.denominator in (1, 2, 4):
+            forms.append(float(level))
+        if level.denominator == 1:
+            forms.append(int(level))
+        return rng.choice(forms)
+
+    ids = list(range(n - 1)) + ["1"] if seed == 0 else [f"v{i}" for i in range(n)]
+    rng.shuffle(ids)
+    edges = {frozenset((ids[i], ids[rng.randrange(i)])) for i in range(1, n)}
+    for _ in range(n // 4):
+        edges.add(frozenset(rng.sample(ids, 2)))
+    return [(v, value(rng.choice(levels))) for v in ids], [tuple(e) for e in edges]
+
+
+# (infinity_x, "x,y,multiplicity ...") of _tied_graph(seed), computed by the
+# extraction that sorted each vertex's neighbours by (value, id) before merging
+TIED_EXPECTED = [
+    ("5/6", "5/6,1,16 5/6,5/3,27 1,5/3,25"),
+    ("-11/12", "-11/12,3/4,2 -11/12,13/6,3 -11/12,11/4,1 3/4,13/6,2 3/4,11/4,3"),
+    ("-7/12", "-7/12,0,5 -7/12,2,9 -7/12,47/12,7 0,2,9 0,47/12,5 2,47/12,2"),
+    ("-1", "-1,-5/12,3 -1,11/6,13 -1,7/2,15 -1,11/3,8 -5/12,11/6,9 -5/12,7/2,11 "
+     "-5/12,11/3,4 11/6,7/2,8 11/6,11/3,8 7/2,11/3,6"),
+    ("-1", "-1,-3/4,2 -1,19/12,5 -1,11/4,2 -1,23/6,1 -3/4,19/12,2 -3/4,23/6,1"),
+    ("-7/12", "-7/12,-5/12,10 -7/12,3/4,13 -7/12,35/12,4 -5/12,3/4,6 -5/12,35/12,4 "
+     "3/4,35/12,4"),
+    ("-1", "-1,1/2,9 -1,19/6,12 -1,11/3,11 -1,47/12,5 1/2,19/6,10 1/2,11/3,3 1/2,47/12,4 "
+     "19/6,11/3,3 19/6,47/12,3 11/3,47/12,5"),
+    ("-1", "-1,-5/6,3 -1,-2/3,9 -1,0,5 -1,23/12,5 -1,7/3,3 -5/6,-2/3,2 -5/6,0,5 "
+     "-5/6,23/12,2 -5/6,7/3,3 -2/3,0,6 -2/3,23/12,1 -2/3,7/3,3 0,23/12,5 0,7/3,2"),
+    ("1/6", "1/6,2,8 1/6,17/6,21 1/6,41/12,13 2,17/6,15 2,41/12,6 17/6,41/12,4"),
+    ("-1/6", "-1/6,1/4,19 -1/6,1,12 -1/6,2,13 -1/6,43/12,7 1/4,1,11 1/4,2,5 1/4,43/12,11 "
+     "1,2,1 1,43/12,1 2,43/12,2"),
+    ("-11/12", "-11/12,17/12,6 -11/12,10/3,7 -11/12,23/6,4 17/12,23/6,3 10/3,23/6,2"),
+    ("-3/4", "-3/4,5/12,6 -3/4,2,8 5/12,2,2"),
+    ("-11/12", "-11/12,-2/3,17 -11/12,1/6,6 -2/3,1/6,8"),
+    ("-11/12", "-11/12,-1/4,3 -11/12,0,11 -11/12,5/6,6 -11/12,17/12,4 -11/12,23/6,5 -1/4,0,4 "
+     "-1/4,5/6,8 -1/4,17/12,9 -1/4,23/6,1 0,5/6,3 0,17/12,3 0,23/6,1 5/6,17/12,3 "
+     "5/6,23/6,2 17/12,23/6,2"),
+    ("1/3", "1/3,1/2,31 1/3,41/12,36 1/2,41/12,9"),
+    ("-1/12", "-1/12,1/4,2 -1/12,3/2,3 -1/12,25/12,5 -1/12,19/6,5 1/4,3/2,3 1/4,25/12,1 "
+     "1/4,19/6,9 1/4,43/12,5 3/2,25/12,2 3/2,19/6,3 3/2,43/12,5 25/12,19/6,3 "
+     "25/12,43/12,2 19/6,43/12,1"),
+    ("-11/12", "-11/12,-3/4,9 -11/12,7/12,16 -11/12,23/12,21 -11/12,7/2,8 -3/4,7/12,11 "
+     "-3/4,23/12,10 -3/4,7/2,5 7/12,23/12,6 7/12,7/2,6 23/12,7/2,6"),
+    ("-2/3", "-2/3,35/12,25 -2/3,37/12,18 35/12,37/12,10"),
+    ("11/12", "11/12,11/6,5 11/12,11/4,2 11/12,13/4,2 5/3,11/6,1 11/6,11/4,2 11/6,13/4,1"),
+    ("-1/3", "-1/3,7/4,4 -1/3,3,4 -1/3,41/12,4 -1/3,23/6,3 5/4,7/4,7 5/4,3,3 5/4,41/12,4 "
+     "5/4,23/6,2 7/4,3,1 7/4,41/12,1 7/4,23/6,3 3,41/12,1 3,23/6,1 41/12,23/6,1"),
+]
+
+
+@pytest.mark.parametrize("seed", range(len(TIED_EXPECTED)))
+def test_extraction_exact_on_tied_graphs(seed):
+    vertices, edges = _tied_graph(seed)
+    sp = SizePair(vertices, edges)
+    d = extract_diagram(sp)
+    infinity_x, points = TIED_EXPECTED[seed]
+    rows = [row.split(",") for row in points.split()]
+    assert d == Diagram(F(infinity_x), [((F(x), F(y)), int(m)) for x, y, m in rows])
+    grid = _quarter_gap_grid(sp.critical_values)
+    assert evaluate_diagram_on_grid(d, grid, grid) == size_function_on_grid(sp, grid, grid)
 
 
 # ------------------------------------------------------------- multiplicity

@@ -180,6 +180,18 @@ def test_discretize_refine_scales_rows():
     assert sp.n_vertices == 5 * (3 * 4 + 1)
 
 
+def test_discretize_refined_rows_equal_value_at():
+    d1, d2 = worked_pair()
+    for field in realize(d1, d2)[:2]:
+        sp = discretize(field, 3)
+        breaks = field.y_breaks_per_column[0]
+        rows = [a + (b - a) * k / 3 for a, b in zip(breaks, breaks[1:]) for k in range(3)]
+        rows.append(breaks[-1])
+        for ci in range(field.n_columns):
+            for ri, y in enumerate(rows):
+                assert sp.value(f"c{ci}r{ri}") == field.value_at(ci, y), (ci, ri)
+
+
 def test_discretize_rejects_bad_refine():
     d1, d2 = worked_pair()
     phi, _, _ = realize(d1, d2)
@@ -249,3 +261,51 @@ def test_max_field_gap_requires_shared_columns():
     )
     with pytest.raises(ValueError):
         max_field_gap(phi, other)
+
+
+def _column_field(rng, S=4):
+    """Three columns over [0, S], each with its own y breaks on 1/8 steps and random values."""
+    ys_per_column, vs_per_column = [], []
+    for _ in range(3):
+        inner = sorted(rng.sample(range(1, 8 * S), rng.randint(0, 6)))
+        ys = [F(0)] + [F(k, 8) for k in inner] + [F(S)]
+        ys_per_column.append(ys)
+        vs_per_column.append([F(rng.randint(-16, 48), 8) for _ in ys])
+    return RectField(
+        x_breaks=(0, F(1, 2), 1),
+        y_breaks_per_column=ys_per_column,
+        values_per_column=vs_per_column,
+        S=S,
+        min_phi=0,
+    )
+
+
+def test_max_field_gap_on_unshared_breaks():
+    # the second columns break at different heights: the gap 2 sits at y = 1, a break of b only
+    a = RectField(x_breaks=(0, 1), y_breaks_per_column=((0, 4), (0, 4)),
+                  values_per_column=((0, 4), (0, 4)), S=4, min_phi=0)
+    b = RectField(x_breaks=(0, 1), y_breaks_per_column=((0, 4), (0, 1, 4)),
+                  values_per_column=((0, 4), (0, 3, 4)), S=4, min_phi=0)
+    assert max_field_gap(a, b) == max_field_gap(b, a) == 2
+    rng = random.Random(71)
+    for trial in range(40):
+        a, b = _column_field(rng), _column_field(rng)
+        expected = max(
+            abs(a.value_at(ci, y) - b.value_at(ci, y))
+            for ci in range(3)
+            for y in set(a.y_breaks_per_column[ci]) | set(b.y_breaks_per_column[ci])
+        )
+        assert max_field_gap(a, b) == expected, f"trial {trial}"
+
+
+def test_max_field_gap_rejects_different_ranges():
+    rng = random.Random(72)
+    a = _column_field(rng)
+    taller = _column_field(rng, S=5)
+    lower = RectField(x_breaks=(0, F(1, 2), 1), y_breaks_per_column=((-1, 4),) * 3,
+                      values_per_column=((0, 4),) * 3, S=4, min_phi=-1)
+    for other in (taller, lower):
+        with pytest.raises(ValueError):
+            max_field_gap(a, other)
+        with pytest.raises(ValueError):
+            max_field_gap(other, a)
