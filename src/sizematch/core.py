@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ._rational import as_fraction
 
@@ -64,6 +64,24 @@ def _check_value(value, owner) -> None:
         raise ModelViolationError(f"value of vertex {owner!r} must be finite, got {value!r}")
 
 
+def _component_count(adj: Sequence[Sequence[int]]) -> int:
+    """Number of connected components of a graph given by int adjacency lists."""
+    seen = bytearray(len(adj))
+    count = 0
+    for start in range(len(adj)):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = 1
+        stack = [start]
+        while stack:
+            for q in adj[stack.pop()]:
+                if not seen[q]:
+                    seen[q] = 1
+                    stack.append(q)
+    return count
+
+
 class SizePair:
     """A finite connected graph with a real value on every vertex.
 
@@ -72,9 +90,18 @@ class SizePair:
     objects (files use strings).  Construction validates the model:
     non-empty, finite real values, no self-loops, no duplicate edges, every
     edge endpoint known, and the graph connected.
+
+    The graph is held on vertex positions: ids and values are lists in
+    input order, the adjacency lists hold positions, and one dict maps an id
+    to its position.  The id-level views ``vertex_ids``, ``edges`` and
+    ``neighbors`` are built together on the first use of any of them and
+    then cached.  They order ids by ``str`` and break ties between ids with
+    equal ``str`` (such as ``1`` and ``"1"``) by input position, so they
+    never depend on hashing.
     """
 
-    __slots__ = ("_values", "_adj", "_edges")
+    __slots__ = ("_ids", "_values", "_position", "_adj", "_n_edges",
+                 "_vertex_ids", "_edges", "_neighbors")
 
     def __init__(self, vertices, edges=()):
         if isinstance(vertices, Mapping):
@@ -83,97 +110,125 @@ class SizePair:
             items = [(vid, value) for vid, value in vertices]
         if not items:
             raise ModelViolationError("a size pair needs at least one vertex")
-        values: Dict[Hashable, object] = {}
+        ids: List[Hashable] = []
+        values: List[object] = []
+        position: Dict[Hashable, int] = {}
         for vid, value in items:
-            if vid in values:
+            if vid in position:
                 raise ModelViolationError(f"duplicate vertex id {vid!r}")
             _check_value(value, vid)
-            values[vid] = value
-        adj = {vid: set() for vid in values}
+            position[vid] = len(ids)
+            ids.append(vid)
+            values.append(value)
+        n = len(ids)
+        adj: List[List[int]] = [[] for _ in range(n)]
         seen = set()
         for edge in edges:
             u, v = edge
-            for end in (u, v):
-                if end not in values:
-                    raise ModelViolationError(f"edge ({u!r}, {v!r}) references unknown vertex {end!r}")
-            if u == v:
+            p = position.get(u)
+            if p is None:
+                raise ModelViolationError(f"edge ({u!r}, {v!r}) references unknown vertex {u!r}")
+            q = position.get(v)
+            if q is None:
+                raise ModelViolationError(f"edge ({u!r}, {v!r}) references unknown vertex {v!r}")
+            if p == q:
                 raise ModelViolationError(f"self-loop at vertex {u!r}")
-            key = frozenset((u, v))
+            key = p * n + q if p < q else q * n + p
             if key in seen:
                 raise ModelViolationError(f"duplicate edge ({u!r}, {v!r})")
             seen.add(key)
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[p].append(q)
+            adj[q].append(p)
+        self._ids = ids
         self._values = values
-        self._adj = {vid: tuple(sorted(ns, key=str)) for vid, ns in adj.items()}
-        self._edges = tuple(
-            sorted((tuple(sorted(e, key=str)) for e in seen), key=lambda e: (str(e[0]), str(e[1])))
-        )
-        count = self._component_count()
+        self._position = position
+        self._adj = adj
+        self._n_edges = len(seen)
+        self._vertex_ids = self._edges = self._neighbors = None
+        count = _component_count(adj)
         if count != 1:
             raise DisconnectedGraphError(count)
 
-    def _component_count(self) -> int:
-        remaining = set(self._values)
-        count = 0
-        while remaining:
-            count += 1
-            stack = [next(iter(remaining))]
-            remaining.discard(stack[0])
-            while stack:
-                v = stack.pop()
-                for u in self._adj[v]:
-                    if u in remaining:
-                        remaining.discard(u)
-                        stack.append(u)
-        return count
+    def _build_views(self) -> None:
+        ids, adj = self._ids, self._adj
+        order = sorted(range(len(ids)), key=lambda p: str(ids[p]))
+        rank = [0] * len(ids)
+        for r, p in enumerate(order):
+            rank[p] = r
+        neighbors = {}
+        edges = []
+        for p in order:
+            ns = sorted(adj[p], key=rank.__getitem__)
+            neighbors[ids[p]] = tuple(ids[q] for q in ns)
+            edges.extend((ids[p], ids[q]) for q in ns if rank[q] > rank[p])
+        self._vertex_ids = tuple(ids[p] for p in order)
+        self._edges = tuple(edges)
+        self._neighbors = neighbors
 
     @property
     def vertex_ids(self) -> Tuple[Hashable, ...]:
-        return tuple(sorted(self._values, key=str))
+        if self._vertex_ids is None:
+            self._build_views()
+        return self._vertex_ids
 
     @property
     def edges(self) -> Tuple[Tuple[Hashable, Hashable], ...]:
+        """Each edge once, ends in id order, edges in id order of (first, second)."""
+        if self._edges is None:
+            self._build_views()
         return self._edges
 
     @property
     def n_vertices(self) -> int:
-        return len(self._values)
+        return len(self._ids)
 
     @property
     def n_edges(self) -> int:
-        return len(self._edges)
+        return self._n_edges
 
     def value(self, vid):
-        return self._values[vid]
+        return self._values[self._position[vid]]
 
     @property
     def vertex_values(self) -> Dict[Hashable, object]:
-        return dict(self._values)
+        return dict(zip(self._ids, self._values))
 
     def neighbors(self, vid) -> Tuple[Hashable, ...]:
-        return self._adj[vid]
+        if self._neighbors is None:
+            self._build_views()
+        return self._neighbors[vid]
 
     def degree(self, vid) -> int:
-        return len(self._adj[vid])
+        return len(self._adj[self._position[vid]])
 
     @property
     def min_value(self):
-        return min(self._values.values())
+        return min(self._values)
 
     @property
     def max_value(self):
-        return max(self._values.values())
+        return max(self._values)
 
     @property
     def critical_values(self) -> Tuple:
         """Sorted distinct vertex values."""
-        return tuple(sorted(set(self._values.values())))
+        return tuple(sorted(set(self._values)))
 
     def __eq__(self, other):
         if not isinstance(other, SizePair):
             return NotImplemented
-        return self._values == other._values and set(self._edges) == set(other._edges)
+        if len(self._ids) != len(other._ids) or self._n_edges != other._n_edges:
+            return False
+        # moved[q] is the position in self of other's vertex q
+        moved = []
+        for vid, value in zip(other._ids, other._values):
+            p = self._position.get(vid)
+            if p is None or self._values[p] != value:
+                return False
+            moved.append(p)
+        return all(
+            set(self._adj[moved[q]]) == {moved[r] for r in ns} for q, ns in enumerate(other._adj)
+        )
 
     def __repr__(self):
         return f"SizePair({self.n_vertices} vertices, {self.n_edges} edges)"
@@ -212,10 +267,10 @@ def parse_size_pair(vertex_text, edge_text) -> SizePair:
         vertices.append((vid.strip(), value))
     edges = []
     for number, line in _iter_lines(edge_text):
-        fields = [field.strip() for field in line.split(",")]
-        if len(fields) != 2:
+        u, sep, v = line.partition(",")
+        if not sep or "," in v:
             raise ParseError(f"edge line {number}: expected 'u,v', got {line!r}", number)
-        edges.append((fields[0], fields[1]))
+        edges.append((u.strip(), v.strip()))
     return SizePair(vertices, edges)
 
 
@@ -250,25 +305,25 @@ def sublevel_components(sp: SizePair, y) -> SublevelPartition:
     """Components of the subgraph induced by vertices with value <= y.
 
     An edge belongs to the sublevel graph iff both endpoints do.  For y
-    below the minimum value the partition is empty.
+    below the minimum value the partition is empty.  Components are listed
+    in ``vertex_ids`` order of their first id.
     """
     active = {v for v in sp.vertex_ids if sp.value(v) <= y}
     components = []
-    remaining = set(active)
-    while remaining:
-        start = next(iter(remaining))
-        remaining.discard(start)
-        seen = {start}
+    seen = set()
+    for start in sp.vertex_ids:
+        if start not in active or start in seen:
+            continue
+        seen.add(start)
+        component = [start]
         stack = [start]
         while stack:
-            v = stack.pop()
-            for u in sp.neighbors(v):
+            for u in sp.neighbors(stack.pop()):
                 if u in active and u not in seen:
                     seen.add(u)
-                    remaining.discard(u)
+                    component.append(u)
                     stack.append(u)
-        components.append(frozenset(seen))
-    components.sort(key=lambda comp: str(min(comp, key=str)))
+        components.append(frozenset(component))
     return SublevelPartition(y=y, components=tuple(components))
 
 
@@ -332,7 +387,7 @@ def size_function_on_grid(sp: SizePair, xs: Sequence, ys: Sequence) -> Dict[Tupl
     """
     xs_sorted = sorted(set(xs))
     ys_sorted = sorted(set(ys))
-    order = sorted(sp.vertex_ids, key=lambda v: (sp.value(v), str(v)))
+    order = sorted(sp.vertex_ids, key=sp.value)  # stable: ties keep vertex_ids order
     position = {v: p for p, v in enumerate(order)}
     uf = _UnionFind(len(order))
     roots = set()

@@ -170,32 +170,37 @@ class Diagram:
 def extract_diagram(sp: SizePair) -> Diagram:
     """Cornerpoint diagram of a size pair, by one elder-rule sweep on integer ranks.
 
+    The sweep reads the size pair's value and adjacency arrays directly.
     The distinct values are sorted once and each gets an int rank; the
-    vertices are sorted once by (rank, str(id)) and the sweep runs on their
-    positions in that order, so it compares ints only.  An edge appears at
-    the position of its later endpoint.  The root of a class is its
-    smallest position, its oldest vertex.  When vertex p joins, the classes
-    of its earlier neighbours merge: every one of their roots but the
-    oldest dies at p's level and contributes the pair (its birth, p's
-    level), whatever order the neighbours are visited in, so the diagram
-    does not depend on the merge order.  Zero-persistence pairs are
-    discarded, and ranks become values again only for the pairs emitted.
-    The oldest class survives as the cornerpoint at infinity at the global
-    minimum.
+    vertex positions are stable-sorted by rank, so vertices of equal value
+    keep their input order and no id is ever turned into a string.  The
+    sweep visits the positions in that order and compares ints only.  An
+    edge appears at the later of its endpoints.  The root of a class is its
+    earliest vertex.  When vertex p joins, the classes of its earlier
+    neighbours merge: every one of their roots but the oldest dies at p's
+    level and contributes the pair (its birth, p's level), whatever order
+    the neighbours are visited in.  The order among vertices of equal value
+    only decides which pairs have zero persistence, and those are
+    discarded, so the multiset of cornerpoints does not depend on it.
+    Ranks become values again only for the pairs emitted.  The oldest
+    class survives as the cornerpoint at infinity at the global minimum.
     """
-    values = sp.vertex_values
-    levels = sorted(set(values.values()))
+    values, adj = sp._values, sp._adj
+    n = len(values)
+    levels = sorted(set(values))
     rank_of = {value: r for r, value in enumerate(levels)}
-    rank = {v: rank_of[value] for v, value in values.items()}
-    order = sorted(values, key=lambda v: (rank[v], str(v)))
-    position = {v: p for p, v in enumerate(order)}
+    rank = [rank_of[value] for value in values]
+    order = sorted(range(n), key=rank.__getitem__)
+    swept = [0] * n  # swept[v]: the index at which the sweep visits vertex v
+    for p, v in enumerate(order):
+        swept[v] = p
     ranks = [rank[v] for v in order]
-    uf = _UnionFind(len(order))
+    uf = _UnionFind(n)
     pairs: Dict[Tuple[int, int], int] = {}
     for p, v in enumerate(order):
         level = ranks[p]
-        for u in sp.neighbors(v):
-            q = position[u]
+        for u in adj[v]:
+            q = swept[u]
             if q < p:
                 dead = uf.union(p, q)
                 if dead is not None and ranks[dead] < level:

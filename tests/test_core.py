@@ -1,6 +1,10 @@
 """Parsing, validation, and exact evaluation of reduced size functions."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +14,8 @@ from sizematch import (
     ModelViolationError,
     ParseError,
     SizePair,
+    evaluate_diagram_on_grid,
+    extract_diagram,
     load_size_pair,
     parse_size_pair,
     reduced_size_function,
@@ -17,6 +23,8 @@ from sizematch import (
     size_function_on_grid,
     sublevel_components,
 )
+from sizematch.cli import main
+from sizematch.core import _quarter_gap_grid
 from sizematch.selftest import random_size_pair
 
 
@@ -122,10 +130,202 @@ def test_rejects_disconnected_with_component_count():
     assert "2 components" in str(info.value)
 
 
+# (vertices, edges, exception type, message): the first fault found wins, in
+# this order: empty input; per vertex, duplicate id then value; per edge in
+# input order, unknown first end, unknown second end, self-loop, duplicate
+# edge; then connectivity
+VALIDATION_ERRORS = [
+    ([], [], ModelViolationError, "a size pair needs at least one vertex"),
+    ([("a", 1), ("a", float("nan"))], [], ModelViolationError, "duplicate vertex id 'a'"),
+    ([(1, 0), (1.0, 2)], [], ModelViolationError, "duplicate vertex id 1.0"),
+    ([("a", "x"), ("a", 1)], [], ModelViolationError,
+     "value of vertex 'a' must be a real number, got str"),
+    ([("a", 0), ("b", True)], [], ModelViolationError,
+     "value of vertex 'b' must be a real number, got bool"),
+    ([("a", float("-inf"))], [], ModelViolationError, "value of vertex 'a' must be finite, got -inf"),
+    ([("a", 0), ("b", 1)], [("a", "z"), ("a", "a")], ModelViolationError,
+     "edge ('a', 'z') references unknown vertex 'z'"),
+    ([("a", 0), ("b", 1)], [("y", "z")], ModelViolationError,
+     "edge ('y', 'z') references unknown vertex 'y'"),
+    ([("a", 0), ("b", 1)], [("a", "a"), ("a", "z")], ModelViolationError,
+     "self-loop at vertex 'a'"),
+    ([("a", 0), ("b", 1)], [("a", "b"), ("b", "a")], ModelViolationError,
+     "duplicate edge ('b', 'a')"),
+    ([(1, 0), ("1", 1)], [(1, "1"), ("1", 1)], ModelViolationError, "duplicate edge ('1', 1)"),
+    ([("a", 0), ("b", 1), ("c", 2)], [("a", "b"), ("a", "b"), ("c", "c")], ModelViolationError,
+     "duplicate edge ('a', 'b')"),
+    ([("a", 0), ("b", 1), ("c", 2), ("d", 3)], [("a", "b")], DisconnectedGraphError,
+     "graph is disconnected (3 components)"),
+]
+
+
+@pytest.mark.parametrize("vertices, edges, error, message", VALIDATION_ERRORS)
+def test_validation_error_order(vertices, edges, error, message):
+    with pytest.raises(ModelViolationError) as info:
+        SizePair(vertices, edges)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+# (edge line 2, and either all edges with "a,b" on the ids a, b and "", or the
+# error message); vertex and edge lines are stripped before splitting
+EDGE_LINES = [
+    ("a,b,c", "edge line 2: expected 'u,v', got 'a,b,c'"),
+    ("a", "edge line 2: expected 'u,v', got 'a'"),
+    ("a,", [("", "a"), ("a", "b")]),
+    (",b", [("", "b"), ("a", "b")]),
+    ("  , a ", [("", "a"), ("a", "b")]),
+    (" b , a ", "duplicate edge ('b', 'a')"),
+]
+
+
+@pytest.mark.parametrize("line, expected", EDGE_LINES)
+def test_edge_line_parsing(line, expected):
+    vertex_text, edge_text = "a,0\nb,1\n,2\n", f"a,b\n{line}\n"
+    if isinstance(expected, list):
+        assert parse_size_pair(vertex_text, edge_text).edges == tuple(expected)
+    elif expected.startswith("edge line"):
+        with pytest.raises(ParseError) as info:
+            parse_size_pair(vertex_text, edge_text)
+        assert (str(info.value), info.value.line) == (expected, 2)
+    else:
+        with pytest.raises(ModelViolationError) as info:
+            parse_size_pair(vertex_text, edge_text)
+        assert str(info.value) == expected
+
+
+@pytest.mark.parametrize(
+    "edge_text, code, message",
+    [
+        ("a,b\na,b,c\n", 2, "edge line 2: expected 'u,v', got 'a,b,c'"),
+        ("a,b\nb\n", 2, "edge line 2: expected 'u,v', got 'b'"),
+        ("a,b\nb,b\n", 3, "self-loop at vertex 'b'"),
+        ("a,b\nb,a\n", 3, "duplicate edge ('b', 'a')"),
+        ("a,b\nb,z\n", 3, "edge ('b', 'z') references unknown vertex 'z'"),
+        ("a,b\n", 3, "graph is disconnected (2 components)"),
+    ],
+)
+def test_cli_exit_codes_for_bad_graphs(tmp_path, capsys, edge_text, code, message):
+    vertex_path, edge_path = tmp_path / "v.csv", tmp_path / "e.csv"
+    vertex_path.write_text("a,0\nb,1\nc,2\n")
+    edge_path.write_text(edge_text)
+    assert main(["diagram", str(vertex_path), str(edge_path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = f"error: {edge_path}: " if code == 2 else "error: "
+    assert captured.err == prefix + message + "\n"
+
+
 def test_single_vertex_is_connected():
     sp = SizePair([("a", 5)], [])
     assert sp.min_value == 5
     assert reduced_size_function(sp, 5, 6) == 1
+
+
+# --------------------------------------------------------- id-level views
+
+
+def _mixed_graph(seed):
+    """Seeded connected graph: str, int, tuple or mixed ids (the mixed ones
+    share str() between 1 and "1", (0,) and "(0,)"), int/float/Fraction
+    values with ties across types, each edge given in a random direction."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    kind = seed % 4
+    if kind == 0:
+        ids = [f"v{i}" for i in rng.sample(range(100), n)]
+    elif kind == 1:
+        ids = rng.sample(range(-50, 50), n)
+    elif kind == 2:
+        ids = [(i, rng.randint(0, 3)) for i in rng.sample(range(100), n)]
+    else:
+        pool = list(range(15)) + [str(i) for i in range(15)] + [(i,) for i in range(5)] + ["(0,)"]
+        ids = rng.sample(pool, n)
+    values = [
+        rng.choice([rng.randint(-2, 2), rng.randint(-8, 8) / 4, F(rng.randint(-12, 12), 6)])
+        for _ in ids
+    ]
+    pairs = {(i, rng.randrange(i)) for i in range(1, n)}
+    for _ in range(rng.randint(0, n)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a > b and (a, b) not in pairs:
+            pairs.add((a, b))
+    pairs = sorted(pairs)
+    rng.shuffle(pairs)
+    edges = [(ids[a], ids[b]) if rng.random() < 0.5 else (ids[b], ids[a]) for a, b in pairs]
+    return list(zip(ids, values)), edges
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_views_equal_independent_rebuild(seed):
+    vertices, edges = _mixed_graph(seed)
+    sp = SizePair(vertices, edges)
+    key = {vid: (str(vid), p) for p, (vid, _) in enumerate(vertices)}
+    ends = [tuple(sorted(e, key=key.get)) for e in edges]
+    assert sp.vertex_ids == tuple(sorted(key, key=key.get))
+    assert sp.edges == tuple(sorted(ends, key=lambda e: (key[e[0]], key[e[1]])))
+    assert sp.n_vertices == len(vertices) and sp.n_edges == len(edges)
+    assert sp.vertex_values == dict(vertices)
+    assert sp.critical_values == tuple(sorted({value for _, value in vertices}))
+    for vid, value in vertices:
+        around = {u for e in edges for u in e if vid in e and u != vid}
+        assert sp.neighbors(vid) == tuple(sorted(around, key=key.get))
+        assert sp.degree(vid) == len(around)
+        assert sp.value(vid) == value
+    for y in sp.critical_values:
+        firsts = [min(c, key=key.get) for c in sublevel_components(sp, y).components]
+        assert firsts == sorted(firsts, key=key.get)
+
+    rng = random.Random(seed)
+    shuffled = vertices[::-1]
+    rng.shuffle(shuffled)
+    flipped = [(v, u) for u, v in edges]
+    rng.shuffle(flipped)
+    assert SizePair(dict(shuffled), flipped) == sp
+    vid, value = vertices[rng.randrange(len(vertices))]
+    assert SizePair([(v, x + 1 if v == vid else x) for v, x in vertices], edges) != sp
+    if len(vertices) > 2:
+        (u, v), rest = edges[0], edges[1:]
+        w = next((w for w, _ in vertices if w not in (u, v) and (u, w) not in ends
+                  and (w, u) not in ends), None)
+        if w is not None:
+            try:
+                rewired = SizePair(vertices, [(u, w)] + rest)
+            except DisconnectedGraphError:
+                rewired = None
+            assert rewired is None or (rewired != sp and rewired.n_edges == sp.n_edges)
+
+    d = extract_diagram(sp)
+    grid = _quarter_gap_grid(sp.critical_values)
+    assert evaluate_diagram_on_grid(d, grid, grid) == size_function_on_grid(sp, grid, grid)
+
+
+DETERMINISM_SCRIPT = """
+from sizematch import SizePair, sublevel_components
+from sizematch.selftest import _graph_dump
+
+cycle = SizePair([(1, 0), ("1", 1), (2, 2), ("2", 3)], [(1, "1"), ("1", 2), (2, "2"), ("2", 1)])
+print(cycle.vertex_ids, cycle.edges, [cycle.neighbors(v) for v in cycle.vertex_ids])
+path = SizePair([(1, 0), ("1", 0), ("a", 1)], [(1, "a"), ("a", "1")])
+print(path.neighbors("a"), [sorted(map(repr, c)) for c in sublevel_components(path, 0).components])
+print(_graph_dump(cycle))
+"""
+
+
+def test_views_do_not_depend_on_the_hash_seed():
+    # ids 1 and "1" share their str(); ties are broken by input position
+    import sizematch
+
+    source = os.path.dirname(os.path.dirname(os.path.abspath(sizematch.__file__)))
+    outputs = []
+    for hash_seed in ("1", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source)
+        done = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(DETERMINISM_SCRIPT)],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------- sublevel decomposition
