@@ -233,19 +233,15 @@ def exact_graph_pseudo_distance(sp1: SizePair, sp2: SizePair, cap: int = 9) -> F
     start = min(sp1.vertex_ids, key=lambda v: (-sp1.degree(v), str(v)))
     order: List = [start]
     seen = {start}
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
+    for v in order:  # the list is the BFS queue: it grows while it is read
         for u in sorted(sp1.neighbors(v), key=lambda w: (-sp1.degree(w), str(w))):
             if u not in seen:
                 seen.add(u)
                 order.append(u)
-                queue.append(u)
     values1 = {v: as_fraction(sp1.value(v)) for v in sp1.vertex_ids}
     values2 = {w: as_fraction(sp2.value(w)) for w in sp2.vertex_ids}
     adjacency1 = {v: set(sp1.neighbors(v)) for v in sp1.vertex_ids}
     adjacency2 = {w: set(sp2.neighbors(w)) for w in sp2.vertex_ids}
-    ids2 = sorted(sp2.vertex_ids, key=str)
 
     best: List[Optional[Fraction]] = [None]
     mapping: Dict = {}
@@ -258,7 +254,7 @@ def exact_graph_pseudo_distance(sp1: SizePair, sp2: SizePair, cap: int = 9) -> F
             best[0] = running
             return
         v = order[i]
-        for w in ids2:
+        for w in sp2.vertex_ids:  # already in str order
             if w in used or sp2.degree(w) != sp1.degree(v):
                 continue
             consistent = True

@@ -18,13 +18,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from ._rational import number_to_json
-from .core import (
-    DisconnectedGraphError,
-    ModelViolationError,
-    ParseError,
-    SizePair,
-    load_size_pair,
-)
+from .core import ModelViolationError, ParseError, SizePair, load_size_pair
 from .diagram import Diagram, extract_diagram
 from .matching import DIAGONAL, matching_distance, pseudo_distance_d, stability_probe
 from .bounds import bound_report
@@ -210,8 +204,8 @@ def _cmd_stability(args) -> int:
     _print_json(
         {
             "trials": args.trials,
-            "epsilon": float(epsilon),
-            "max_d_match": float(worst),
+            "epsilon": number_to_json(epsilon),
+            "max_d_match": number_to_json(worst),
             "holds": True,
         }
     )
@@ -317,25 +311,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                 with contextlib.redirect_stdout(fh):
                     return args.func(args)
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # JSONDecodeError and ModelViolationError (DisconnectedGraphError is one)
+    # subclass ValueError, so they are caught first; ParseError, also a
+    # ValueError, exits 2 through the ValueError branch
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
-    except DisconnectedGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ModelViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ._rational import as_fraction
+from ._rational import as_fraction, number_from_json, number_to_json
 from .core import SizePair, _UnionFind, _min_gap, reduced_size_function, size_function_on_grid
 
 __all__ = [
@@ -133,8 +133,8 @@ class Diagram:
 
     def to_json_dict(self) -> dict:
         return {
-            "infinity_x": float(self._infinity_x),
-            "points": [[float(p.x), float(p.y), m] for p, m in self._points],
+            "infinity_x": number_to_json(self._infinity_x),
+            "points": [[number_to_json(p.x), number_to_json(p.y), m] for p, m in self._points],
         }
 
     @classmethod
@@ -146,16 +146,17 @@ class Diagram:
         raw_points = data.get("points", [])
         if not isinstance(raw_points, list):
             raise ValueError("diagram JSON: 'points' must be a list")
-        points = []
         for row in raw_points:
             if not isinstance(row, (list, tuple)) or len(row) != 3:
                 raise ValueError(f"diagram JSON: bad point row {row!r}, expected [x, y, mult]")
-            x, y, mult = row
+            mult = row[2]
             if isinstance(mult, bool) or not isinstance(mult, int):
                 raise ValueError(f"diagram JSON: multiplicity must be an integer, got {mult!r}")
-            points.append(((x, y), mult))
         try:
-            return cls(data["infinity_x"], points)
+            return cls(
+                number_from_json(data["infinity_x"]),
+                [((number_from_json(x), number_from_json(y)), m) for x, y, m in raw_points],
+            )
         except (TypeError, ValueError) as exc:
             raise ValueError(f"diagram JSON: {exc}") from exc
 
@@ -249,18 +250,16 @@ def multiplicity(sp: SizePair, x, y) -> int:
     mu(x, y) = l(x+e, y-e) - l(x-e, y-e) - l(x+e, y+e) + l(x-e, y+e)
     for any e > 0 small enough that the step function is constant on the
     probed windows; e is half the minimal gap of the critical values
-    extended with {x, y}, capped at (y - x)/4.
+    extended with {x, y}, capped at (y - x)/4.  That is
+    :func:`count_in_square` at (x, y) with eta = e; the cap keeps its
+    square inside the half-plane.
     """
     x, y = as_fraction(x), as_fraction(y)
     if not x < y:
         raise ValueError(f"multiplicity requires x < y, got x={x}, y={y}")
     extended = sorted({as_fraction(v) for v in sp.critical_values} | {x, y})
     eps = min(_min_gap(extended) / 2, (y - x) / 4)
-    a = reduced_size_function(sp, x + eps, y - eps)
-    b = reduced_size_function(sp, x - eps, y - eps)
-    c = reduced_size_function(sp, x + eps, y + eps)
-    e = reduced_size_function(sp, x - eps, y + eps)
-    return a - b - c + e
+    return count_in_square(sp, (x, y), eps)
 
 
 def multiplicity_at_infinity(sp: SizePair, k) -> int:

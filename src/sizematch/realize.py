@@ -22,7 +22,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ._rational import as_fraction, number_from_json, number_to_json
 from .core import ModelViolationError, SizePair
@@ -217,20 +217,6 @@ def _sample(
     return out
 
 
-def _structures_from_matching(matching: Matching) -> List[Tuple[str, object, object]]:
-    out = []
-    for left, right in matching.pairs:
-        if left is not DIAGONAL and right is not DIAGONAL and left.is_at_infinity:
-            continue
-        if left is DIAGONAL:
-            out.append(("right", None, right))
-        elif right is DIAGONAL:
-            out.append(("left", left, None))
-        else:
-            out.append(("direct", left, right))
-    return out
-
-
 def realize(
     d1: Diagram, d2: Diagram, *, min_epsilon: Fraction = Fraction(1, 10**12)
 ) -> Tuple[RectField, RectField, RealizationParams]:
@@ -264,8 +250,16 @@ def realize(
     S = max(coords) + 1
 
     structures: List[StructureParams] = []
-    for kind, left, right in _structures_from_matching(matching):
-        anchor = left if kind in ("direct", "left") else right
+    y_breaks = {min_phi, S}
+    for left, right in matching.pairs:
+        if left is DIAGONAL:
+            kind, anchor, left = "right", right, None
+        elif right is DIAGONAL:
+            kind, anchor, right = "left", left, None
+        elif left.is_at_infinity:
+            continue
+        else:
+            kind, anchor = "direct", left
         center = (anchor.x + anchor.y) / 2
         epsilon = min(anchor.persistence / 4, center - min_phi, S - center) / 2
         if epsilon < min_epsilon:
@@ -275,73 +269,47 @@ def realize(
         structures.append(
             StructureParams(kind=kind, left=left, right=right, center=center, epsilon=epsilon)
         )
-
-    base_low = [(min_phi, min_phi), (S, S)]
-    base_high = [(min_phi, min_psi), (S, S)]
-
-    def pit(base_start, st, point):
-        c, e = st.center, st.epsilon
-        return [(min_phi, base_start), (c - e, point.y), (c, point.x), (c + e, point.y), (S, S)]
-
-    def flank(base_start, st, point):
-        c, e = st.center, st.epsilon
-        return [(min_phi, base_start), (c - e, point.y), (c + e, point.y), (S, S)]
-
-    def plateau(base_start, st):
-        c, e = st.center, st.epsilon
-        if c <= base_start:
-            return [(min_phi, base_start), (c + e, base_start), (S, S)]
-        return [(min_phi, base_start), (c - e, c), (c + e, c), (S, S)]
-
-    # column layout: structure i (1-based) owns 1/(3i+1) < 1/(3i) < 1/(3i-1);
-    # the middle one carries the pit, its neighbors the flanks.
-    column_profiles_low: Dict[Fraction, list] = {
-        Fraction(0): base_low,
-        Fraction(1): base_low,
-    }
-    column_profiles_high: Dict[Fraction, list] = {
-        Fraction(0): base_high,
-        Fraction(1): base_high,
-    }
-    for index, st in enumerate(structures, start=1):
-        pit_x = Fraction(1, 3 * index)
-        flank_xs = (Fraction(1, 3 * index + 1), Fraction(1, 3 * index - 1))
-        if st.kind in ("direct", "left"):
-            column_profiles_low[pit_x] = pit(min_phi, st, st.left)
-            for fx in flank_xs:
-                column_profiles_low[fx] = flank(min_phi, st, st.left)
-        else:
-            for fx in flank_xs + (pit_x,):
-                column_profiles_low[fx] = plateau(min_phi, st)
-        if st.kind in ("direct", "right"):
-            column_profiles_high[pit_x] = pit(min_psi, st, st.right)
-            for fx in flank_xs:
-                column_profiles_high[fx] = flank(min_psi, st, st.right)
-        else:
-            for fx in flank_xs + (pit_x,):
-                column_profiles_high[fx] = plateau(min_psi, st)
-
-    x_breaks = tuple(sorted(column_profiles_low))
-    y_breaks = {min_phi, S}
-    for st in structures:
-        y_breaks.update((st.center - st.epsilon, st.center, st.center + st.epsilon))
+        y_breaks.update((center - epsilon, center, center + epsilon))
     y_grid = tuple(sorted(y_breaks))
 
-    def build(column_profiles) -> RectField:
-        values = []
-        for x in x_breaks:
-            ys, vs = zip(*column_profiles[x])
-            values.append(tuple(_sample(ys, vs, y_grid)))
-        return RectField(
-            x_breaks=x_breaks,
-            y_breaks_per_column=(y_grid,) * len(x_breaks),
-            values_per_column=tuple(values),
-            S=S,
-            min_phi=min_phi,
-        )
+    # column layout: the base at x = 0 and x = 1; structure i (1-based) owns
+    # 1/(3i+1) < 1/(3i) < 1/(3i-1), where a field that holds the structure's
+    # point has a pit between two equal flanks and the other a plateau triple.
+    x_breaks = [Fraction(0)]
+    for i in range(len(structures), 0, -1):
+        x_breaks += (Fraction(1, 3 * i + 1), Fraction(1, 3 * i), Fraction(1, 3 * i - 1))
+    x_breaks.append(Fraction(1))
 
-    field_low = build(column_profiles_low)
-    field_high = build(column_profiles_high)
+    def column(base_start, *knots):
+        """One column sampled on y_grid: base_start at min_phi, knots, S at S."""
+        ys, vs = zip((min_phi, base_start), *knots, (S, S))
+        return tuple(_sample(ys, vs, y_grid))
+
+    fields = []
+    for base_start, side in ((min_phi, "left"), (min_psi, "right")):
+        base = column(base_start)
+        columns = [base]
+        for st in reversed(structures):
+            c, e, point = st.center, st.epsilon, getattr(st, side)
+            if point is not None:
+                flank = column(base_start, (c - e, point.y), (c + e, point.y))
+                pit = column(base_start, (c - e, point.y), (c, point.x), (c + e, point.y))
+                columns += (flank, pit, flank)
+            elif c <= base_start:  # the center is not above the base: hold the base
+                columns += (column(base_start, (c + e, base_start)),) * 3
+            else:
+                columns += (column(base_start, (c - e, c), (c + e, c)),) * 3
+        columns.append(base)
+        fields.append(
+            RectField(
+                x_breaks=x_breaks,
+                y_breaks_per_column=(y_grid,) * len(x_breaks),
+                values_per_column=columns,
+                S=S,
+                min_phi=min_phi,
+            )
+        )
+    field_low, field_high = fields
 
     if extract_diagram(discretize(field_low, 1)) != low:
         raise RuntimeError("internal error: realization does not reproduce the first diagram")

@@ -138,6 +138,42 @@ def test_dist_csv_witness_projects_diagonal(files, capsys):
             assert row[3] == row[4]
 
 
+def test_dist_csv_witness_pair_and_right_rows(capsys, tmp_path):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text('{"infinity_x": 0, "points": [[0, 4, 1]]}')
+    b.write_text('{"infinity_x": 0, "points": [[0, 4.5, 1], [1, 1.5, 1]]}')
+    code, out, _ = run(capsys, ["dist", str(a), str(b), "--witness", "--format", "csv"])
+    assert code == 0
+    assert out.splitlines() == [
+        "# value 0.5",
+        "kind,left_x,left_y,right_x,right_y,cost",
+        "inf,0.0,inf,0.0,inf,0.0",
+        "pair,0.0,4.0,0.0,4.5,0.5",
+        # the unmatched right point faces its projection (5/4, 5/4)
+        "right,1.25,1.25,1.0,1.5,0.25",
+    ]
+
+
+def test_dist_reads_rational_literals(capsys, tmp_path):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text('{"infinity_x": "-1/3", "points": [["1/3", 1, 1]]}')
+    b.write_text('{"infinity_x": 0, "points": []}')
+    code, out, _ = run(capsys, ["dist", str(a), str(b)])
+    assert code == 0
+    assert number_from_json(json.loads(out)["value"]) == Fraction(1, 3)
+
+
+def test_dist_rejects_a_malformed_rational_literal(files, capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"infinity_x": 0, "points": [["1/0", 1, 1]]}')
+    code, out, err = run(capsys, ["dist", str(bad), files["d2"]])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: diagram JSON: malformed rational literal '1/0'\n"
+
+
 def test_output_flag_writes_file(files, capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, ["dist", files["d1"], files["d2"], "--output", str(target)])
@@ -315,6 +351,36 @@ def test_stability_holds(files, capsys):
     assert data["trials"] == 10
 
 
+def test_stability_writes_epsilon_exactly(files, capsys):
+    code, out, _ = run(
+        capsys,
+        ["stability", files["v1"], files["e1"], "--epsilon", "1/3",
+         "--trials", "5", "--seed", "1"],
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert number_from_json(data["epsilon"]) == Fraction(1, 3)
+    assert number_from_json(data["max_d_match"]) <= Fraction(1, 3)
+
+
+def test_stability_violation_exits_1_with_the_perturbation(files, capsys, monkeypatch):
+    monkeypatch.setattr(
+        "sizematch.cli.stability_probe", lambda sp, moved, epsilon: (Fraction(5), False)
+    )
+    code, out, err = run(
+        capsys, ["stability", files["v1"], files["e1"], "--epsilon", "1/4", "--seed", "3"]
+    )
+    assert code == 1
+    assert out == ""
+    message, dump = err.splitlines()
+    assert message == "error: trial 0: d_match 5.0 exceeds epsilon 0.25"
+    moved = json.loads(dump)
+    values = {"a": 0, "b": 2, "c": 1, "d": 3, "e": 0}
+    assert list(moved) == sorted(values)
+    for v, value in moved.items():
+        assert abs(number_from_json(value) - values[v]) <= Fraction(1, 4)
+
+
 def test_stability_rejects_bad_epsilon(files, capsys):
     code, _, err = run(
         capsys, ["stability", files["v1"], files["e1"], "--epsilon", "wide"]
@@ -356,6 +422,23 @@ def test_selftest_cap_zero_skips_search_suites(capsys):
     assert "oracle_equivalence: skip" in out
     assert "bound_chain: skip" in out
     assert out.strip().endswith("selftest: ok")
+
+
+def test_selftest_failure_exits_1_with_the_shrunk_counterexample(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "sizematch.selftest.brute_force_matching_distance", lambda d1, d2, cap: Fraction(-1)
+    )
+    code, out, err = run(capsys, ["selftest", "--seed", "0"])
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert lines[-1] == "selftest: FAILED"
+    failed = [line for line in lines if ": fail " in line]
+    assert len(failed) == 1
+    assert failed[0].startswith("oracle_equivalence: fail (case 1): solver ")
+    assert failed[0].endswith(" != brute force -1")
+    # every point was dropped: the wrong oracle fails on empty diagrams too
+    counterexample = json.loads(err)
+    assert counterexample["d1"]["points"] == [] == counterexample["d2"]["points"]
 
 
 def test_selftest_env_seed(files, capsys, monkeypatch):

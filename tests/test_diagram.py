@@ -1,5 +1,6 @@
 """Cornerpoint diagrams: extraction, multiplicities, representation identity."""
 
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -411,6 +412,37 @@ def test_diagram_json_rejects_bad_shapes():
         Diagram.from_json_dict({"infinity_x": 0, "points": [[1, 2]]})
     with pytest.raises(ValueError):
         Diagram.from_json_dict({"infinity_x": 0, "points": [[1, 2, 1, 9]]})
+
+
+def test_diagram_json_round_trip_beyond_float():
+    # 1/3 has no float and 10**400 overflows one: both travel as exact literals
+    d = Diagram(F(-1, 3), [((F(1, 3), 1), 1), ((0, 10**400), 2)])
+    text = d.dumps()
+    assert Diagram.loads(text) == d
+    assert json.loads(text) == {
+        "infinity_x": "-1/3",
+        "points": [[0, 10**400, 2], ["1/3", 1, 1]],
+    }
+
+
+def test_diagram_json_integral_values_print_as_integers():
+    d = Diagram(0, [((0, 3), 1), ((F(1, 2), 2), 1)])
+    assert d.dumps() == '{"infinity_x": 0, "points": [[0, 3, 1], [0.5, 2, 1]]}'
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"infinity_x": "a/b", "points": []},
+        {"infinity_x": 0, "points": [["1/0", 1, 1]]},
+        {"infinity_x": 0, "points": [[0, "1//2", 1]]},
+        {"infinity_x": 0, "points": [["1/3", "1/4", 1]]},
+        {"infinity_x": 0, "points": [[None, 1, 1]]},
+    ],
+)
+def test_diagram_json_rejects_bad_numbers(data):
+    with pytest.raises(ValueError, match=r"^diagram JSON: "):
+        Diagram.from_json_dict(data)
 
 
 def test_extraction_localized_above_infinity_x():

@@ -1,5 +1,7 @@
 """Realizing diagram pairs by explicit fields on a rectangle grid."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -158,6 +160,57 @@ def test_realize_float_inputs_round_trip():
     assert extract_diagram(discretize(psi, 1)) == d2
     value, _ = matching_distance(d1, d2)
     assert max_field_gap(phi, psi) == params.d_match == value
+
+
+# ------------------------------------------------------------------- layout
+
+# sha256 of the realize JSON of _pinned_pair(seed), written by the earlier
+# implementation that kept one profile per column abscissa in a dict; the
+# ordered column list must reproduce it byte for byte
+REALIZE_PINS = {
+    0: "ccb02d19a1651cf70834006854a524d26ad9db4538e8347eee51e307a375ff6b",
+    1: "f473428c543f27b10c40145752a2e55e0b6bb000dc6ee36420969157bd1007fc",
+    2: "04c3b173f937ec9b0a854499e1d7f7114d70e0e450c6223a312c0a0fab28987c",
+    3: "9f745ea0ca7b35eb7c4a70310dacd5eb1709a8fa73dd73d2d2535eda3645281c",
+}
+
+
+def _pinned_pair(seed):
+    rng = random.Random(f"realize-pin:{seed}")
+    return random_diagram(rng, max_points=6), random_diagram(rng, max_points=6)
+
+
+@pytest.mark.parametrize("seed", sorted(REALIZE_PINS))
+def test_realize_column_layout(seed):
+    phi, psi, params = realize(*_pinned_pair(seed))
+    k = len(params.structures)
+    assert k >= 4
+    layout = [F(0)]
+    for i in range(k, 0, -1):
+        layout += [F(1, 3 * i + 1), F(1, 3 * i), F(1, 3 * i - 1)]
+    layout.append(F(1))
+    assert phi.x_breaks == psi.x_breaks == tuple(layout)
+    low, high = (psi, phi) if params.swapped else (phi, psi)
+    for field, side in ((low, "left"), (high, "right")):
+        columns = field.values_per_column
+        assert columns[0] == columns[-1]  # the base, at x = 0 and x = 1
+        for i, st in enumerate(params.structures, start=1):
+            first = 3 * (k - i) + 1  # the column at 1/(3i+1)
+            flank, middle, other_flank = columns[first : first + 3]
+            assert flank == other_flank
+            if getattr(st, side) is None:
+                assert middle == flank  # a plateau triple
+            else:
+                assert middle != flank  # a pit dips below its rim
+
+
+@pytest.mark.parametrize("seed", sorted(REALIZE_PINS))
+def test_realize_json_is_pinned(seed):
+    phi, psi, params = realize(*_pinned_pair(seed))
+    text = json.dumps(
+        {"phi": phi.to_json_dict(), "psi": psi.to_json_dict(), "params": params.to_json_dict()}
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == REALIZE_PINS[seed]
 
 
 # -------------------------------------------------------------- discretize

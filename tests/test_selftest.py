@@ -3,9 +3,16 @@
 import random
 from fractions import Fraction as F
 
-from sizematch import SizePair, run_selftest
+import pytest
+
+from sizematch import Diagram, SizePair, run_selftest
+from sizematch import selftest
 from sizematch.selftest import (
     SuiteResult,
+    _fail,
+    _shrink_diagram_pair,
+    _shrink_graph,
+    _suite,
     perturbed_values,
     random_diagram,
     random_isomorphic_pair,
@@ -63,3 +70,86 @@ def test_run_selftest_cap_zero_skips():
     assert by_name["oracle_equivalence"].status == "skip"
     assert by_name["bound_chain"].status == "skip"
     assert by_name["metric_axioms"].status == "pass"
+
+
+# ------------------------------------------------------------ failure paths
+
+
+def test_suite_reports_the_first_failing_case():
+    def plain(i):
+        if i == 2:
+            raise AssertionError("plain message")
+
+    def with_data(i):
+        if i == 1:
+            _fail("with data", {"k": 1})
+
+    def raising(i):
+        raise KeyError("x")
+
+    outcomes = [
+        (r.status, r.cases, r.message, r.counterexample)
+        for r in (_suite("s", 5, plain), _suite("s", 5, with_data), _suite("s", 5, raising))
+    ]
+    assert outcomes == [
+        ("fail", 3, "plain message", None),
+        ("fail", 2, "with data", {"k": 1}),
+        ("fail", 1, "KeyError: 'x'", None),
+    ]
+
+
+def test_shrink_graph_drops_vertices_while_the_check_fails_or_raises():
+    path = SizePair([("a", 0), ("b", 1), ("c", 2)], [("a", "b"), ("b", "c")])
+
+    def raises(g):
+        raise RuntimeError("check crashed")
+
+    # a crashing check counts as a failing one
+    assert _shrink_graph(path, raises).n_vertices == 1
+    # dropping "b" first would disconnect the path, so "a" goes first
+    assert _shrink_graph(path, lambda g: "b" in g.vertex_ids).vertex_ids == ("b",)
+
+
+def test_shrink_diagram_pair_lowers_multiplicities_while_failing_or_raising():
+    d1 = Diagram(0, [((0, 2), 2), ((1, 3), 1)])
+    d2 = Diagram(1, [((1, 2), 1)])
+
+    def raises(a, b):
+        raise RuntimeError("check crashed")
+
+    assert _shrink_diagram_pair(d1, d2, raises) == (Diagram(0), Diagram(1))
+    def needs_x0(a, b):
+        return any(p.x == 0 for p, _ in a.points)
+
+    assert _shrink_diagram_pair(d1, d2, needs_x0) == (Diagram(0, [((0, 2), 1)]), Diagram(1))
+
+
+def test_oracle_failure_shrinks_to_empty_diagrams(monkeypatch):
+    monkeypatch.setattr(selftest, "brute_force_matching_distance", lambda d1, d2, cap: F(-1))
+    results, ok = run_selftest(seed=0)
+    assert not ok
+    by_name = {r.name: r for r in results}
+    oracle = by_name.pop("oracle_equivalence")
+    assert (oracle.status, oracle.cases) == ("fail", 1)
+    assert oracle.message.endswith(" != brute force -1")
+    assert oracle.counterexample["d1"]["points"] == [] == oracle.counterexample["d2"]["points"]
+    assert all(r.status == "pass" for r in by_name.values())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_representation_failure_shrinks_to_one_vertex(monkeypatch, seed):
+    monkeypatch.setattr(
+        selftest,
+        "evaluate_diagram_on_grid",
+        lambda diagram, xs, ys: {(x, y): -1 for x in xs for y in ys},
+    )
+    first = random_size_pair(random.Random(f"{seed}:representation"))
+    assert first.n_vertices > 1  # so the shrink has work to do
+    results, ok = run_selftest(seed=seed, cap=0)
+    assert not ok
+    representation = results[0]
+    assert representation.name == "representation_round_trips"
+    assert (representation.status, representation.cases) == ("fail", 1)
+    assert representation.message.startswith("representation mismatch at ")
+    assert len(representation.counterexample["vertices"]) == 1
+    assert representation.counterexample["edges"] == []
