@@ -243,17 +243,13 @@ def exact_graph_pseudo_distance(sp1: SizePair, sp2: SizePair, cap: int = 9) -> F
     adjacency1 = {v: set(sp1.neighbors(v)) for v in sp1.vertex_ids}
     adjacency2 = {w: set(sp2.neighbors(w)) for w in sp2.vertex_ids}
 
-    best: List[Optional[Fraction]] = [None]
+    best: Optional[Fraction] = None
     mapping: Dict = {}
     used = set()
 
-    def descend(i: int, running: Fraction) -> None:
-        if best[0] is not None and running >= best[0]:
-            return
-        if i == n:
-            best[0] = running
-            return
-        v = order[i]
+    def candidates(v, running: Fraction):
+        """Images w of v, in str order, that keep the mapping consistent and
+        the running maximum below the best found so far (read at each step)."""
         for w in sp2.vertex_ids:  # already in str order
             if w in used or sp2.degree(w) != sp1.degree(v):
                 continue
@@ -266,18 +262,31 @@ def exact_graph_pseudo_distance(sp1: SizePair, sp2: SizePair, cap: int = 9) -> F
                 continue
             gap = abs(values1[v] - values2[w])
             next_running = running if running >= gap else gap
-            if best[0] is not None and next_running >= best[0]:
+            if best is not None and next_running >= best:
                 continue
-            mapping[v] = w
-            used.add(w)
-            descend(i + 1, next_running)
-            del mapping[v]
-            used.discard(w)
+            yield w, next_running
 
-    descend(0, Fraction(0))
-    if best[0] is None:
+    # depth-first search on an explicit stack: frames[i] walks the images of
+    # order[i] while order[:i] is mapped
+    frames = [candidates(order[0], Fraction(0))]
+    while frames:
+        i = len(frames) - 1
+        step = next(frames[i], None)
+        if step is None:
+            frames.pop()
+            if i:
+                used.discard(mapping.pop(order[i - 1]))
+            continue
+        w, running = step
+        if i + 1 == n:
+            best = running
+            continue
+        mapping[order[i]] = w
+        used.add(w)
+        frames.append(candidates(order[i + 1], running))
+    if best is None:
         raise NotIsomorphicError("graphs are not isomorphic")
-    return best[0]
+    return best
 
 
 @dataclass(frozen=True)

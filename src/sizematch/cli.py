@@ -161,15 +161,13 @@ def _cmd_realize(args) -> int:
             }
         )
     else:
-        print(f"# d_match {float(params.d_match)} max_gap {float(gap)}")
-        print("column_x,y,phi,psi")
-        for ci, x in enumerate(phi.x_breaks):
-            ys = sorted(set(phi.y_breaks_per_column[ci]) | set(psi.y_breaks_per_column[ci]))
-            for y in ys:
-                print(
-                    f"{float(x)},{float(y)},"
-                    f"{float(phi.value_at(ci, y))},{float(psi.value_at(ci, y))}"
-                )
+        # every number is converted first: an overflow prints nothing
+        ys = [float(y) for y in phi.y_breaks]
+        lines = [f"# d_match {float(params.d_match)} max_gap {float(gap)}", "column_x,y,phi,psi"]
+        for x, vs_phi, vs_psi in zip(phi.x_breaks, phi.values_per_column, psi.values_per_column):
+            x = float(x)
+            lines.extend(f"{x},{y},{float(a)},{float(b)}" for y, a, b in zip(ys, vs_phi, vs_psi))
+        print("\n".join(lines))
     if not ok:
         print(f"error: realization failed its round-trip check at refine {args.refine}",
               file=sys.stderr)

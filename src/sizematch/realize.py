@@ -37,54 +37,37 @@ __all__ = [
     "max_field_gap",
 ]
 
+# smallest structure half-width realize() accepts
+MIN_EPSILON = Fraction(1, 10**12)
+
 
 @dataclass(frozen=True)
 class RectField:
-    """Piecewise-linear field on columns x_breaks over y in [min_phi, S].
+    """Piecewise-linear field on the grid x_breaks x y_breaks.
 
+    ``values_per_column[c][r]`` is the value at ``(x_breaks[c], y_breaks[r])``.
     Within a column the value is linear between consecutive y breaks;
     between columns the field interpolates linearly (nothing in the
     package ever needs values off the columns, but the model is the full
-    rectangle).
+    rectangle [x_breaks[0], x_breaks[-1]] x [y_breaks[0], y_breaks[-1]]).
     """
 
     x_breaks: Tuple[Fraction, ...]
-    y_breaks_per_column: Tuple[Tuple[Fraction, ...], ...]
+    y_breaks: Tuple[Fraction, ...]
     values_per_column: Tuple[Tuple[Fraction, ...], ...]
-    S: Fraction
-    min_phi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "x_breaks", tuple(as_fraction(x) for x in self.x_breaks))
-        object.__setattr__(self, "S", as_fraction(self.S))
-        object.__setattr__(self, "min_phi", as_fraction(self.min_phi))
-        object.__setattr__(
-            self,
-            "y_breaks_per_column",
-            tuple(tuple(as_fraction(y) for y in column) for column in self.y_breaks_per_column),
-        )
-        object.__setattr__(
-            self,
-            "values_per_column",
-            tuple(tuple(as_fraction(v) for v in column) for column in self.values_per_column),
-        )
-        if len(self.x_breaks) < 2:
-            raise ValueError("a field needs at least two columns")
-        if any(b <= a for a, b in zip(self.x_breaks, self.x_breaks[1:])):
-            raise ValueError("x_breaks must be strictly increasing")
-        if not self.min_phi < self.S:
-            raise ValueError(f"empty y range [{self.min_phi}, {self.S}]")
-        if len(self.y_breaks_per_column) != len(self.x_breaks) or len(
-            self.values_per_column
-        ) != len(self.x_breaks):
-            raise ValueError("per-column data must match the number of columns")
-        for ys, vs in zip(self.y_breaks_per_column, self.values_per_column):
-            if len(ys) != len(vs) or len(ys) < 2:
-                raise ValueError("each column needs matching y breaks and values (>= 2)")
-            if any(b <= a for a, b in zip(ys, ys[1:])):
-                raise ValueError("column y breaks must be strictly increasing")
-            if ys[0] != self.min_phi or ys[-1] != self.S:
-                raise ValueError("column y breaks must span [min_phi, S]")
+        for name in ("x_breaks", "y_breaks"):
+            breaks = tuple(as_fraction(b) for b in getattr(self, name))
+            if len(breaks) < 2:
+                raise ValueError(f"{name} needs at least two entries")
+            if any(b <= a for a, b in zip(breaks, breaks[1:])):
+                raise ValueError(f"{name} must be strictly increasing")
+            object.__setattr__(self, name, breaks)
+        values = tuple(tuple(as_fraction(v) for v in column) for column in self.values_per_column)
+        if len(values) != len(self.x_breaks) or any(len(vs) != len(self.y_breaks) for vs in values):
+            raise ValueError("a field needs one column per x break and one value per y break")
+        object.__setattr__(self, "values_per_column", values)
 
     @property
     def n_columns(self) -> int:
@@ -92,20 +75,19 @@ class RectField:
 
     def value_at(self, column: int, y) -> Fraction:
         """Exact field value on a column at height y (linear between breaks)."""
-        ys, vs = self.y_breaks_per_column[column], self.values_per_column[column]
-        return _sample(ys, vs, (as_fraction(y),))[0]
+        return _sample(self.y_breaks, self.values_per_column[column], (as_fraction(y),))[0]
 
     def to_json_dict(self) -> dict:
+        # the grid is encoded once and written per column, its ends as S and min_phi
+        ys = [number_to_json(y) for y in self.y_breaks]
         return {
             "x_breaks": [number_to_json(x) for x in self.x_breaks],
-            "y_breaks_per_column": [
-                [number_to_json(y) for y in ys] for ys in self.y_breaks_per_column
-            ],
+            "y_breaks_per_column": [ys.copy() for _ in self.x_breaks],
             "values_per_column": [
                 [number_to_json(v) for v in vs] for vs in self.values_per_column
             ],
-            "S": number_to_json(self.S),
-            "min_phi": number_to_json(self.min_phi),
+            "S": ys[-1],
+            "min_phi": ys[0],
         }
 
     @classmethod
@@ -113,17 +95,20 @@ class RectField:
         if not isinstance(data, dict):
             raise ValueError("field JSON: expected an object")
         try:
-            return cls(
-                x_breaks=tuple(number_from_json(x) for x in data["x_breaks"]),
-                y_breaks_per_column=tuple(
-                    tuple(number_from_json(y) for y in ys) for ys in data["y_breaks_per_column"]
-                ),
-                values_per_column=tuple(
-                    tuple(number_from_json(v) for v in vs) for vs in data["values_per_column"]
-                ),
-                S=number_from_json(data["S"]),
-                min_phi=number_from_json(data["min_phi"]),
+            x_breaks = tuple(number_from_json(x) for x in data["x_breaks"])
+            grids = [tuple(number_from_json(y) for y in ys) for ys in data["y_breaks_per_column"]]
+            values = tuple(
+                tuple(number_from_json(v) for v in vs) for vs in data["values_per_column"]
             )
+            ends = (number_from_json(data["min_phi"]), number_from_json(data["S"]))
+            if len(grids) != len(x_breaks):
+                raise ValueError(f"{len(grids)} y grids for {len(x_breaks)} columns")
+            if any(ys != grids[0] for ys in grids):
+                raise ValueError("the columns do not share one y grid")
+            field = cls(x_breaks, grids[0] if grids else (), values)
+            if ends != (field.y_breaks[0], field.y_breaks[-1]):
+                raise ValueError("min_phi and S must be the ends of the y grid")
+            return field
         except KeyError as exc:
             raise ValueError(f"field JSON: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -217,14 +202,12 @@ def _sample(
     return out
 
 
-def realize(
-    d1: Diagram, d2: Diagram, *, min_epsilon: Fraction = Fraction(1, 10**12)
-) -> Tuple[RectField, RectField, RealizationParams]:
+def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, RealizationParams]:
     """Build fields (phi, psi) with extract(phi) == d1, extract(psi) == d2 and
     max node gap == matching_distance(d1, d2), exactly.
 
     Both diagrams must be localized: every proper abscissa at or above the
-    diagram's own infinity_x.  Structure half-widths below ``min_epsilon``
+    diagram's own infinity_x.  Structure half-widths below ``MIN_EPSILON``
     are refused.  The construction anchors the shared base at the smaller
     infinity_x, so internally the roles may be swapped; the returned pair
     is always (field for d1, field for d2) and ``params.swapped`` records
@@ -262,10 +245,8 @@ def realize(
             kind, anchor = "direct", left
         center = (anchor.x + anchor.y) / 2
         epsilon = min(anchor.persistence / 4, center - min_phi, S - center) / 2
-        if epsilon < min_epsilon:
-            raise ValueError(
-                f"structure half-width {epsilon} underflows the configured minimum {min_epsilon}"
-            )
+        if epsilon < MIN_EPSILON:
+            raise ValueError(f"structure half-width {epsilon} underflows the minimum {MIN_EPSILON}")
         structures.append(
             StructureParams(kind=kind, left=left, right=right, center=center, epsilon=epsilon)
         )
@@ -300,15 +281,7 @@ def realize(
             else:
                 columns += (column(base_start, (c - e, c), (c + e, c)),) * 3
         columns.append(base)
-        fields.append(
-            RectField(
-                x_breaks=x_breaks,
-                y_breaks_per_column=(y_grid,) * len(x_breaks),
-                values_per_column=columns,
-                S=S,
-                min_phi=min_phi,
-            )
-        )
+        fields.append(RectField(x_breaks, y_grid, columns))
     field_low, field_high = fields
 
     if extract_diagram(discretize(field_low, 1)) != low:
@@ -340,13 +313,10 @@ def discretize(field: RectField, refine: int = 1) -> SizePair:
 
     Columns sit at the field's x breaks; each consecutive y gap is split
     into ``refine`` equal parts (refine=1 keeps the break rows only).
-    Values are sampled exactly.  All columns must share one y grid.
+    Values are sampled exactly.
     """
     if isinstance(refine, bool) or not isinstance(refine, int) or refine < 1:
         raise ValueError(f"refine must be a positive integer, got {refine!r}")
-    shared = field.y_breaks_per_column[0]
-    if any(column != shared for column in field.y_breaks_per_column):
-        raise ValueError("discretize needs one shared y grid across columns")
     # value_at at a + (b - a) * k / refine is va + (vb - va) * k / refine, exactly
     vertices = []
     for ci, vs in enumerate(field.values_per_column):
@@ -359,7 +329,7 @@ def discretize(field: RectField, refine: int = 1) -> SizePair:
         column.append(vs[-1])
         vertices.extend((f"c{ci}r{ri}", value) for ri, value in enumerate(column))
     edges = []
-    rows = (len(shared) - 1) * refine + 1
+    rows = (len(field.y_breaks) - 1) * refine + 1
     for ci in range(field.n_columns):
         for ri in range(rows - 1):
             edges.append((f"c{ci}r{ri}", f"c{ci}r{ri + 1}"))
@@ -372,21 +342,14 @@ def discretize(field: RectField, refine: int = 1) -> SizePair:
 def max_field_gap(field_a: RectField, field_b: RectField) -> Fraction:
     """Exact max of |a - b| over the shared grid nodes.
 
-    The fields must share their x breaks; each column is compared on the
-    union of the two columns' y breaks, where both restrictions are linear
-    in between, so the node maximum is the maximum over the whole column.
+    The fields must share their x and y breaks.  Both are linear between
+    the nodes of a column, so the node maximum is the maximum over the
+    whole column.
     """
-    if field_a.x_breaks != field_b.x_breaks:
-        raise ValueError("fields do not share their column abscissas")
-    worst = Fraction(0)
-    for ya, va, yb, vb in zip(
-        field_a.y_breaks_per_column,
-        field_a.values_per_column,
-        field_b.y_breaks_per_column,
-        field_b.values_per_column,
-    ):
-        if ya != yb:
-            ys = sorted(set(ya) | set(yb))
-            va, vb = _sample(ya, va, ys), _sample(yb, vb, ys)
-        worst = max(worst, max(abs(a - b) for a, b in zip(va, vb)))
-    return worst
+    if field_a.x_breaks != field_b.x_breaks or field_a.y_breaks != field_b.y_breaks:
+        raise ValueError("fields do not share their grid")
+    return max(
+        abs(a - b)
+        for va, vb in zip(field_a.values_per_column, field_b.values_per_column)
+        for a, b in zip(va, vb)
+    )

@@ -1,7 +1,9 @@
 """Lower and upper bounds bracketing the natural pseudo-distance."""
 
+import inspect
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -211,6 +213,19 @@ def test_exact_distance_cap():
         sp = random_size_pair(rng, max_vertices=10)
     with pytest.raises(ValueError):
         exact_graph_pseudo_distance(sp, sp, cap=9)
+
+
+def test_exact_distance_search_depth_is_not_bounded_by_recursion():
+    # a 200-vertex path: the search goes 200 mappings deep
+    edges = [(i, i + 1) for i in range(199)]
+    sp1 = SizePair([(i, 37 * i % 11) for i in range(200)], edges)
+    sp2 = SizePair([(i, 37 * i % 11 + F(1, 8)) for i in range(200)], edges)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        assert exact_graph_pseudo_distance(sp1, sp2, cap=200) == F(1, 8)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_matching_distance_lower_bounds_exact():

@@ -282,6 +282,15 @@ def test_realize_csv(files, capsys, tmp_path):
     assert all(len(line.split(",")) == 4 for line in lines[2:])
 
 
+def test_realize_csv_beyond_the_float_range(capsys, tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text('{"infinity_x": 0, "points": [[0, "%d/1", 1]]}' % 10**400)
+    code, out, err = run(capsys, ["realize", str(big), str(big), "--format", "csv"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_realize_self_check_failure_exits_1(files, capsys, monkeypatch):
     # at the default refine 1 the command reports realize()'s own check; the
     # package attribute sizematch.realize is the function, so fetch the module

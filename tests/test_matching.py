@@ -212,8 +212,8 @@ def test_solver_agrees_with_brute_force_at_the_cap_with_multiplicities():
 
 def _maximum_matching_size(edges, rows, cols):
     """Size of a maximum matching of a bipartite edge list (scipy)."""
-    sparse = pytest.importorskip("scipy.sparse")
-    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse", exc_type=ImportError)
+    csgraph = pytest.importorskip("scipy.sparse.csgraph", exc_type=ImportError)
     if not edges:
         return 0
     graph = sparse.csr_matrix(([1] * len(edges), tuple(zip(*edges))), shape=(rows, cols))

@@ -38,7 +38,7 @@ def test_realize_worked_example_exact_fields():
     assert phi.x_breaks == (0, F(1, 4), F(1, 3), F(1, 2), 1)
     assert psi.x_breaks == phi.x_breaks
     grid = (0, F(7, 4), 2, F(9, 4), 4)
-    assert phi.y_breaks_per_column[0] == grid
+    assert phi.y_breaks == grid
     # boundary columns carry the base profiles on both sides
     assert phi.values_per_column[0] == grid
     assert psi.values_per_column[0] == grid
@@ -108,9 +108,10 @@ def test_realize_rejects_mislocalized_diagram():
 
 
 def test_realize_epsilon_underflow():
-    d1, d2 = worked_pair()
-    with pytest.raises(ValueError):
-        realize(d1, d2, min_epsilon=F(10))
+    # persistence 10^-12: the half-width 10^-12 / 8 is below the minimum 10^-12
+    d1 = Diagram(0, [((0, F(1, 10**12)), 1)])
+    with pytest.raises(ValueError, match="underflows"):
+        realize(d1, Diagram(0, []))
 
 
 def test_realize_degenerate_plateau():
@@ -237,7 +238,7 @@ def test_discretize_refined_rows_equal_value_at():
     d1, d2 = worked_pair()
     for field in realize(d1, d2)[:2]:
         sp = discretize(field, 3)
-        breaks = field.y_breaks_per_column[0]
+        breaks = field.y_breaks
         rows = [a + (b - a) * k / 3 for a, b in zip(breaks, breaks[1:]) for k in range(3)]
         rows.append(breaks[-1])
         for ci in range(field.n_columns):
@@ -279,27 +280,39 @@ def test_rect_field_validation():
     with pytest.raises(ValueError):
         RectField(
             x_breaks=(0,),  # fewer than two columns
-            y_breaks_per_column=((0, 1),),
+            y_breaks=(0, 1),
             values_per_column=((0, 1),),
-            S=1,
-            min_phi=0,
         )
     with pytest.raises(ValueError):
         RectField(
             x_breaks=(0, 1),
-            y_breaks_per_column=((0, 1), (1, 0)),  # not increasing
+            y_breaks=(1, 0),  # not increasing
             values_per_column=((0, 1), (0, 1)),
-            S=1,
-            min_phi=0,
         )
     with pytest.raises(ValueError):
         RectField(
             x_breaks=(0, 1),
-            y_breaks_per_column=((0, 1), (0, 1)),
+            y_breaks=(0, 1),
             values_per_column=((0, 1), (0,)),  # length mismatch
-            S=1,
-            min_phi=0,
         )
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda data: data["y_breaks_per_column"][3].__setitem__(1, 1.5), "share one y grid"),
+        (lambda data: data["y_breaks_per_column"].pop(), "4 y grids for 5 columns"),
+        (lambda data: data.__setitem__("S", 5), "ends of the y grid"),
+        (lambda data: data.__setitem__("min_phi", "1/3"), "ends of the y grid"),
+    ],
+    ids=["grids-differ", "grid-count", "S", "min_phi"],
+)
+def test_rect_field_from_json_dict_refuses_a_broken_grid(edit, message):
+    data = realize(*worked_pair())[0].to_json_dict()
+    RectField.from_json_dict(data)
+    edit(data)
+    with pytest.raises(ValueError, match=f"^field JSON: .*{message}"):
+        RectField.from_json_dict(data)
 
 
 def test_max_field_gap_requires_shared_columns():
@@ -307,56 +320,18 @@ def test_max_field_gap_requires_shared_columns():
     phi, psi, _ = realize(d1, d2)
     other = RectField(
         x_breaks=(0, 1),
-        y_breaks_per_column=((0, 4), (0, 4)),
+        y_breaks=(0, 4),
         values_per_column=((0, 4), (0, 4)),
-        S=4,
-        min_phi=0,
     )
     with pytest.raises(ValueError):
         max_field_gap(phi, other)
 
 
-def _column_field(rng, S=4):
-    """Three columns over [0, S], each with its own y breaks on 1/8 steps and random values."""
-    ys_per_column, vs_per_column = [], []
-    for _ in range(3):
-        inner = sorted(rng.sample(range(1, 8 * S), rng.randint(0, 6)))
-        ys = [F(0)] + [F(k, 8) for k in inner] + [F(S)]
-        ys_per_column.append(ys)
-        vs_per_column.append([F(rng.randint(-16, 48), 8) for _ in ys])
-    return RectField(
-        x_breaks=(0, F(1, 2), 1),
-        y_breaks_per_column=ys_per_column,
-        values_per_column=vs_per_column,
-        S=S,
-        min_phi=0,
-    )
-
-
-def test_max_field_gap_on_unshared_breaks():
-    # the second columns break at different heights: the gap 2 sits at y = 1, a break of b only
-    a = RectField(x_breaks=(0, 1), y_breaks_per_column=((0, 4), (0, 4)),
-                  values_per_column=((0, 4), (0, 4)), S=4, min_phi=0)
-    b = RectField(x_breaks=(0, 1), y_breaks_per_column=((0, 4), (0, 1, 4)),
-                  values_per_column=((0, 4), (0, 3, 4)), S=4, min_phi=0)
-    assert max_field_gap(a, b) == max_field_gap(b, a) == 2
-    rng = random.Random(71)
-    for trial in range(40):
-        a, b = _column_field(rng), _column_field(rng)
-        expected = max(
-            abs(a.value_at(ci, y) - b.value_at(ci, y))
-            for ci in range(3)
-            for y in set(a.y_breaks_per_column[ci]) | set(b.y_breaks_per_column[ci])
-        )
-        assert max_field_gap(a, b) == expected, f"trial {trial}"
-
-
 def test_max_field_gap_rejects_different_ranges():
-    rng = random.Random(72)
-    a = _column_field(rng)
-    taller = _column_field(rng, S=5)
-    lower = RectField(x_breaks=(0, F(1, 2), 1), y_breaks_per_column=((-1, 4),) * 3,
-                      values_per_column=((0, 4),) * 3, S=4, min_phi=-1)
+    a = RectField(x_breaks=(0, F(1, 2), 1), y_breaks=(0, 4), values_per_column=((0, 4),) * 3)
+    taller = RectField(x_breaks=(0, F(1, 2), 1), y_breaks=(0, 5), values_per_column=((0, 5),) * 3)
+    lower = RectField(x_breaks=(0, F(1, 2), 1), y_breaks=(-1, 4),
+                      values_per_column=((0, 4),) * 3)
     for other in (taller, lower):
         with pytest.raises(ValueError):
             max_field_gap(a, other)
