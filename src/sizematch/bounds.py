@@ -75,8 +75,10 @@ def _diagram_breaks(diagram: Diagram) -> Tuple[List[Fraction], List[Fraction]]:
 def _dominating(diagram: Diagram, x, y) -> int:
     """Units with px <= x and py >= y, the point at infinity included: l(x, y-)."""
     total = 1 if diagram.infinity_x <= x else 0
-    for point, mult in diagram.points:
-        if point.x <= x and point.y >= y:
+    for point, mult in diagram.points:  # sorted by (x, y)
+        if point.x > x:
+            break
+        if point.y >= y:
             total += mult
     return total
 

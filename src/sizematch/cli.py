@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import random
@@ -241,7 +242,9 @@ def _add_output(parser) -> None:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main() call and reused after."""
     parser = argparse.ArgumentParser(
         prog="sizematch",
         description="Size functions of measuring functions on graphs: "

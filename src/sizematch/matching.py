@@ -201,6 +201,17 @@ class _Instance:
     are unchanged while witnesses keep only pairs whose ground distance is
     their max-norm.  realize() relies on that shape.
 
+    Costs are compared on one integer scale for the pair: ``scale`` is the
+    lcm of the denominators of every proper coordinate (a power of two for
+    file inputs), a point (x, y) becomes the ints (x*scale, y*scale), and a
+    threshold t is held as the int 2*t*scale, that is in units of
+    1/``unit`` with ``unit = 2*scale``.  A half persistence is then Y - X
+    and a max-norm 2*max(|dX|, |dY|), both exact, so no Fraction is formed
+    per pair.  Multiplying by the positive ``unit`` keeps the order of the
+    thresholds and never merges two of them, so the pruning keeps the same
+    edges and every rank, search step and witness is what the Fraction
+    costs would give.
+
     The candidate thresholds (0, the half persistences, the max-norms of
     the kept edges) are sorted once; half persistences and edges are held as
     ranks in that list, so the searches compare ints only.  Side 0 is the
@@ -209,14 +220,23 @@ class _Instance:
 
     def __init__(self, d1: Diagram, d2: Diagram):
         self.points = (d1.expanded(), d2.expanded())
-        halves = tuple([p.persistence / 2 for p in side] for side in self.points)
+        scale = math.lcm(
+            *(c.denominator for d in (d1, d2) for p, _ in d.points for c in (p.x, p.y))
+        )
+        self.unit = 2 * scale
+        on_scale = lambda c: c.numerator * (scale // c.denominator)
+        scaled = tuple([(on_scale(p.x), on_scale(p.y)) for p in side] for side in self.points)
+        halves = tuple([y - x for x, y in side] for side in scaled)
+        right = [(u, v, g) for (u, v), g in zip(scaled[1], halves[1])]
         edges = []
-        for i, p in enumerate(self.points[0]):
-            for j, q in enumerate(self.points[1]):
-                norm = _max_norm(p, q)
-                if norm <= max(halves[0][i], halves[1][j]):
+        for i, ((x, y), h) in enumerate(zip(scaled[0], halves[0])):
+            for j, (u, v, g) in enumerate(right):
+                dx = x - u if x > u else u - x  # abs() and max() calls cost twice as much here
+                dy = y - v if y > v else v - y
+                norm = 2 * dx if dx > dy else 2 * dy
+                if norm <= h or norm <= g:
                     edges.append((norm, i, j))
-        self.thresholds = sorted({Fraction(0), *halves[0], *halves[1], *(e[0] for e in edges)})
+        self.thresholds = sorted({0, *halves[0], *halves[1], *(e[0] for e in edges)})
         rank = {t: r for r, t in enumerate(self.thresholds)}
         self.half_rank = tuple([rank[h] for h in side] for side in halves)
         self.adj = tuple([[] for _ in side] for side in self.points)
@@ -313,7 +333,7 @@ def matching_distance(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Matching]:
     for i, j in enumerate(found[0]):
         if j == -1:
             inst.rematch(found, 0, i, lo, -1)
-    value = max(inst.thresholds[lo], abs(d1.infinity_x - d2.infinity_x))
+    value = max(Fraction(inst.thresholds[lo], inst.unit), abs(d1.infinity_x - d2.infinity_x))
 
     left, right = inst.points
     pairs: List[Tuple[object, object]] = [

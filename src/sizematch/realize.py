@@ -64,7 +64,15 @@ class RectField:
             if any(b <= a for a, b in zip(breaks, breaks[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
             object.__setattr__(self, name, breaks)
-        values = tuple(tuple(as_fraction(v) for v in column) for column in self.values_per_column)
+        # realize() passes equal columns as one object: convert each object once
+        # and keep its copies as one shared tuple; holding every column until
+        # the end keeps two distinct columns from ever sharing an id
+        columns = tuple(self.values_per_column)
+        converted = {}
+        for column in columns:
+            if id(column) not in converted:
+                converted[id(column)] = tuple(as_fraction(v) for v in column)
+        values = tuple(converted[id(column)] for column in columns)
         if len(values) != len(self.x_breaks) or any(len(vs) != len(self.y_breaks) for vs in values):
             raise ValueError("a field needs one column per x break and one value per y break")
         object.__setattr__(self, "values_per_column", values)
@@ -78,14 +86,17 @@ class RectField:
         return _sample(self.y_breaks, self.values_per_column[column], (as_fraction(y),))[0]
 
     def to_json_dict(self) -> dict:
-        # the grid is encoded once and written per column, its ends as S and min_phi
+        # the grid is encoded once and written per column, its ends as S and min_phi;
+        # each shared column tuple is encoded once and copied for its repeats
         ys = [number_to_json(y) for y in self.y_breaks]
+        encoded = {}
+        for vs in self.values_per_column:
+            if id(vs) not in encoded:
+                encoded[id(vs)] = [number_to_json(v) for v in vs]
         return {
             "x_breaks": [number_to_json(x) for x in self.x_breaks],
             "y_breaks_per_column": [ys.copy() for _ in self.x_breaks],
-            "values_per_column": [
-                [number_to_json(v) for v in vs] for vs in self.values_per_column
-            ],
+            "values_per_column": [encoded[id(vs)].copy() for vs in self.values_per_column],
             "S": ys[-1],
             "min_phi": ys[0],
         }

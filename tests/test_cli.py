@@ -2,10 +2,14 @@
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import sizematch
 from sizematch import Diagram
 from sizematch._rational import number_from_json
 from sizematch.cli import main
@@ -503,3 +507,27 @@ def test_determinism_of_dist(files, capsys):
     _, out1, _ = run(capsys, args)
     _, out2, _ = run(capsys, args)
     assert out1 == out2
+
+
+def test_one_process_runs_many_commands_like_separate_ones(files, capsys):
+    # main() builds its parser once per process; reusing it must not leak
+    # state from one call, or from a parse error, into the next
+    commands = [
+        ["dist", files["d1"], files["d2"], "--witness", "--format", "csv"],
+        ["diagram", files["v1"], files["e1"]],
+        ["realize", files["d1"], files["d2"]],
+    ]
+    in_process = [run(capsys, commands[0]), run(capsys, commands[1])]
+    with pytest.raises(SystemExit) as exc:
+        main(["dist", files["d1"], files["d2"], "--format", "xml"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    in_process.append(run(capsys, commands[2]))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sizematch.__file__)))
+    for argv, (code, out, err) in zip(commands, in_process):
+        alone = subprocess.run(
+            [sys.executable, "-m", "sizematch", *argv], capture_output=True, text=True, env=env
+        )
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr)
+    assert [code for code, _, _ in in_process] == [0, 0, 0]

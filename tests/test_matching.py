@@ -1,5 +1,6 @@
 """Bottleneck matching distance: ground distance, solver, oracle, stability."""
 
+import hashlib
 import json
 import math
 import random
@@ -443,3 +444,126 @@ def test_stability_fuzz_seeded():
         moved = perturbed_values(rng, sp, epsilon)
         value, holds = stability_probe(sp, moved, epsilon)
         assert holds, f"trial {trial}: d_match {value} > {epsilon}"
+
+
+# ------------------------------------------------------------ integer scale
+
+# sha256 of the value and witness JSON of every pair of _scale_cases(group),
+# written by the earlier solver that compared Fraction max-norms directly;
+# the solver on one integer scale per pair must reproduce them byte for byte
+SCALE_PINS = {
+    "thirds_and_sevenths": "4f554c0e779d9c646afec2335b095b350634829eff5caec7094ceed4f761622a",
+    "dyadic": "eb04e4da96c2a9895893f27d2889e67fa67b05ce7a61469bc98497befc1a00b0",
+    "integral": "4dee33a416371853a83d3738c464f4eeae1b96caea6afd99404d2aa3a8a6fab5",
+    "mixed_denominators": "b0451780c8502ac2c1cd4bd63e497065eebfb1c37c796e074e2e5bd865154551",
+    "beyond_float_range": "6d0cb6ecad83afa69850cf1a39b6c6fc8cee5e29295b7b7cd9005abbabf02be5",
+    "empty": "ea8f85a538a02e3aa2ab6a898d9283aa6c0af3ffa4e5f4b4ecb415408103dd13",
+}
+
+HUGE = 10**400
+
+
+def _rational_diagram(rng, denominators, max_points=7, max_multiplicity=3):
+    """Random diagram whose every coordinate has a denominator from the list."""
+    den = lambda: rng.choice(denominators)
+    infinity_x = F(rng.randint(-20, 20), den())
+    entries = []
+    for _ in range(rng.randint(0, max_points)):
+        x = infinity_x + F(rng.randint(0, 40), den())
+        entries.append(((x, x + F(rng.randint(1, 30), den())), rng.randint(1, max_multiplicity)))
+    return Diagram(infinity_x, entries)
+
+
+def _near_copy(rng, d, denominators):
+    """Every coordinate of d moved by at most a few grid steps, kept above the diagonal."""
+    step = lambda: F(rng.randint(-3, 3), rng.choice(denominators))
+    entries = []
+    for p, mult in d.points:
+        x = p.x + step()
+        entries.append(((x, max(p.y + step(), x + F(1, rng.choice(denominators)))), mult))
+    return Diagram(min([d.infinity_x + step()] + [x for (x, _), _ in entries]), entries)
+
+
+def _rational_pair(rng, denominators):
+    d1 = _rational_diagram(rng, denominators)
+    if rng.random() < 0.5:
+        return d1, _rational_diagram(rng, denominators)
+    return d1, _near_copy(rng, d1, denominators)
+
+
+def _huge_pair(rng):
+    """Coordinates beyond the float range, given as 'p/1' in diagram JSON."""
+    def side():
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            x = HUGE + rng.randint(0, 12)
+            rows.append([f"{x}/1", f"{x + rng.randint(1, 9)}/1", rng.randint(1, 3)])
+        rows.append(["1/3", "7/3", rng.randint(1, 2)])
+        return Diagram.from_json_dict({"infinity_x": 0, "points": rows})
+
+    return side(), side()
+
+
+def _scale_cases(group):
+    rng = random.Random(f"integer-scale:{group}")
+    if group == "thirds_and_sevenths":
+        return [_rational_pair(rng, [3, 7, 21]) for _ in range(40)]
+    if group == "dyadic":
+        return [_rational_pair(rng, [2, 64, 1024]) for _ in range(40)]
+    if group == "integral":
+        return [_rational_pair(rng, [1]) for _ in range(40)]
+    if group == "mixed_denominators":
+        return [_rational_pair(rng, [1, 2, 3, 7, 12, 64, 1024]) for _ in range(40)]
+    if group == "beyond_float_range":
+        return [_huge_pair(rng) for _ in range(10)]
+    assert group == "empty"
+    lone = Diagram(F(1, 3), [((F(2, 7), F(9, 2)), 2)])
+    return [(Diagram(0, []), Diagram(0, [])), (Diagram(F(1, 3), []), Diagram(F(5, 7), [])),
+            (lone, Diagram(0, [])), (Diagram(0, []), lone)]
+
+
+def _scale_digest(group):
+    records = []
+    for d1, d2 in _scale_cases(group):
+        value, m = matching_distance(d1, d2)
+        m.verify(d1, d2)
+        records.append({"value": number_to_json(value), "witness": m.to_json_dict()})
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("group", sorted(SCALE_PINS))
+def test_integer_scale_witness_json_is_pinned(group):
+    assert _scale_digest(group) == SCALE_PINS[group]
+
+
+def test_integer_scale_cases_cover_their_shapes():
+    pairs = _scale_cases("mixed_denominators")
+    assert any(m > 1 for d1, _ in pairs for _, m in d1.points)
+    denominators = {c.denominator for d1, d2 in pairs for d in (d1, d2)
+                    for p, _ in d.points for c in (p.x, p.y)}
+    assert {3, 7, 64} <= denominators
+    assert all(max(p.y for d in pair for p, _ in d.points) > HUGE
+               for pair in _scale_cases("beyond_float_range"))
+
+
+def test_solver_agrees_with_brute_force_at_the_cap_on_non_dyadic_rationals():
+    rng = random.Random(71)
+    splits = [[1] * 8, [2, 2, 2, 2], [2, 3, 3], [3, 1, 2, 2]]
+
+    def capped(multiplicities):
+        infinity_x = F(rng.randint(-6, 6), rng.choice([3, 5, 7]))
+        entries = []
+        for mult in multiplicities:
+            x = infinity_x + F(rng.randint(0, 12), rng.choice([3, 5, 7]))
+            entries.append(((x, x + F(rng.randint(1, 10), rng.choice([3, 5, 7]))), mult))
+        return Diagram(infinity_x, entries)
+
+    # near copies: the oracle's branch and bound finds a good bound early,
+    # unrelated pairs at the cap can take it seconds each
+    for trial in range(8):
+        d1 = capped(splits[trial % len(splits)])
+        d2 = _near_copy(rng, d1, [3, 5, 7])
+        assert d1.total_multiplicity == d2.total_multiplicity == 8
+        solver, m = matching_distance(d1, d2)
+        assert solver == brute_force_matching_distance(d1, d2, cap=8), f"trial {trial}"
+        m.verify(d1, d2)

@@ -276,6 +276,22 @@ def test_rect_field_json_round_trip_with_thirds():
     assert again == phi
 
 
+def test_rect_field_shares_equal_columns():
+    # realize() hands equal columns over as one object; the field keeps one
+    # converted tuple for them, and its JSON writes each copy in full
+    phi, psi, _ = realize(*_pinned_pair(0))
+    for field in (phi, psi):
+        columns = field.values_per_column
+        assert columns[0] is columns[-1]
+        data = json.loads(field.dumps())
+        assert data["values_per_column"][0] == data["values_per_column"][-1]
+        assert len(data["values_per_column"]) == field.n_columns
+    # columns made one at a time and dropped by the caller stay distinct
+    field = RectField((0, 1, 2), (0, 4), ([c, 4] for c in (0, 1, 2)))
+    assert field.values_per_column == ((0, 4), (1, 4), (2, 4))
+    assert json.loads(field.dumps())["values_per_column"] == [[0, 4], [1, 4], [2, 4]]
+
+
 def test_rect_field_validation():
     with pytest.raises(ValueError):
         RectField(
