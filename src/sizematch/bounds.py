@@ -213,9 +213,10 @@ class NotIsomorphicError(ValueError):
 def exact_graph_pseudo_distance(sp1: SizePair, sp2: SizePair, cap: int = 9) -> Fraction:
     """Min over all graph isomorphisms of the sup-norm value difference.
 
-    Exhaustive backtracking with degree pruning; refuses graphs larger
-    than ``cap`` vertices and raises :class:`NotIsomorphicError` when no
-    isomorphism exists.
+    Branch-and-bound in BFS order with degree pruning, drawing each
+    vertex's images from the neighbours of a mapped neighbour's image;
+    refuses graphs larger than ``cap`` vertices and raises
+    :class:`NotIsomorphicError` when no isomorphism exists.
     """
     n = sp1.n_vertices
     if n > cap or sp2.n_vertices > cap:
@@ -231,7 +232,7 @@ def exact_graph_pseudo_distance(sp1: SizePair, sp2: SizePair, cap: int = 9) -> F
         raise NotIsomorphicError("graphs have different degree sequences")
 
     # BFS order: after the root every vertex has a previously mapped neighbor,
-    # which makes the adjacency-consistency pruning bite early.
+    # whose image's neighbours are the only possible images.
     start = min(sp1.vertex_ids, key=lambda v: (-sp1.degree(v), str(v)))
     order: List = [start]
     seen = {start}
@@ -242,8 +243,6 @@ def exact_graph_pseudo_distance(sp1: SizePair, sp2: SizePair, cap: int = 9) -> F
                 order.append(u)
     values1 = {v: as_fraction(sp1.value(v)) for v in sp1.vertex_ids}
     values2 = {w: as_fraction(sp2.value(w)) for w in sp2.vertex_ids}
-    adjacency1 = {v: set(sp1.neighbors(v)) for v in sp1.vertex_ids}
-    adjacency2 = {w: set(sp2.neighbors(w)) for w in sp2.vertex_ids}
 
     best: Optional[Fraction] = None
     mapping: Dict = {}
@@ -251,16 +250,16 @@ def exact_graph_pseudo_distance(sp1: SizePair, sp2: SizePair, cap: int = 9) -> F
 
     def candidates(v, running: Fraction):
         """Images w of v, in str order, that keep the mapping consistent and
-        the running maximum below the best found so far (read at each step)."""
-        for w in sp2.vertex_ids:  # already in str order
-            if w in used or sp2.degree(w) != sp1.degree(v):
+        the running maximum below the best found so far (read at each step).
+        Consistent: w's used neighbours are exactly the images of v's mapped
+        neighbours, which stay mapped while the generator lives."""
+        images = [mapping[u] for u in sp1.neighbors(v) if u in mapping]
+        expected = set(images)
+        degree = sp1.degree(v)
+        for w in sp2.neighbors(images[0]) if images else sp2.vertex_ids:  # str order
+            if w in used or sp2.degree(w) != degree:
                 continue
-            consistent = True
-            for u, fu in mapping.items():
-                if (u in adjacency1[v]) != (fu in adjacency2[w]):
-                    consistent = False
-                    break
-            if not consistent:
+            if {x for x in sp2.neighbors(w) if x in used} != expected:
                 continue
             gap = abs(values1[v] - values2[w])
             next_running = running if running >= gap else gap

@@ -58,6 +58,11 @@ def _resolve_seed(explicit: Optional[int]) -> int:
         raise ValueError(f"SIZEMATCH_SEED must be an integer, got {env!r}") from None
 
 
+def _check_at_least(option: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{option} must be at least {least}, got {value}")
+
+
 def _print_json(data: dict) -> None:
     print(json.dumps(data, indent=2))
 
@@ -119,6 +124,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    _check_at_least("--cap", args.cap, 0)
     sp1 = _load_pair(args.vertices1, args.edges1)
     sp2 = _load_pair(args.vertices2, args.edges2)
     report = bound_report(sp1, sp2, cap=args.cap)
@@ -177,6 +183,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    _check_at_least("--trials", args.trials, 1)
     sp = _load_pair(args.vertices, args.edges)
     try:
         epsilon = Fraction(args.epsilon)
@@ -212,6 +219,8 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    _check_at_least("--cap", args.cap, 0)
+    _check_at_least("--scale", args.scale, 1)
     seed = _resolve_seed(args.seed)
     results, ok = run_selftest(seed=seed, cap=args.cap, scale=args.scale)
     for result in results:

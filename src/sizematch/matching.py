@@ -193,7 +193,7 @@ def _max_norm(p: ExtendedPoint, q: ExtendedPoint) -> Fraction:
 
 
 class _Instance:
-    """Expanded proper points of both diagrams, every cost stored as a rank.
+    """Expanded proper points of both diagrams, every cost an int on one scale.
 
     Direct edges that are strictly beaten by the route through the diagonal
     are dropped: any matching that used one can be rewired through two
@@ -209,12 +209,11 @@ class _Instance:
     and a max-norm 2*max(|dX|, |dY|), both exact, so no Fraction is formed
     per pair.  Multiplying by the positive ``unit`` keeps the order of the
     thresholds and never merges two of them, so the pruning keeps the same
-    edges and every rank, search step and witness is what the Fraction
-    costs would give.
+    edges and every search step and witness is what the Fraction costs
+    would give.
 
-    The candidate thresholds (0, the half persistences, the max-norms of
-    the kept edges) are sorted once; half persistences and edges are held as
-    ranks in that list, so the searches compare ints only.  Side 0 is the
+    ``half[s]`` holds the half persistences of side s and ``adj[s]`` each
+    point's kept edges as (norm, partner) rows sorted by norm.  Side 0 is the
     first diagram; a matching is a pair of partner lists ``mate[s]`` (-1: free).
     """
 
@@ -226,41 +225,39 @@ class _Instance:
         self.unit = 2 * scale
         on_scale = lambda c: c.numerator * (scale // c.denominator)
         scaled = tuple([(on_scale(p.x), on_scale(p.y)) for p in side] for side in self.points)
-        halves = tuple([y - x for x, y in side] for side in scaled)
-        right = [(u, v, g) for (u, v), g in zip(scaled[1], halves[1])]
-        edges = []
-        for i, ((x, y), h) in enumerate(zip(scaled[0], halves[0])):
+        self.half = tuple([y - x for x, y in side] for side in scaled)
+        right = [(u, v, g) for (u, v), g in zip(scaled[1], self.half[1])]
+        self.adj = tuple([[] for _ in side] for side in self.points)
+        norms = set()
+        for i, ((x, y), h) in enumerate(zip(scaled[0], self.half[0])):
+            row = self.adj[0][i]
             for j, (u, v, g) in enumerate(right):
                 dx = x - u if x > u else u - x  # abs() and max() calls cost twice as much here
                 dy = y - v if y > v else v - y
                 norm = 2 * dx if dx > dy else 2 * dy
                 if norm <= h or norm <= g:
-                    edges.append((norm, i, j))
-        self.thresholds = sorted({0, *halves[0], *halves[1], *(e[0] for e in edges)})
-        rank = {t: r for r, t in enumerate(self.thresholds)}
-        self.half_rank = tuple([rank[h] for h in side] for side in halves)
-        self.adj = tuple([[] for _ in side] for side in self.points)
-        for norm, i, j in edges:
-            self.adj[0][i].append((rank[norm], j))
-            self.adj[1][j].append((rank[norm], i))
+                    row.append((norm, j))
+                    self.adj[1][j].append((norm, i))
+                    norms.add(norm)
+        self.thresholds = sorted({0, *self.half[0], *self.half[1], *norms})
         for side in self.adj:
             for row in side:
                 row.sort()
 
-    def rematch(self, mate, s: int, root: int, r: int, drop: int) -> bool:
-        """Match ``root`` of side s along an alternating path of edges of rank <= r.
+    def rematch(self, mate, s: int, root: int, t: int, drop: int) -> bool:
+        """Match ``root`` of side s along an alternating path of edges of cost <= t.
 
         The path ends at a free point of the other side (augmentation) or at
-        a matched point of side s whose half-persistence rank is <= ``drop``;
+        a matched point of side s whose half persistence is <= ``drop``;
         that point loses its partner (swap).  Every other matched point stays
         matched.  Explicit-stack depth-first search; False if no path exists.
         """
-        adj, mine, theirs, half = self.adj[s], mate[s], mate[1 - s], self.half_rank[s]
+        adj, mine, theirs, half = self.adj[s], mate[s], mate[1 - s], self.half[s]
         seen = set()
         path, picks, pos = [root], [], [0]
         while path:
             row, k = adj[path[-1]], pos[-1]
-            if k == len(row) or row[k][0] > r:
+            if k == len(row) or row[k][0] > t:
                 path.pop()
                 pos.pop()
                 if picks:
@@ -284,20 +281,20 @@ class _Instance:
             return True
         return False
 
-    def cover(self, mate, r: int) -> bool:
-        """Feasibility of threshold rank r, extending ``mate`` in place.
+    def cover(self, mate, t: int) -> bool:
+        """Feasibility of the threshold t, extending ``mate`` in place.
 
         A point whose half persistence exceeds the threshold cannot go to
         the diagonal; call it a must point.  The threshold is feasible iff
-        some matching of edges of rank <= r covers every must point on both
+        some matching of edges of cost <= t covers every must point on both
         sides (the remaining points go to the diagonal, Mendelsohn-Dulmage).
         Uncovered must points are covered one at a time; covered ones never
         lose their partner, so the first search that fails proves the
         threshold infeasible.
         """
         for s in (0, 1):
-            for x, h in enumerate(self.half_rank[s]):
-                if h > r and mate[s][x] == -1 and not self.rematch(mate, s, x, r, r):
+            for x, h in enumerate(self.half[s]):
+                if h > t and mate[s][x] == -1 and not self.rematch(mate, s, x, t, t):
                     return False
         return True
 
@@ -324,7 +321,7 @@ def matching_distance(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Matching]:
     while lo < hi:
         mid = (lo + hi) // 2
         mate = [list(side) for side in start]
-        if inst.cover(mate, mid):
+        if inst.cover(mate, inst.thresholds[mid]):
             hi, found = mid, mate
         else:
             lo, start = mid + 1, mate
@@ -332,7 +329,7 @@ def matching_distance(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Matching]:
         found = start
     for i, j in enumerate(found[0]):
         if j == -1:
-            inst.rematch(found, 0, i, lo, -1)
+            inst.rematch(found, 0, i, inst.thresholds[lo], -1)
     value = max(Fraction(inst.thresholds[lo], inst.unit), abs(d1.infinity_x - d2.infinity_x))
 
     left, right = inst.points

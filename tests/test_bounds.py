@@ -4,6 +4,7 @@ import inspect
 import json
 import random
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from sizematch import (
     BoundReport,
     Diagram,
+    DisconnectedGraphError,
     NotIsomorphicError,
     SizePair,
     bound_report,
@@ -215,17 +217,86 @@ def test_exact_distance_cap():
         exact_graph_pseudo_distance(sp, sp, cap=9)
 
 
-def test_exact_distance_search_depth_is_not_bounded_by_recursion():
-    # a 200-vertex path: the search goes 200 mappings deep
-    edges = [(i, i + 1) for i in range(199)]
-    sp1 = SizePair([(i, 37 * i % 11) for i in range(200)], edges)
-    sp2 = SizePair([(i, 37 * i % 11 + F(1, 8)) for i in range(200)], edges)
+@pytest.mark.parametrize("n", [200, 1500])
+def test_exact_distance_search_depth_is_not_bounded_by_recursion(n):
+    # an n-vertex path: the search goes n mappings deep, and each image is
+    # drawn from the neighbours of the last one, so it stays fast
+    edges = [(i, i + 1) for i in range(n - 1)]
+    sp1 = SizePair([(i, 37 * i % 11) for i in range(n)], edges)
+    sp2 = SizePair([(i, 37 * i % 11 + F(1, 8)) for i in range(n)], edges)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    start = time.perf_counter()
     try:
-        assert exact_graph_pseudo_distance(sp1, sp2, cap=200) == F(1, 8)
+        assert exact_graph_pseudo_distance(sp1, sp2, cap=n) == F(1, 8)
     finally:
         sys.setrecursionlimit(limit)
+    assert time.perf_counter() - start < 5
+
+
+def _random_size_pair_with(rng, n):
+    sp = random_size_pair(rng, n)
+    while sp.n_vertices != n:
+        sp = random_size_pair(rng, n)
+    return sp
+
+
+def _double_edge_swap(rng, sp):
+    """sp with edges (a, b), (c, d) replaced by (a, d), (c, b): the same degrees,
+    often another shape; sp itself when ten tries give no simple connected swap."""
+    edges = list(sp.edges)
+    present = {frozenset(e) for e in edges}
+    for _ in range(10):
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if len({a, b, c, d}) < 4 or {frozenset((a, d)), frozenset((c, b))} & present:
+            continue
+        swapped = [e for e in edges if e not in ((a, b), (c, d))] + [(a, d), (c, b)]
+        try:
+            return SizePair(sp.vertex_values, swapped)
+        except DisconnectedGraphError:
+            continue
+    return sp
+
+
+def test_exact_distance_against_networkx_isomorphisms():
+    nx = pytest.importorskip("networkx", exc_type=ImportError)
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def graph(sp):
+        g = nx.Graph()
+        g.add_nodes_from(sp.vertex_ids)
+        g.add_edges_from(sp.edges)
+        return g
+
+    def oracle(sp1, sp2):
+        """Min over every isomorphism of the sup value gap; None if there is none."""
+        isomorphisms = GraphMatcher(graph(sp1), graph(sp2)).isomorphisms_iter()
+        return min(
+            (max(abs(F(sp1.value(v)) - F(sp2.value(w))) for v, w in iso.items())
+             for iso in isomorphisms),
+            default=None,
+        )
+
+    rng = random.Random(75)
+    for trial in range(300):
+        sp1, sp2 = random_isomorphic_pair(rng, max_vertices=8)
+        assert exact_graph_pseudo_distance(sp1, sp2) == oracle(sp1, sp2), f"trial {trial}"
+    # unrelated pairs, then pairs with one degree sequence that only the
+    # adjacency checks of the search can tell apart
+    outcomes = {True: 0, False: 0}
+    for trial in range(600):
+        sp1 = _random_size_pair_with(rng, 7)
+        sp2 = _random_size_pair_with(rng, 7) if trial < 300 else _double_edge_swap(rng, sp1)
+        expected = oracle(sp1, sp2)
+        isomorphic = nx.is_isomorphic(graph(sp1), graph(sp2))
+        assert isomorphic == (expected is not None), f"trial {trial}"
+        outcomes[isomorphic] += 1
+        if isomorphic:
+            assert exact_graph_pseudo_distance(sp1, sp2) == expected, f"trial {trial}"
+        else:
+            with pytest.raises(NotIsomorphicError):
+                exact_graph_pseudo_distance(sp1, sp2)
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_matching_distance_lower_bounds_exact():
@@ -250,6 +321,15 @@ def test_bound_report_chain_isomorphic():
         assert report.earlier <= report.d_match <= report.exact, f"trial {trial}"
         d1, d2 = extract_diagram(sp1), extract_diagram(sp2)
         assert earlier_bound_grid_oracle(d1, d2, 0) <= report.earlier
+
+
+def test_bound_report_chain_at_realistic_sizes():
+    rng = random.Random(77)
+    for trial in range(40):
+        sp1, sp2 = random_isomorphic_pair(rng, max_vertices=60)
+        report = bound_report(sp1, sp2, cap=60)
+        assert report.exact is not None, f"trial {trial}: {report.note}"
+        assert report.earlier <= report.d_match <= report.exact, f"trial {trial}"
 
 
 def test_bound_report_non_isomorphic_sets_note():

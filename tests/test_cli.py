@@ -477,6 +477,26 @@ def test_selftest_rejects_bad_env_seed(capsys, monkeypatch):
 # ------------------------------------------------------------- exit codes
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["stability", "{v1}", "{e1}", "--epsilon", "0.5", "--trials", "0"], "--trials"),
+        (["stability", "{v1}", "{e1}", "--epsilon", "0.5", "--trials", "-3"], "--trials"),
+        (["selftest", "--scale", "0"], "--scale"),
+        (["selftest", "--scale", "-1"], "--scale"),
+        (["selftest", "--cap", "-2"], "--cap"),
+        (["bound", "{v1}", "{e1}", "{v1}", "{e1}", "--cap", "-1"], "--cap"),
+    ],
+    ids=["trials-0", "trials-negative", "scale-0", "scale-negative", "selftest-cap", "bound-cap"],
+)
+def test_count_argument_out_of_range_exit_2(files, capsys, argv, option):
+    code, out, err = run(capsys, [arg.format(**files) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {option} must be at least ")
+    assert err.count("\n") == 1
+
+
 def test_parse_error_exit_2_names_file_and_line(files, capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,1\nb,oops\n")
