@@ -33,6 +33,21 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"expected a real number, got {type(value).__name__}")
 
 
+def common_denominator(values) -> int:
+    """The lcm of the denominators of the Fractions ``values`` (1 for none).
+
+    Each value times any multiple ``scale`` of this lcm is an int
+    (:func:`on_scale`), so exact comparisons and differences of a whole
+    set of rationals can run on Python ints.
+    """
+    return math.lcm(*(v.denominator for v in values))
+
+
+def on_scale(value: Fraction, scale: int) -> int:
+    """``value * scale`` as an int; ``scale`` is a multiple of its denominator."""
+    return value.numerator * (scale // value.denominator)
+
+
 def number_to_json(value):
     """Encode an exact number for JSON output.
 

@@ -21,13 +21,15 @@ earlier_bound <= matching_distance <= exact_graph_pseudo_distance.
 from __future__ import annotations
 
 import json
-import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
-from ._rational import as_fraction, number_to_json
-from .core import SizePair, _min_gap
+from ._rational import as_fraction, common_denominator, number_to_json, on_scale
+from .core import SizePair
 from .diagram import Diagram, evaluate_diagram, extract_diagram
 from .matching import Matching, matching_distance
 
@@ -72,15 +74,33 @@ def _diagram_breaks(diagram: Diagram) -> Tuple[List[Fraction], List[Fraction]]:
     return xs, ys
 
 
-def _dominating(diagram: Diagram, x, y) -> int:
-    """Units with px <= x and py >= y, the point at infinity included: l(x, y-)."""
-    total = 1 if diagram.infinity_x <= x else 0
-    for point, mult in diagram.points:  # sorted by (x, y)
-        if point.x > x:
-            break
-        if point.y >= y:
-            total += mult
-    return total
+def _dominance_table(diagram: Diagram, unit: int) -> Tuple[List[int], List[int], List[List[int]]]:
+    """Breaks and prefix counts of a diagram on an integer scale: (xs, ys, table).
+
+    ``xs`` holds the distinct x-breaks (infinity_x included) and ``ys`` the
+    distinct y-breaks, as ints times ``unit``.  ``table[a][b]`` counts the
+    units with px <= xs[a - 1] and py >= ys[b], the point at infinity
+    included; row 0 is all zeros, and column len(ys) counts the point at
+    infinity alone, the only unit above every y-break.  So l(x, y-) is
+    table[bisect_right(xs, x)][bisect_left(ys, y)].
+    """
+    infinity = on_scale(diagram.infinity_x, unit)
+    points = [(on_scale(p.x, unit), on_scale(p.y, unit), m) for p, m in diagram.points]
+    xs = sorted({infinity, *(x for x, _, _ in points)})
+    ys = sorted({y for _, y, _ in points})
+    rank = {y: b for b, y in enumerate(ys)}
+    row = [0] * (len(ys) + 1)
+    table = [row]
+    k = 0
+    for x in xs:  # points is sorted by x, like diagram.points
+        added = [0] * len(row)
+        added[-1] = 1 if x == infinity else 0
+        while k < len(points) and points[k][0] == x:
+            added[rank[points[k][1]]] += points[k][2]
+            k += 1
+        row = list(map(add, row, reversed(list(accumulate(reversed(added))))))
+        table.append(row)
+    return xs, ys, table
 
 
 def earlier_bound(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Optional[EarlierWitness]]:
@@ -97,39 +117,63 @@ def earlier_bound(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Optional[EarlierW
     most twice the best, or c units of d2 already dominate
     (ax + best, by - best).
 
+    The count of thresholds <= g is l2(ax + g, (by - g)-), non-decreasing
+    in g, so g* is the least candidate qx - ax or by - qy that reaches c;
+    each of these two sorted families is bisected on its own.  All of it
+    runs on ints: every coordinate is multiplied by ``unit``, twice the lcm
+    of the denominators, so widths halve exactly and the counts of both
+    diagrams are table lookups (:func:`_dominance_table`).
+
     Every positive threshold and width is at least the minimal gap ``gap``
     between breaks of both diagrams, so s >= gap/2, and the witness
     x = ax, y = by - gap/8, xi = x + g, eta = y - g with g = s - gap/4 is
     strictly admissible and separating; it is re-checked by direct
     evaluation.  On an empty admissible set the result is (0, None).
     """
-    xs1, ys1 = _diagram_breaks(d1)
-    xs2, ys2 = _diagram_breaks(d2)
-    breaks = sorted(set(xs1 + ys1 + xs2 + ys2))
-    tops = ys1 + [2 * breaks[-1] - breaks[0] + 1]
-    units2 = d2.expanded()
-    best, best_pair = Fraction(0), None
-    for ax in xs1:
-        for by in reversed(tops):
+    unit = 2 * common_denominator(
+        [d1.infinity_x, d2.infinity_x]
+        + [c for d in (d1, d2) for p, _ in d.points for c in (p.x, p.y)]
+    )
+    xs1, ys1, table1 = _dominance_table(d1, unit)
+    xs2, ys2, table2 = _dominance_table(d2, unit)
+    indices2 = range(max(len(xs2), len(ys2)))  # positions in xs2 / ys2, bisected by their counts
+    breaks = sorted({*xs1, *ys1, *xs2, *ys2})
+    tops = ys1 + [2 * breaks[-1] - breaks[0] + unit]
+    best, best_pair = 0, None
+    for ax, row1 in zip(xs1, table1[1:]):
+        row2 = table2[bisect_right(xs2, ax + best)]  # l2 at x = ax + best
+        for b in range(len(tops) - 1, -1, -1):
+            by = tops[b]
             if by - ax <= 2 * best:
                 break
-            c = _dominating(d1, ax, by)
-            if _dominating(d2, ax + best, by - best) >= c:
+            c = row1[b]  # l1(ax, by-)
+            if row2[bisect_left(ys2, by - best)] >= c:
                 continue  # g* <= best; this also skips c == 0
-            thresholds = sorted(
-                [max(d2.infinity_x - ax, 0)]
-                + [max(q.x - ax, by - q.y, 0) for q in units2]
+            # g* > best, so the worth beats best; look for g* in (best, width/2]
+            half = (by - ax) // 2
+            lo, hi = bisect_right(xs2, ax + best), bisect_right(xs2, ax + half)
+            k = bisect_left(
+                indices2, c, lo, hi,
+                key=lambda i: table2[i + 1][bisect_left(ys2, by - xs2[i] + ax)],
             )
-            reach = thresholds[c - 1] if c <= len(thresholds) else math.inf
-            value = min((by - ax) / 2, reach)
-            if value > best:
-                best, best_pair = value, (ax, by)
+            if k < hi:  # the least qx - ax that reaches c
+                half = xs2[k] - ax
+            lo, hi = bisect_left(ys2, by - half), bisect_left(ys2, by - best)
+            k = bisect_right(
+                indices2, -c, lo, hi,
+                key=lambda i: -table2[bisect_right(xs2, ax + by - ys2[i])][i],
+            ) - 1
+            if k >= lo:  # the least by - qy that reaches c
+                half = by - ys2[k]
+            best, best_pair = half, (ax, by)
+            row2 = table2[bisect_right(xs2, ax + best)]
 
     if best_pair is None:
         return Fraction(0), None
-    gap = _min_gap(breaks)
-    ax, by = best_pair
-    x, y, g = ax, by - gap / 8, best - gap / 4
+    gap = Fraction(min(b - a for a, b in zip(breaks, breaks[1:])), unit)
+    ax, by = (Fraction(v, unit) for v in best_pair)
+    s = Fraction(best, unit)
+    x, y, g = ax, by - gap / 8, s - gap / 4
     witness = EarlierWitness(
         x=x,
         y=y,
@@ -141,7 +185,7 @@ def earlier_bound(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Optional[EarlierW
     )
     if witness.value_left <= witness.value_right:
         raise RuntimeError(f"internal error: earlier_bound witness {witness} does not separate")
-    return best, witness
+    return s, witness
 
 
 def earlier_bound_grid_oracle(d1: Diagram, d2: Diagram, level: int = 0) -> Fraction:

@@ -38,11 +38,12 @@ def _load_pair(vertex_path: str, edge_path: str) -> SizePair:
 
 
 def _load_diagram(path: str) -> Diagram:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
     try:
-        return Diagram.from_json_dict(data)
-    except ValueError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            return Diagram.from_json_dict(json.load(fh))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    except ValueError as exc:  # not UTF-8, or not a diagram
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -321,12 +322,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 with contextlib.redirect_stdout(fh):
                     return args.func(args)
         return args.func(args)
-    # JSONDecodeError and ModelViolationError (DisconnectedGraphError is one)
-    # subclass ValueError, so they are caught first; ParseError, also a
-    # ValueError, exits 2 through the ValueError branch
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
+    # ModelViolationError (DisconnectedGraphError is one) subclasses
+    # ValueError, so it is caught first; ParseError, also a ValueError,
+    # exits 2 through the ValueError branch
     except ModelViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

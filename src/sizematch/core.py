@@ -275,12 +275,18 @@ def parse_size_pair(vertex_text, edge_text) -> SizePair:
 
 
 def load_size_pair(vertex_path, edge_path) -> SizePair:
-    """Read a size pair from a vertex file and an edge file."""
-    with open(vertex_path, "r", encoding="utf-8") as fh:
-        vertex_text = fh.read()
-    with open(edge_path, "r", encoding="utf-8") as fh:
-        edge_text = fh.read()
-    return parse_size_pair(vertex_text, edge_text)
+    """Read a size pair from a vertex file and an edge file.
+
+    A file that is not UTF-8 text raises ValueError naming its path.
+    """
+    texts = []
+    for path in (vertex_path, edge_path):
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                texts.append(fh.read())
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+    return parse_size_pair(*texts)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple, Union
 
-from ._rational import as_fraction, number_from_json, number_to_json
+from ._rational import as_fraction, common_denominator, number_from_json, number_to_json, on_scale
 from .core import SizePair
 from .diagram import Diagram, ExtendedPoint, extract_diagram
 
@@ -219,12 +219,11 @@ class _Instance:
 
     def __init__(self, d1: Diagram, d2: Diagram):
         self.points = (d1.expanded(), d2.expanded())
-        scale = math.lcm(
-            *(c.denominator for d in (d1, d2) for p, _ in d.points for c in (p.x, p.y))
-        )
+        scale = common_denominator(c for d in (d1, d2) for p, _ in d.points for c in (p.x, p.y))
         self.unit = 2 * scale
-        on_scale = lambda c: c.numerator * (scale // c.denominator)
-        scaled = tuple([(on_scale(p.x), on_scale(p.y)) for p in side] for side in self.points)
+        scaled = tuple(
+            [(on_scale(p.x, scale), on_scale(p.y, scale)) for p in side] for side in self.points
+        )
         self.half = tuple([y - x for x, y in side] for side in scaled)
         right = [(u, v, g) for (u, v), g in zip(scaled[1], self.half[1])]
         self.adj = tuple([[] for _ in side] for side in self.points)

@@ -1,5 +1,6 @@
 """Lower and upper bounds bracketing the natural pseudo-distance."""
 
+import hashlib
 import inspect
 import json
 import random
@@ -23,6 +24,7 @@ from sizematch import (
     matching_distance,
     evaluate_diagram,
 )
+from sizematch._rational import number_to_json
 from sizematch.bounds import EarlierWitness
 from sizematch.selftest import random_diagram, random_isomorphic_pair, random_size_pair
 
@@ -132,6 +134,174 @@ def test_earlier_bound_exact_at_larger_sizes(seed):
         assert w.value_left > w.value_right
         assert 0 < w.achieved <= s
     assert earlier_bound_grid_oracle(d1, d2, 0) <= s
+
+
+# sha256 of the value and witness JSON of both argument orders of every pair
+# of _scaled_cases(group), written by the earlier earlier_bound that compared
+# Fractions and rescanned both diagrams per count; the sweep on one integer
+# scale must reproduce them byte for byte
+EARLIER_PINS = {
+    "near_copies": "de6e73dbd3253a5b4026ac77fe278dd8ed70278015fe56a7c1225a5beadef71f",
+    "unrelated": "2c5d0d50dbe6ef015b25db8ff5f085896e0f139b73b945388216866f78d04299",
+    "multiplicities": "c7fe4b4e6c8925fc16c6a3a7c6d1836179941bb8ebbdb0bbbbcbd6e855070ec4",
+    "thirds_and_sevenths": "85d891e0d2b85aa2b721f77ec4ed001b7a85c93bde39960ed607d856e79ec61c",
+    "beyond_float_range": "4c342f5389e0e87420c62436acd4d4a57e334210e5f03002daffbc45c58c6012",
+}
+
+HUGE = 10**400
+
+
+def _grid_diagram(rng, n, denominators, multiplicities=(1,)):
+    """n distinct points, x in [0, 64] and persistence in (0, 2] on the given grids."""
+    points = {}
+    while len(points) < n:
+        den = rng.choice(denominators)
+        x = F(rng.randint(0, 64 * den), den)
+        den = rng.choice(denominators)
+        points[x, x + F(rng.randint(1, 2 * den), den)] = rng.choice(multiplicities)
+    infinity_x = min(x for x, _ in points) - F(1, rng.choice(denominators))
+    return Diagram(infinity_x, list(points.items()))
+
+
+def _moved(rng, d, denominators, multiplicities=None):
+    """Every coordinate of d moved by at most two grid steps, kept above the diagonal;
+    multiplicities redrawn from ``multiplicities`` when given."""
+    step = lambda: F(rng.randint(-2, 2), rng.choice(denominators))
+    points = {}
+    for p, mult in d.points:
+        x = p.x + step()
+        y = max(p.y + step(), x + F(1, rng.choice(denominators)))
+        points[x, y] = rng.choice(multiplicities) if multiplicities else mult
+    return Diagram(min([d.infinity_x + step()] + [x for x, _ in points]), list(points.items()))
+
+
+def _huge_pair(rng, n):
+    """A near copy whose coordinates lie beyond the float range, read as 'p/1' JSON."""
+    def rows(offsets):
+        return [[f"{HUGE + x}/1", f"{HUGE + y}/1", m] for x, y, m in offsets]
+
+    offsets = []
+    for _ in range(n):
+        x = rng.randint(0, 4 * n)
+        offsets.append((x, x + rng.randint(1, 9), rng.randint(1, 3)))
+    moved = [(x + rng.randint(-1, 1), y + rng.randint(-1, 1), m) for x, y, m in offsets]
+    moved = [(x, max(y, x + 1), m) for x, y, m in moved]
+    return tuple(
+        Diagram.from_json_dict({"infinity_x": "1/3", "points": rows(side) + [["1/3", "7/3", 1]]})
+        for side in (offsets, moved)
+    )
+
+
+def _scaled_cases(group):
+    rng = random.Random(f"earlier-scale:{group}")
+    pairs = []
+    for n in (60, 100, 200):
+        if group == "near_copies":
+            d1 = _grid_diagram(rng, n, [64])
+            pairs.append((d1, _moved(rng, d1, [64])))
+        elif group == "unrelated":
+            pairs.append((_grid_diagram(rng, n, [64]), _grid_diagram(rng, n, [64])))
+        elif group == "multiplicities":
+            d1 = _grid_diagram(rng, n, [64], multiplicities=(2, 3))
+            pairs.append((d1, _moved(rng, d1, [64], multiplicities=(2, 3))))
+        elif group == "thirds_and_sevenths" and n < 200:
+            d1 = _grid_diagram(rng, n, [3, 7, 21])
+            pairs.append((d1, _moved(rng, d1, [3, 7])))
+            pairs.append((d1, _grid_diagram(rng, n, [3, 7, 21])))
+        elif group == "beyond_float_range" and n == 60:
+            pairs.append(_huge_pair(rng, n))
+    return pairs
+
+
+def _earlier_digest(group):
+    records = []
+    for d1, d2 in _scaled_cases(group):
+        for left, right in ((d1, d2), (d2, d1)):
+            s, w = earlier_bound(left, right)
+            assert (w is None) == (s == 0)
+            records.append({"s": number_to_json(s), "witness": w and w.to_json_dict()})
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("group", sorted(EARLIER_PINS))
+def test_earlier_bound_witness_json_is_pinned_at_scale(group):
+    assert _earlier_digest(group) == EARLIER_PINS[group]
+
+
+def test_earlier_bound_scaled_cases_cover_their_shapes():
+    sizes = {len(d1.points) for d1, _ in _scaled_cases("near_copies")}
+    assert sizes == {60, 100, 200}
+    assert all(m in (2, 3) for pair in _scaled_cases("multiplicities")
+               for d in pair for _, m in d.points)
+    denominators = {c.denominator for pair in _scaled_cases("thirds_and_sevenths")
+                    for d in pair for p, _ in d.points for c in (p.x, p.y)}
+    assert {3, 7} <= denominators <= {1, 3, 7, 21}
+    assert all(max(p.y for d in pair for p, _ in d.points) > HUGE
+               for pair in _scaled_cases("beyond_float_range"))
+
+
+def test_earlier_bound_near_copy_of_200_points_is_fast():
+    d1, d2 = _scaled_cases("near_copies")[-1]
+    assert len(d1.points) == 200
+    start = time.perf_counter()
+    s, w = earlier_bound(d1, d2)
+    assert time.perf_counter() - start < 2
+    assert s > 0 and w.value_left > w.value_right
+
+
+def _check_witness(d1, d2, w, s):
+    assert w.x <= w.xi < w.eta <= w.y
+    assert evaluate_diagram(d1, w.x, w.y) == w.value_left > w.value_right
+    assert evaluate_diagram(d2, w.xi, w.eta) == w.value_right
+    assert 0 < w.achieved == min(w.xi - w.x, w.y - w.eta) < s
+
+
+def test_earlier_bound_half_unit_optimum_at_an_odd_width():
+    """The optimum pinches (1/3, 2/3): width one unit of the pair's scale 1/3,
+    so s = 1/6 is half a unit.  d2's far unit has threshold 14/3, beyond it."""
+    d1 = Diagram(0, [((F(1, 3), F(2, 3)), 1)])
+    d2 = Diagram(0, [((5, 6), 1)])
+    s, w = earlier_bound(d1, d2)
+    assert s == F(1, 6)
+    assert (w.x, w.y, w.achieved) == (F(1, 3), F(5, 8), F(1, 12))
+    _check_witness(d1, d2, w, s)
+    assert earlier_bound_grid_oracle(d1, d2, 2) <= s
+
+
+def test_earlier_bound_skip_query_on_a_d2_point():
+    """After the pair (-1, cut) sets s = 1, the pair (0, 4) asks whether two units
+    of d2 dominate (0 + 1, 4 - 1) = (1, 3), which is d2's point itself: they do
+    (px <= x, py >= y), so the pair is worth no more and the witness stays at x = -1."""
+    d1 = Diagram(-1, [((0, 4), 1)])
+    d2 = Diagram(0, [((1, 3), 1)])
+    s, w = earlier_bound(d1, d2)
+    assert s == 1
+    # breaks -1, 0, 1, 3, 4: gap 1, and the unbounded y-cell is cut at 2*4 + 1 + 1
+    assert (w.x, w.y, w.achieved) == (-1, 10 - F(1, 8), F(3, 4))
+    _check_witness(d1, d2, w, s)
+
+
+def test_earlier_bound_more_units_than_d2_has():
+    """c = l1(1, 5-) = 4 exceeds d2's 2 units, so no threshold reaches c and the
+    pair is worth its half width 2."""
+    d1 = Diagram(0, [((1, 5), 3)])
+    d2 = Diagram(0, [((1, 5), 1)])
+    s, w = earlier_bound(d1, d2)
+    assert s == 2
+    assert (w.x, w.y, w.achieved) == (1, 5 - F(1, 8), F(7, 4))
+    _check_witness(d1, d2, w, s)
+
+
+def test_earlier_bound_d1_without_proper_points():
+    """Only d1's point at infinity counts: s is the gap 5/7 - 1/3 between the
+    points at infinity, and 0 the other way round."""
+    d1 = Diagram(F(1, 3), [])
+    d2 = Diagram(F(5, 7), [((1, 2), 2)])
+    s, w = earlier_bound(d1, d2)
+    assert s == F(8, 21)
+    _check_witness(d1, d2, w, s)
+    assert earlier_bound_grid_oracle(d1, d2, 2) <= s
+    assert earlier_bound(Diagram(F(5, 7), []), Diagram(F(1, 3), [((1, 2), 2)])) == (0, None)
 
 
 # ---------------------------------------------------------------- oracle

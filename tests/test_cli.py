@@ -506,6 +506,29 @@ def test_parse_error_exit_2_names_file_and_line(files, capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("command", ["dist", "realize"])
+def test_truncated_diagram_json_names_the_file(files, capsys, tmp_path, command):
+    cut = tmp_path / "cut.json"
+    cut.write_text('{"infinity_x": 0.0, "points": [[0.0, 3.0, 1] [1.0')
+    code, out, err = run(capsys, [command, files["d1"], str(cut)])
+    assert (code, out) == (2, "")
+    assert err == (f"error: {cut}: invalid JSON: Expecting ',' delimiter: "
+                   "line 1 column 46 (char 45)\n")
+
+
+@pytest.mark.parametrize("command, which", [("dist", 1), ("diagram", 0), ("diagram", 1)])
+def test_file_that_is_not_utf8_names_the_file(files, capsys, tmp_path, command, which):
+    binary = tmp_path / "latin1.dat"
+    binary.write_bytes(b"\xff\xfe,0\n")
+    argv = [command, files["d1"], files["d2"]] if command == "dist" else [
+        command, files["v1"], files["e1"]]
+    argv[1 + which] = str(binary)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {binary}: 'utf-8' codec can't decode byte 0xff "
+                   "in position 0: invalid start byte\n")
+
+
 def test_disconnected_exit_3_with_component_count(capsys, tmp_path):
     v = tmp_path / "v.csv"
     e = tmp_path / "e.csv"
