@@ -29,6 +29,7 @@ from sizematch.bounds import EarlierWitness
 from sizematch.selftest import random_diagram, random_isomorphic_pair, random_size_pair
 
 from test_core import path_fixture
+from test_matching import HUGE, _near_copy
 
 
 # ------------------------------------------------------------ earlier bound
@@ -141,14 +142,12 @@ def test_earlier_bound_exact_at_larger_sizes(seed):
 # Fractions and rescanned both diagrams per count; the sweep on one integer
 # scale must reproduce them byte for byte
 EARLIER_PINS = {
-    "near_copies": "de6e73dbd3253a5b4026ac77fe278dd8ed70278015fe56a7c1225a5beadef71f",
+    "near_copies": "b240ad72ee29f945fb9d1d798d8d8d7ee652d1de4e2901b324d106fb44938731",
     "unrelated": "2c5d0d50dbe6ef015b25db8ff5f085896e0f139b73b945388216866f78d04299",
-    "multiplicities": "c7fe4b4e6c8925fc16c6a3a7c6d1836179941bb8ebbdb0bbbbcbd6e855070ec4",
-    "thirds_and_sevenths": "85d891e0d2b85aa2b721f77ec4ed001b7a85c93bde39960ed607d856e79ec61c",
+    "multiplicities": "443f315cbe2949c71985939ce087a17ef443238904b4403a2e69b0ee4574c62d",
+    "thirds_and_sevenths": "a1fadf6e3bb7ba404566d020d2d732b7eb1cd6af45c3286f3d4107ea1c0681cf",
     "beyond_float_range": "4c342f5389e0e87420c62436acd4d4a57e334210e5f03002daffbc45c58c6012",
 }
-
-HUGE = 10**400
 
 
 def _grid_diagram(rng, n, denominators, multiplicities=(1,)):
@@ -161,18 +160,6 @@ def _grid_diagram(rng, n, denominators, multiplicities=(1,)):
         points[x, x + F(rng.randint(1, 2 * den), den)] = rng.choice(multiplicities)
     infinity_x = min(x for x, _ in points) - F(1, rng.choice(denominators))
     return Diagram(infinity_x, list(points.items()))
-
-
-def _moved(rng, d, denominators, multiplicities=None):
-    """Every coordinate of d moved by at most two grid steps, kept above the diagonal;
-    multiplicities redrawn from ``multiplicities`` when given."""
-    step = lambda: F(rng.randint(-2, 2), rng.choice(denominators))
-    points = {}
-    for p, mult in d.points:
-        x = p.x + step()
-        y = max(p.y + step(), x + F(1, rng.choice(denominators)))
-        points[x, y] = rng.choice(multiplicities) if multiplicities else mult
-    return Diagram(min([d.infinity_x + step()] + [x for x, _ in points]), list(points.items()))
 
 
 def _huge_pair(rng, n):
@@ -198,15 +185,15 @@ def _scaled_cases(group):
     for n in (60, 100, 200):
         if group == "near_copies":
             d1 = _grid_diagram(rng, n, [64])
-            pairs.append((d1, _moved(rng, d1, [64])))
+            pairs.append((d1, _near_copy(rng, d1, [64])))
         elif group == "unrelated":
             pairs.append((_grid_diagram(rng, n, [64]), _grid_diagram(rng, n, [64])))
         elif group == "multiplicities":
             d1 = _grid_diagram(rng, n, [64], multiplicities=(2, 3))
-            pairs.append((d1, _moved(rng, d1, [64], multiplicities=(2, 3))))
+            pairs.append((d1, _near_copy(rng, d1, [64])))
         elif group == "thirds_and_sevenths" and n < 200:
             d1 = _grid_diagram(rng, n, [3, 7, 21])
-            pairs.append((d1, _moved(rng, d1, [3, 7])))
+            pairs.append((d1, _near_copy(rng, d1, [3, 7])))
             pairs.append((d1, _grid_diagram(rng, n, [3, 7, 21])))
         elif group == "beyond_float_range" and n == 60:
             pairs.append(_huge_pair(rng, n))
@@ -231,7 +218,7 @@ def test_earlier_bound_witness_json_is_pinned_at_scale(group):
 def test_earlier_bound_scaled_cases_cover_their_shapes():
     sizes = {len(d1.points) for d1, _ in _scaled_cases("near_copies")}
     assert sizes == {60, 100, 200}
-    assert all(m in (2, 3) for pair in _scaled_cases("multiplicities")
+    assert all(m >= 2 for pair in _scaled_cases("multiplicities")
                for d in pair for _, m in d.points)
     denominators = {c.denominator for pair in _scaled_cases("thirds_and_sevenths")
                     for d in pair for p, _ in d.points for c in (p.x, p.y)}
