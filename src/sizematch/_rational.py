@@ -57,8 +57,11 @@ def number_to_json(value):
     reproduces the value bit-exactly.
     """
     frac = as_fraction(value)
-    if frac.denominator == 1:
+    den = frac.denominator
+    if den == 1:
         return int(frac)
+    if den & (den - 1):  # a finite float is dyadic: no float equals p/q unless q is 2^k
+        return f"{frac.numerator}/{den}"
     try:
         as_float = float(frac)
     except OverflowError:

@@ -39,9 +39,10 @@ def _load_pair(vertex_path: str, edge_path: str) -> SizePair:
 
 def _load_diagram(path: str) -> Diagram:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is skipped
             return Diagram.from_json_dict(json.load(fh))
-    except json.JSONDecodeError as exc:
+    # the decoder raises RecursionError, a RuntimeError, on deep nesting
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
     except ValueError as exc:  # not UTF-8, or not a diagram
         raise ValueError(f"{path}: {exc}") from None

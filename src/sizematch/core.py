@@ -277,11 +277,12 @@ def parse_size_pair(vertex_text, edge_text) -> SizePair:
 def load_size_pair(vertex_path, edge_path) -> SizePair:
     """Read a size pair from a vertex file and an edge file.
 
-    A file that is not UTF-8 text raises ValueError naming its path.
+    A file that is not UTF-8 text raises ValueError naming its path.  A
+    leading UTF-8 byte-order mark is skipped.
     """
     texts = []
     for path in (vertex_path, edge_path):
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             try:
                 texts.append(fh.read())
             except UnicodeDecodeError as exc:

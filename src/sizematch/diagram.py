@@ -172,7 +172,9 @@ def extract_diagram(sp: SizePair) -> Diagram:
     """Cornerpoint diagram of a size pair, by one elder-rule sweep on integer ranks.
 
     The sweep reads the size pair's value and adjacency arrays directly.
-    The distinct values are sorted once and each gets an int rank; the
+    The distinct values are sorted once and each gets an int rank (a list
+    that holds a Fraction is keyed by ``as_integer_ratio()``, so no Fraction
+    is hashed and equal values of any type share a rank); the
     vertex positions are stable-sorted by rank, so vertices of equal value
     keep their input order and no id is ever turned into a string.  The
     sweep visits the positions in that order and compares ints only.  An
@@ -188,9 +190,20 @@ def extract_diagram(sp: SizePair) -> Diagram:
     """
     values, adj = sp._values, sp._adj
     n = len(values)
-    levels = sorted(set(values))
-    rank_of = {value: r for r, value in enumerate(levels)}
-    rank = [rank_of[value] for value in values]
+    if set(map(type, values)) <= {int, float}:
+        keys, level_key = values, None
+    else:
+        # a Fraction hashes and compares slowly: (numerator, denominator) is a
+        # cheap key that int, float and Fraction share for one value, and
+        # floor(value·2^64) orders the distinct values but those closer than
+        # 2^-64, which the values themselves then order exactly
+        keys = [value.as_integer_ratio() for value in values]
+        level_key = lambda key: ((key[0] << 64) // key[1], value_of[key])
+    value_of = dict(zip(keys, values))  # equal values become one Fraction in the Diagram
+    levels_by_key = sorted(value_of, key=level_key)
+    levels = [value_of[key] for key in levels_by_key]
+    rank_of = {key: r for r, key in enumerate(levels_by_key)}
+    rank = [rank_of[key] for key in keys]
     order = sorted(range(n), key=rank.__getitem__)
     swept = [0] * n  # swept[v]: the index at which the sweep visits vertex v
     for p, v in enumerate(order):

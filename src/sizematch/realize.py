@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from ._rational import as_fraction, number_from_json, number_to_json
+from ._rational import as_fraction, common_denominator, number_from_json, number_to_json, on_scale
 from .core import ModelViolationError, SizePair
 from .diagram import Diagram, ExtendedPoint, extract_diagram
 from .matching import DIAGONAL, Matching, matching_distance
@@ -83,7 +83,10 @@ class RectField:
 
     def value_at(self, column: int, y) -> Fraction:
         """Exact field value on a column at height y (linear between breaks)."""
-        return _sample(self.y_breaks, self.values_per_column[column], (as_fraction(y),))[0]
+        y, vs = as_fraction(y), self.values_per_column[column]
+        scale = common_denominator((*self.y_breaks, *vs, y))
+        ys = [on_scale(b, scale) for b in self.y_breaks]
+        return _sample(ys, [on_scale(v, scale) for v in vs], (on_scale(y, scale),), scale)[0]
 
     def to_json_dict(self) -> dict:
         # the grid is encoded once and written per column, its ends as S and min_phi;
@@ -185,31 +188,33 @@ class RealizationParams:
 
 
 def _sample(
-    ys: Sequence[Fraction], vs: Sequence[Fraction], grid: Sequence[Fraction]
+    ys: Sequence[int], vs: Sequence[int], grid: Sequence[int], scale: int
 ) -> List[Fraction]:
     """Values at the ascending, non-empty heights ``grid`` of the column that
     is linear between the points (ys[i], vs[i]), in one walk.
 
-    ``ys`` is strictly increasing; a height outside [ys[0], ys[-1]] raises
-    ValueError.
+    Heights and values are ints on one ``scale``: the int y stands for the
+    rational y / scale.  A height between ys[i] and ys[i + 1] gets the one
+    Fraction (vs[i]·Δy + Δv·(y − ys[i])) / (scale·Δy), with Δy and Δv the
+    rises of that piece.  ``ys`` is strictly increasing; a height outside
+    [ys[0], ys[-1]] raises ValueError.
     """
     for y in (grid[0], grid[-1]):
         if not ys[0] <= y <= ys[-1]:
-            raise ValueError(f"y={y} outside the field range [{ys[0]}, {ys[-1]}]")
+            low, high = Fraction(ys[0], scale), Fraction(ys[-1], scale)
+            raise ValueError(f"y={Fraction(y, scale)} outside the field range [{low}, {high}]")
     last = len(ys) - 1
     i = bisect_right(ys, grid[0], 0, last) - 1
-    slope = None
     out = []
     for y in grid:
         while i < last and ys[i + 1] <= y:
             i += 1
-            slope = None
-        if y == ys[i]:
-            out.append(vs[i])
+        rise = y - ys[i]
+        if rise:
+            span = ys[i + 1] - ys[i]
+            out.append(Fraction(vs[i] * span + (vs[i + 1] - vs[i]) * rise, scale * span))
         else:
-            if slope is None:
-                slope = (vs[i + 1] - vs[i]) / (ys[i + 1] - ys[i])
-            out.append(vs[i] + slope * (y - ys[i]))
+            out.append(Fraction(vs[i], scale))
     return out
 
 
@@ -272,25 +277,34 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
         x_breaks += (Fraction(1, 3 * i + 1), Fraction(1, 3 * i), Fraction(1, 3 * i - 1))
     x_breaks.append(Fraction(1))
 
+    # every knot height and value below is min_phi, min_psi, S, a diagram
+    # coordinate or c, c ± e of y_grid, so all of them are ints on one scale
+    scale = common_denominator((*y_grid, *coords))
+    grid = [on_scale(y, scale) for y in y_grid]
+    bottom, top = grid[0], grid[-1]
+
     def column(base_start, *knots):
-        """One column sampled on y_grid: base_start at min_phi, knots, S at S."""
-        ys, vs = zip((min_phi, base_start), *knots, (S, S))
-        return tuple(_sample(ys, vs, y_grid))
+        """One column sampled on y_grid: base_start at min_phi, knots, S at S (ints on scale)."""
+        ys, vs = zip((bottom, base_start), *knots, (top, top))
+        return tuple(_sample(ys, vs, grid, scale))
 
     fields = []
     for base_start, side in ((min_phi, "left"), (min_psi, "right")):
-        base = column(base_start)
+        b = on_scale(base_start, scale)
+        base = column(b)
         columns = [base]
         for st in reversed(structures):
-            c, e, point = st.center, st.epsilon, getattr(st, side)
+            c, e = on_scale(st.center, scale), on_scale(st.epsilon, scale)
+            point = getattr(st, side)
             if point is not None:
-                flank = column(base_start, (c - e, point.y), (c + e, point.y))
-                pit = column(base_start, (c - e, point.y), (c, point.x), (c + e, point.y))
+                px, py = on_scale(point.x, scale), on_scale(point.y, scale)
+                flank = column(b, (c - e, py), (c + e, py))
+                pit = column(b, (c - e, py), (c, px), (c + e, py))
                 columns += (flank, pit, flank)
-            elif c <= base_start:  # the center is not above the base: hold the base
-                columns += (column(base_start, (c + e, base_start)),) * 3
+            elif c <= b:  # the center is not above the base: hold the base
+                columns += (column(b, (c + e, b)),) * 3
             else:
-                columns += (column(base_start, (c - e, c), (c + e, c)),) * 3
+                columns += (column(b, (c - e, c), (c + e, c)),) * 3
         columns.append(base)
         fields.append(RectField(x_breaks, y_grid, columns))
     field_low, field_high = fields
@@ -328,16 +342,23 @@ def discretize(field: RectField, refine: int = 1) -> SizePair:
     """
     if isinstance(refine, bool) or not isinstance(refine, int) or refine < 1:
         raise ValueError(f"refine must be a positive integer, got {refine!r}")
-    # value_at at a + (b - a) * k / refine is va + (vb - va) * k / refine, exactly
+    if refine == 1:
+        columns = field.values_per_column
+    else:
+        # the rows a + (b - a)·k/refine are ints on unit·refine; each column
+        # is sampled on its own scale, a multiple of that
+        unit = common_denominator(field.y_breaks)
+        breaks = [on_scale(y, unit) for y in field.y_breaks]
+        heights = [a * refine + (b - a) * k
+                   for a, b in zip(breaks, breaks[1:]) for k in range(refine)]
+        heights.append(breaks[-1] * refine)
+        columns = []
+        for vs in field.values_per_column:
+            scale = common_denominator((*field.y_breaks, *vs)) * refine
+            grid = [h * (scale // (unit * refine)) for h in heights]
+            columns.append(_sample(grid[::refine], [on_scale(v, scale) for v in vs], grid, scale))
     vertices = []
-    for ci, vs in enumerate(field.values_per_column):
-        column = []
-        for va, vb in zip(vs, vs[1:]):
-            column.append(va)
-            if refine > 1:
-                step = (vb - va) / refine
-                column.extend(va + step * k for k in range(1, refine))
-        column.append(vs[-1])
+    for ci, column in enumerate(columns):
         vertices.extend((f"c{ci}r{ri}", value) for ri, value in enumerate(column))
     edges = []
     rows = (len(field.y_breaks) - 1) * refine + 1
@@ -359,8 +380,14 @@ def max_field_gap(field_a: RectField, field_b: RectField) -> Fraction:
     """
     if field_a.x_breaks != field_b.x_breaks or field_a.y_breaks != field_b.y_breaks:
         raise ValueError("fields do not share their grid")
-    return max(
-        abs(a - b)
-        for va, vb in zip(field_a.values_per_column, field_b.values_per_column)
-        for a, b in zip(va, vb)
-    )
+    # |a - b| = |an·bd - bn·ad| / (ad·bd) is compared with the best so far by
+    # cross-multiplying, so no Fraction is formed per node
+    best_num, best_den = 0, 1
+    for va, vb in zip(field_a.values_per_column, field_b.values_per_column):
+        for a, b in zip(va, vb):
+            an, ad = a.as_integer_ratio()
+            bn, bd = b.as_integer_ratio()
+            num, den = abs(an * bd - bn * ad), ad * bd
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+    return Fraction(best_num, best_den)

@@ -529,6 +529,33 @@ def test_file_that_is_not_utf8_names_the_file(files, capsys, tmp_path, command, 
                    "in position 0: invalid start byte\n")
 
 
+@pytest.mark.parametrize("command", ["dist", "realize"])
+def test_deeply_nested_diagram_json_is_invalid_input(files, capsys, tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code, out, err = run(capsys, [command, str(deep), files["d2"]])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {deep}: invalid JSON: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+
+
+def test_vertex_file_with_a_byte_order_mark(files, capsys, tmp_path):
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + PATH_V.encode())
+    plain = run(capsys, ["diagram", files["v1"], files["e1"]])
+    assert run(capsys, ["diagram", str(marked), files["e1"]]) == plain
+    assert plain[0] == 0
+
+
+def test_diagram_file_with_a_byte_order_mark(files, capsys, tmp_path):
+    marked = tmp_path / "bom.json"
+    with open(files["d1"], "rb") as fh:
+        marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    plain = run(capsys, ["dist", files["d1"], files["d2"], "--witness"])
+    assert run(capsys, ["dist", str(marked), files["d2"], "--witness"]) == plain
+    assert plain[0] == 0
+
+
 def test_disconnected_exit_3_with_component_count(capsys, tmp_path):
     v = tmp_path / "v.csv"
     e = tmp_path / "e.csv"

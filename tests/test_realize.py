@@ -16,9 +16,12 @@ from sizematch import (
     extract_diagram,
     matching_distance,
     max_field_gap,
+    multiplicity_grid,
     realize,
 )
 from sizematch.selftest import random_diagram
+
+from test_matching import HUGE
 
 
 def worked_pair():
@@ -212,6 +215,154 @@ def test_realize_json_is_pinned(seed):
         {"phi": phi.to_json_dict(), "psi": psi.to_json_dict(), "params": params.to_json_dict()}
     )
     assert hashlib.sha256(text.encode()).hexdigest() == REALIZE_PINS[seed]
+
+
+# sha256 of the realize JSON of _scaled_pair(group), written by the earlier
+# realize that sampled columns and scanned the gap in Fraction arithmetic;
+# the integer sampler and gap scan must reproduce them byte for byte
+SCALED_REALIZE_PINS = {
+    "near_copy_20": "4705527a25a6654292cde54edbcef11bb302a531b5f58e15bf98825045b02825",
+    "near_copy_40": "736c08da5f76231322f538113dfdae2d4f8c1203eee9b5737275f6b349b55691",
+    "unrelated_21_and_7": "82af8f1929eef154b84872f5ba884ee07081c9325045803de0b62980b5e2fb56",
+    "beyond_float_range": "d146617ff0c2d686ffea9933ff877d0a2d4fcfd1c03e2f41104823d570cc660c",
+}
+
+
+def _localized_diagram(rng, n, denominators):
+    """n distinct points with x in [0, 10] and persistence in (0, 4], x >= infinity_x."""
+    points = set()
+    while len(points) < n:
+        den = rng.choice(denominators)
+        x = F(rng.randint(0, 10 * den), den)
+        den = rng.choice(denominators)
+        points.add((x, x + F(rng.randint(den // 4 or 1, 4 * den), den)))
+    infinity_x = min(x for x, _ in points) - F(rng.randint(0, 4), rng.choice(denominators))
+    return Diagram(infinity_x, sorted(points))
+
+
+def _moved(rng, d, steps, den):
+    """d with every coordinate moved by at most steps/den, kept localized and above the diagonal."""
+    move = lambda: F(rng.randint(-steps, steps), den)
+    points = []
+    for p, _ in d.points:
+        x = max(p.x + move(), d.infinity_x)
+        points.append((x, max(p.y + move(), x + F(1, den))))
+    return Diagram(d.infinity_x, points)
+
+
+def _scaled_pair(group):
+    rng = random.Random(f"realize-scale:{group}")
+    if group.startswith("near_copy_"):
+        d1 = _localized_diagram(rng, int(group.rpartition("_")[2]), [64])
+        return d1, _moved(rng, d1, 4, 64)
+    if group == "unrelated_21_and_7":
+        return _localized_diagram(rng, 12, [21, 7]), _localized_diagram(rng, 12, [21, 7])
+    rows = []
+    for _ in range(6):
+        x = HUGE + rng.randint(0, 40)
+        rows.append([f"{x}/1", f"{x + rng.randint(1, 9)}/1", 1])
+    rows.append(["1/3", "7/3", 1])
+    d1 = Diagram.from_json_dict({"infinity_x": "1/3", "points": rows})
+    return d1, _moved(rng, d1, 1, 1)
+
+
+@pytest.mark.parametrize("group", sorted(SCALED_REALIZE_PINS))
+def test_realize_json_is_pinned_at_scale(group):
+    phi, psi, params = realize(*_scaled_pair(group))
+    text = json.dumps(
+        {"phi": phi.to_json_dict(), "psi": psi.to_json_dict(), "params": params.to_json_dict()}
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == SCALED_REALIZE_PINS[group]
+
+
+def test_realize_scaled_pairs_cover_their_shapes():
+    for n in (20, 40):
+        d1, d2 = _scaled_pair(f"near_copy_{n}")
+        assert len(d1.points) == len(d2.points) == n
+        assert {c.denominator for d in (d1, d2) for p, _ in d.points for c in (p.x, p.y)} <= {
+            1, 2, 4, 8, 16, 32, 64}
+    denominators = {c.denominator for d in _scaled_pair("unrelated_21_and_7")
+                    for p, _ in d.points for c in (p.x, p.y)}
+    assert {7, 21} <= denominators <= {1, 3, 7, 21}
+    assert all(max(p.y for p, _ in d.points) > HUGE for d in _scaled_pair("beyond_float_range"))
+
+
+def _random_column(rng, rows):
+    """Values with denominators from {1, 3, 7, 21}, negative ones included."""
+    return [F(rng.randint(-60, 60), rng.choice((1, 3, 7, 21))) for _ in range(rows)]
+
+
+def test_max_field_gap_equals_the_fraction_maximum_seeded():
+    rng = random.Random(82)
+    for trial in range(60):
+        n_columns, n_rows = rng.randint(2, 7), rng.randint(2, 9)
+        x_breaks = sorted(rng.sample(range(50), n_columns))
+        y_breaks = [F(k, 3) for k in sorted(rng.sample(range(-30, 30), n_rows))]
+        fields = []
+        for _ in range(2):
+            shared = _random_column(rng, n_rows)
+            columns = [shared if rng.random() < 0.4 else _random_column(rng, n_rows)
+                       for _ in range(n_columns)]
+            fields.append(RectField(x_breaks, y_breaks, columns))
+        a, b = fields
+        expected = max(abs(u - v) for cu, cv in zip(a.values_per_column, b.values_per_column)
+                       for u, v in zip(cu, cv))
+        assert max_field_gap(a, b) == max_field_gap(b, a) == expected, f"trial {trial}"
+        assert max_field_gap(a, a) == 0
+
+
+def test_value_at_equals_the_interpolation_formula_seeded():
+    rng = random.Random(83)
+    for trial in range(60):
+        n_rows = rng.randint(2, 8)
+        ys = [F(k, rng.choice((1, 3, 7))) for k in rng.sample(range(-40, 40), n_rows)]
+        ys = sorted(set(ys))
+        if len(ys) < 2:
+            continue
+        field = RectField((0, 1), ys, [_random_column(rng, len(ys)) for _ in range(2)])
+        for column, vs in enumerate(field.values_per_column):
+            heights = list(ys) + [F(rng.randint(-40 * 21, 40 * 21), 21) for _ in range(8)]
+            for y in heights:
+                if not ys[0] <= y <= ys[-1]:
+                    with pytest.raises(ValueError, match="outside the field range"):
+                        field.value_at(column, y)
+                    continue
+                i = max(k for k in range(len(ys) - 1) if ys[k] <= y)
+                expected = vs[i] + (vs[i + 1] - vs[i]) * (y - ys[i]) / (ys[i + 1] - ys[i])
+                assert field.value_at(column, y) == expected, f"trial {trial}"
+                assert field.value_at(column, float(y) if y.denominator == 1 else y) == expected
+
+
+# equal values given as int, float and Fraction, values no float holds, and
+# distinct values closer than 2^-64 around 0 and 1
+MIXED_VALUES = [0, 0.0, F(0), 1, 1.0, F(1), 0.5, F(1, 2), F(1, 3), F(2, 3), 2, 2.0, F(7, 3),
+                -1, -1.0, F(-2, 7), F(-1, 1), 0.25, F(5, 4), F(1, 2**70), F(1, 3 * 2**66),
+                F(-1, 2**80), 1 + 2**-52, F(2**52 + 1, 2**52), F(3 * 2**70 + 1, 3 * 2**70)]
+
+
+def test_extract_diagram_mixed_value_types_match_the_four_point_oracle():
+    rng = random.Random(84)
+    for trial in range(60):
+        n = rng.randint(2, 14)
+        values = [rng.choice(MIXED_VALUES) for _ in range(n)]
+        edges = [(i, rng.randrange(i)) for i in range(1, n)]
+        edges += [e for e in {tuple(sorted(rng.sample(range(n), 2))) for _ in range(3)}
+                  if e not in edges and e[::-1] not in edges]
+        sp = SizePair(list(enumerate(values)), edges)
+        diagram = extract_diagram(sp)
+        # the same graph on Fractions only gives the same diagram
+        fractions_only = SizePair([(i, F(v)) for i, v in enumerate(values)], edges)
+        assert diagram == extract_diagram(fractions_only)
+        levels = sorted({F(v) for v in values})
+        assert diagram.infinity_x == levels[0]
+        coords = sorted(
+            set(levels)
+            | {(a + b) / 2 for a, b in zip(levels, levels[1:])}
+            | {levels[0] - 1, levels[-1] + 1}
+        )
+        expected = {(p.x, p.y): m for p, m in diagram.points}
+        for (x, y), got in multiplicity_grid(sp, coords).items():
+            assert got == expected.get((x, y), 0), f"trial {trial}: ({x}, {y})"
 
 
 # -------------------------------------------------------------- discretize
