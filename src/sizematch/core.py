@@ -13,6 +13,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import contains
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ._rational import as_fraction
@@ -64,6 +66,43 @@ def _check_value(value, owner) -> None:
         raise ModelViolationError(f"value of vertex {owner!r} must be finite, got {value!r}")
 
 
+def _vertex_fault(ids, values) -> None:
+    """Raise the first fault of the vertex columns in input order, if there is one.
+
+    Per vertex: a duplicate id, then a value that is not a finite real.
+    """
+    seen = set()
+    for vid, value in zip(ids, values):
+        if vid in seen:
+            raise ModelViolationError(f"duplicate vertex id {vid!r}")
+        _check_value(value, vid)
+        seen.add(vid)
+
+
+def _edge_fault(position: Dict[Hashable, int], edges) -> None:
+    """Raise the first fault of ``edges`` in input order, if there is one.
+
+    Per edge: not a pair, an unknown first end, an unknown second end, a
+    self-loop, then a duplicate of an earlier edge.
+    """
+    n = len(position)
+    seen = set()
+    for edge in edges:
+        u, v = edge
+        p = position.get(u)
+        if p is None:
+            raise ModelViolationError(f"edge ({u!r}, {v!r}) references unknown vertex {u!r}")
+        q = position.get(v)
+        if q is None:
+            raise ModelViolationError(f"edge ({u!r}, {v!r}) references unknown vertex {v!r}")
+        if p == q:
+            raise ModelViolationError(f"self-loop at vertex {u!r}")
+        key = p * n + q if p < q else q * n + p
+        if key in seen:
+            raise ModelViolationError(f"duplicate edge ({u!r}, {v!r})")
+        seen.add(key)
+
+
 def _component_count(adj: Sequence[Sequence[int]]) -> int:
     """Number of connected components of a graph given by int adjacency lists."""
     seen = bytearray(len(adj))
@@ -105,45 +144,60 @@ class SizePair:
 
     def __init__(self, vertices, edges=()):
         if isinstance(vertices, Mapping):
-            items = list(vertices.items())
-        else:
-            items = [(vid, value) for vid, value in vertices]
-        if not items:
-            raise ModelViolationError("a size pair needs at least one vertex")
-        ids: List[Hashable] = []
-        values: List[object] = []
-        position: Dict[Hashable, int] = {}
-        for vid, value in items:
-            if vid in position:
-                raise ModelViolationError(f"duplicate vertex id {vid!r}")
-            _check_value(value, vid)
-            position[vid] = len(ids)
-            ids.append(vid)
-            values.append(value)
+            vertices = vertices.items()
+        items = [(vid, value) for vid, value in vertices]
+        edge_list = list(edges)
+        try:
+            ends = [end for u, v in edge_list for end in (u, v)]
+        except (TypeError, ValueError):
+            ends = None  # some edge is not a pair
+        self._build([vid for vid, _ in items], [value for _, value in items], ends, edge_list)
+
+    def _build(self, ids, values, ends, edges=None) -> None:
+        """Validate and store a graph given as columns.
+
+        ``ids`` and ``values`` list the vertices in input order; ``ends`` lists
+        the ends of every edge in input order, two per edge (u1, v1, u2, v2,
+        ...), or is None when ``edges``, the edges as given, are not all
+        pairs.  Each check runs on a whole column at once.  Only when one
+        fails does the ordered walk run, to raise the first fault in input
+        order: empty input; per vertex, duplicate id then value; per edge,
+        unknown first end, unknown second end, self-loop, duplicate edge;
+        then connectivity.
+        """
         n = len(ids)
+        if not n:
+            raise ModelViolationError("a size pair needs at least one vertex")
+        try:
+            position = dict(zip(ids, range(n)))
+        except TypeError:  # an unhashable id
+            position = {}
+        kinds = set(map(type, values))
+        if len(position) != n or not (
+            kinds <= {int, Fraction} or kinds == {float} and all(map(math.isfinite, values))
+        ):
+            # raises, unless the values are finite reals of mixed or derived types
+            _vertex_fault(ids, values)
+        try:
+            at = list(map(position.get, ends))  # the position of every edge end
+        except TypeError:  # ends is None, or holds an unhashable end
+            at = [None]
+        known = None not in at
         adj: List[List[int]] = [[] for _ in range(n)]
-        seen = set()
-        for edge in edges:
-            u, v = edge
-            p = position.get(u)
-            if p is None:
-                raise ModelViolationError(f"edge ({u!r}, {v!r}) references unknown vertex {u!r}")
-            q = position.get(v)
-            if q is None:
-                raise ModelViolationError(f"edge ({u!r}, {v!r}) references unknown vertex {v!r}")
-            if p == q:
-                raise ModelViolationError(f"self-loop at vertex {u!r}")
-            key = p * n + q if p < q else q * n + p
-            if key in seen:
-                raise ModelViolationError(f"duplicate edge ({u!r}, {v!r})")
-            seen.add(key)
-            adj[p].append(q)
-            adj[q].append(p)
+        if known:
+            ats = iter(at)
+            for p, q in zip(ats, ats):
+                adj[p].append(q)
+                adj[q].append(p)
+        m = len(at) // 2
+        # a self-loop or a second edge between two vertices repeats a neighbour
+        if not known or sum(map(len, map(set, adj))) != 2 * m:
+            _edge_fault(position, edges if ends is None else zip(ends[0::2], ends[1::2]))
         self._ids = ids
         self._values = values
         self._position = position
         self._adj = adj
-        self._n_edges = len(seen)
+        self._n_edges = m
         self._vertex_ids = self._edges = self._neighbors = None
         count = _component_count(adj)
         if count != 1:
@@ -234,15 +288,69 @@ class SizePair:
         return f"SizePair({self.n_vertices} vertices, {self.n_edges} edges)"
 
 
-def _iter_lines(text):
+def _stripped_lines(text) -> List[str]:
+    """Every line of ``text`` stripped, blank ones included: line k is at index k - 1.
+
+    A ``str`` is split at ``\\n``, ``\\r\\n`` and ``\\r`` only, the line breaks that a
+    file opened in text mode translates; any other iterable yields one line
+    per item.
+    """
     if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in text]
-    for number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line:
-            yield number, line
+        text = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return list(map(str.strip, text))
+
+
+def _vertex_line_fault(lines: List[str]) -> None:
+    """Raise the ParseError of the first malformed vertex line, if there is one."""
+    for number, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        _, sep, value_text = line.rpartition(",")
+        if not sep:
+            raise ParseError(f"vertex line {number}: expected 'id,value', got {line!r}", number)
+        try:
+            float(value_text)
+        except ValueError:
+            raise ParseError(
+                f"vertex line {number}: could not parse value {value_text.strip()!r}", number
+            ) from None
+
+
+def _edge_line_fault(lines: List[str]) -> None:
+    """Raise the ParseError of the first edge line without exactly one comma, if there is one."""
+    for number, line in enumerate(lines, start=1):
+        if line and line.count(",") != 1:
+            raise ParseError(f"edge line {number}: expected 'u,v', got {line!r}", number)
+
+
+def _vertex_columns(text) -> Tuple[List[str], List[float]]:
+    """The ids and values of the vertex lines of ``text``."""
+    lines = _stripped_lines(text)
+    parts = list(map(str.rpartition, filter(None, lines), repeat(",")))
+    ids, seps, value_texts = zip(*parts) if parts else ((), (), ())
+    del parts
+    if "" in seps:
+        _vertex_line_fault(lines)
+    try:
+        values = list(map(float, value_texts))
+    except ValueError:
+        _vertex_line_fault(lines)
+        raise
+    return list(map(str.strip, ids)), values
+
+
+def _edge_ends(text) -> List[str]:
+    """The ends of the edge lines of ``text``, two per line, in order."""
+    lines = _stripped_lines(text)
+    edge_lines = list(filter(None, lines))
+    if not edge_lines:
+        return []
+    ends = ",".join(edge_lines).split(",")
+    # as many commas as lines, and one in every line: exactly one in each
+    if len(ends) != 2 * len(edge_lines) or not all(map(contains, edge_lines, repeat(","))):
+        _edge_line_fault(lines)
+    del lines, edge_lines
+    return list(map(str.strip, ends))
 
 
 def parse_size_pair(vertex_text, edge_text) -> SizePair:
@@ -250,28 +358,16 @@ def parse_size_pair(vertex_text, edge_text) -> SizePair:
 
     Vertex lines read ``id,value`` (the split is on the last comma, so ids
     may contain commas; values are parsed as 64-bit floats).  Edge lines
-    read ``u,v``.  Blank lines are ignored.  Malformed lines raise
-    :class:`ParseError` with the 1-based line number.
+    read ``u,v``.  A ``str`` breaks into lines only at ``\\n``, ``\\r\\n`` and
+    ``\\r``; an iterable gives one line per item.  Lines are stripped and
+    blank ones ignored.  Malformed lines raise :class:`ParseError` with the
+    1-based number of the first of them; vertex lines are checked before
+    edge lines, and both before the graph itself.
     """
-    vertices = []
-    for number, line in _iter_lines(vertex_text):
-        vid, sep, value_text = line.rpartition(",")
-        if not sep:
-            raise ParseError(f"vertex line {number}: expected 'id,value', got {line!r}", number)
-        try:
-            value = float(value_text)
-        except ValueError:
-            raise ParseError(
-                f"vertex line {number}: could not parse value {value_text.strip()!r}", number
-            ) from None
-        vertices.append((vid.strip(), value))
-    edges = []
-    for number, line in _iter_lines(edge_text):
-        u, sep, v = line.partition(",")
-        if not sep or "," in v:
-            raise ParseError(f"edge line {number}: expected 'u,v', got {line!r}", number)
-        edges.append((u.strip(), v.strip()))
-    return SizePair(vertices, edges)
+    ids, values = _vertex_columns(vertex_text)
+    sp = SizePair.__new__(SizePair)
+    sp._build(ids, values, _edge_ends(edge_text))
+    return sp
 
 
 def load_size_pair(vertex_path, edge_path) -> SizePair:
@@ -364,25 +460,27 @@ class _UnionFind:
 
     def find(self, p: int) -> int:
         parent = self.parent
-        root = p
-        while parent[root] != root:
-            root = parent[root]
-        while parent[p] != root:
-            parent[p], p = root, parent[p]
-        return root
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]  # path halving
+        return p
 
     def union(self, p: int, q: int) -> Optional[int]:
         """Merge the classes of p and q; return the root that stopped being one.
 
-        Returns None when p and q already share a class.
+        Returns None when p and q already share a class.  The two finds are
+        inlined, with path halving, since extraction calls this once per edge.
         """
-        rp, rq = self.find(p), self.find(q)
-        if rp == rq:
+        parent = self.parent
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]
+        while parent[q] != q:
+            parent[q] = q = parent[parent[q]]
+        if p == q:
             return None
-        if rq < rp:
-            rp, rq = rq, rp
-        self.parent[rq] = rp
-        return rq
+        if q < p:
+            p, q = q, p
+        parent[q] = p
+        return q
 
 
 def size_function_on_grid(sp: SizePair, xs: Sequence, ys: Sequence) -> Dict[Tuple, int]:

@@ -1,10 +1,12 @@
 """Parsing, validation, and exact evaluation of reduced size functions."""
 
+import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -24,7 +26,7 @@ from sizematch import (
     sublevel_components,
 )
 from sizematch.cli import main
-from sizematch.core import _quarter_gap_grid
+from sizematch.core import _UnionFind, _quarter_gap_grid
 from sizematch.selftest import random_size_pair
 
 
@@ -492,3 +494,320 @@ def test_shifted_inequality_explicit_grid_rejects_bad_points():
         shifted_inequality_check(sp, sp, f, 0, grid=[(1, 1)])
     with pytest.raises(ValueError):
         shifted_inequality_check(sp, sp, f, 0, grid=[3])
+
+
+# ------------------------------------------------------- bulk ingestion
+
+
+# Unicode line boundaries that str.splitlines() breaks at but a file opened
+# in text mode does not: inside a line they are part of an id
+NON_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NON_BREAKS, ids=[f"U+{ord(c):04X}" for c in NON_BREAKS])
+def test_lines_end_only_at_newline_and_carriage_return(char):
+    name = f"a{char}b"
+    as_text = (f"{name},1\nc,2\r\nd,3\r", f"{name},c\r\nc,d")
+    as_lines = (iter([f"{name},1\n", "c,2\r\n", "d,3\r"]), iter([f"{name},c\r\n", "c,d"]))
+    for vertex_input, edge_input in (as_text, as_lines):
+        sp = parse_size_pair(vertex_input, edge_input)
+        assert sp.vertex_ids == (name, "c", "d")
+        assert sp.edges == ((name, "c"), ("c", "d"))
+        assert sp.value(name) == 1
+    # line numbers count only those breaks, as an editor does
+    with pytest.raises(ParseError) as info:
+        parse_size_pair(f"a,1{char}b,2\nnocomma\n", "")
+    assert (str(info.value), info.value.line) == ("vertex line 2: expected 'id,value', got 'nocomma'", 2)
+    with pytest.raises(ParseError) as info:
+        parse_size_pair(iter([f"a,1{char}b,2\n", "nocomma\n"]), "")
+    assert info.value.line == 2
+
+
+def test_cli_reads_a_unicode_line_separator_inside_an_id(tmp_path, capsys):
+    vertex_path, edge_path = tmp_path / "v.csv", tmp_path / "e.csv"
+    vertex_path.write_bytes("a\x85b,0\nc,2\r\nd,1\n".encode("utf-8"))
+    edge_path.write_bytes("a\x85b,c\nc,d\n".encode("utf-8"))
+    assert main(["diagram", str(vertex_path), str(edge_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == '{\n  "infinity_x": 0,\n  "points": [\n    [\n      1,\n      2,\n      1\n    ]\n  ]\n}\n'
+
+
+def _oracle_lines(text):
+    if isinstance(text, str):
+        lines = text.splitlines()
+    else:
+        lines = [line.rstrip("\n") for line in text]
+    for number, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line:
+            yield number, line
+
+
+def _oracle_parse(vertex_text, edge_text):
+    """The per-line parser that bulk parsing replaced, kept as the oracle."""
+    vertices = []
+    for number, line in _oracle_lines(vertex_text):
+        vid, sep, value_text = line.rpartition(",")
+        if not sep:
+            raise ParseError(f"vertex line {number}: expected 'id,value', got {line!r}", number)
+        try:
+            value = float(value_text)
+        except ValueError:
+            raise ParseError(
+                f"vertex line {number}: could not parse value {value_text.strip()!r}", number
+            ) from None
+        vertices.append((vid.strip(), value))
+    edges = []
+    for number, line in _oracle_lines(edge_text):
+        u, sep, v = line.partition(",")
+        if not sep or "," in v:
+            raise ParseError(f"edge line {number}: expected 'u,v', got {line!r}", number)
+        edges.append((u.strip(), v.strip()))
+    return _oracle_size_pair(vertices, edges)
+
+
+def _oracle_size_pair(vertices, edges):
+    """The per-item validation that column checks replaced, kept as the oracle.
+
+    Returns the views of the graph: ids ordered by (str, input position),
+    each edge once with its ends in that order, and the values.
+    """
+    if isinstance(vertices, dict):
+        vertices = vertices.items()
+    items = [(vid, value) for vid, value in vertices]
+    if not items:
+        raise ModelViolationError("a size pair needs at least one vertex")
+    position = {}
+    for vid, value in items:
+        if vid in position:
+            raise ModelViolationError(f"duplicate vertex id {vid!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float, F)):
+            raise ModelViolationError(
+                f"value of vertex {vid!r} must be a real number, got {type(value).__name__}"
+            )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ModelViolationError(f"value of vertex {vid!r} must be finite, got {value!r}")
+        position[vid] = len(position)
+    n = len(position)
+    adj = [[] for _ in range(n)]
+    seen = set()
+    for edge in edges:
+        u, v = edge
+        p = position.get(u)
+        if p is None:
+            raise ModelViolationError(f"edge ({u!r}, {v!r}) references unknown vertex {u!r}")
+        q = position.get(v)
+        if q is None:
+            raise ModelViolationError(f"edge ({u!r}, {v!r}) references unknown vertex {v!r}")
+        if p == q:
+            raise ModelViolationError(f"self-loop at vertex {u!r}")
+        key = (min(p, q), max(p, q))
+        if key in seen:
+            raise ModelViolationError(f"duplicate edge ({u!r}, {v!r})")
+        seen.add(key)
+        adj[p].append(q)
+        adj[q].append(p)
+    reached, count = set(), 0
+    for start in range(n):
+        if start not in reached:
+            count += 1
+            reached.add(start)
+            stack = [start]
+            while stack:
+                for q in adj[stack.pop()]:
+                    if q not in reached:
+                        reached.add(q)
+                        stack.append(q)
+    if count != 1:
+        raise DisconnectedGraphError(count)
+    ids = [vid for vid, _ in items]
+    rank = {p: r for r, p in enumerate(sorted(range(n), key=lambda p: str(ids[p])))}
+    edge_view = sorted((p, q) if rank[p] < rank[q] else (q, p) for p, q in seen)
+    return (
+        tuple(ids[p] for p in sorted(range(n), key=rank.__getitem__)),
+        tuple((ids[p], ids[q]) for p, q in sorted(edge_view, key=lambda e: (rank[e[0]], rank[e[1]]))),
+        dict(items),
+    )
+
+
+def _outcome(build):
+    """The views of a successful build, or the exception's type, message and line."""
+    try:
+        result = build()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    if isinstance(result, SizePair):
+        return result.vertex_ids, result.edges, result.vertex_values
+    return result
+
+
+VALUE_TEXTS = ["1", "-2.5", "0", "3e2", " 7 ", "nan", "inf", "-inf", "1e400", "1_0", "x", "", "0x1", "1e-400"]
+
+
+def _messy_files(rng):
+    """Seeded vertex and edge lines that mix every kind of fault with clean input."""
+    n = rng.randint(1, 9)
+    # an id with a comma parses as a vertex but cannot appear in an edge line
+    names = [("a,b" if rng.random() < 0.03 else rng.choice(["v", "w", "node "])) + str(i) for i in range(n)]
+    if rng.random() < 0.1 and n > 1:
+        names[rng.randrange(n)] = names[0]  # duplicate id
+    pad = lambda: rng.choice(["", "", " ", "\t", "  "])
+    vertex_lines = []
+    for name in names:
+        if rng.random() < 0.03:
+            vertex_lines.append(pad() + name + pad())  # no comma
+            continue
+        value = rng.choice(VALUE_TEXTS) if rng.random() < 0.03 else str(rng.randint(-8, 8) / 4)
+        vertex_lines.append(f"{pad()}{name}{pad()},{pad()}{value}{pad()}")
+    edges = [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
+    if edges and rng.random() < 0.15:
+        edges.pop(rng.randrange(len(edges)))  # disconnected
+    for _ in range(rng.randint(0, 1)):
+        edges.append((rng.choice(names), rng.choice(names)))  # self-loops and duplicates
+    if rng.random() < 0.1:
+        edges.append((rng.choice(names), "ghost"))
+    if edges and rng.random() < 0.1:
+        u, v = rng.choice(edges)
+        edges.append((v, u))
+    rng.shuffle(edges)
+    edge_lines = [f"{pad()}{u}{pad()},{pad()}{v}{pad()}" for u, v in edges]
+    for _ in range(rng.randint(0, 2)):
+        if edge_lines and rng.random() < 0.1:
+            edge_lines[rng.randrange(len(edge_lines))] = rng.choice(["a", "a,b,c", ",", "x,,"])
+    for lines in (vertex_lines, edge_lines):
+        for _ in range(rng.randint(0, 3)):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(["", "  ", "\t"]))
+    return vertex_lines, edge_lines
+
+
+def _as_input(rng, lines):
+    """The lines as one str with mixed line breaks, or as an iterable of lines."""
+    ends = [rng.choice(["\n", "\n", "\r\n", "\r"]) for _ in lines]
+    if rng.random() < 0.5:
+        text = "".join(line + end for line, end in zip(lines, ends))
+        return text if rng.random() < 0.7 else text.rstrip("\r\n")
+    return [line + end for line, end in zip(lines, ends)]
+
+
+def test_parse_matches_the_per_line_parser():
+    rng = random.Random(1207)
+    kinds = {}
+    for _ in range(4000):
+        vertex_lines, edge_lines = _messy_files(rng)
+        vertex_input, edge_input = _as_input(rng, vertex_lines), _as_input(rng, edge_lines)
+        # an iterable is read once, so each parser gets its own copy
+        copy = lambda given: given if isinstance(given, str) else iter(list(given))
+        expected = _outcome(lambda: _oracle_parse(copy(vertex_input), copy(edge_input)))
+        got = _outcome(lambda: parse_size_pair(copy(vertex_input), copy(edge_input)))
+        assert got == expected, (vertex_input, edge_input)
+        kind = expected[0].__name__ if isinstance(expected[0], type) else "ok"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # the cases reach every outcome, clean graphs among them
+    assert set(kinds) == {"ok", "ParseError", "ModelViolationError", "DisconnectedGraphError"}
+    assert min(kinds.values()) >= 100
+
+
+class _Float(float):
+    pass
+
+
+API_VALUES = [0, 1, 2.5, F(1, 3), F(7), True, "1", None, float("nan"), float("-inf"), _Float(4), 10**400]
+API_IDS = ["a", "b", 1, 1.0, "1", (0,), ("a", 1), 2, "c"]
+
+
+def test_size_pair_matches_the_per_item_validation():
+    rng = random.Random(1208)
+    for _ in range(3000):
+        n = rng.randint(0, 7)
+        ids = [rng.choice(API_IDS) for _ in range(n)]
+        if rng.random() < 0.03 and ids:
+            ids[rng.randrange(n)] = ["unhashable"]
+        values = [
+            rng.choice(API_VALUES) if rng.random() < 0.1 else rng.choice([rng.randint(-3, 3), rng.randint(-3, 3) / 2, F(rng.randint(-3, 3), 3)])
+            for _ in range(n)
+        ]
+        vertices = list(zip(ids, values))
+        edges = [(ids[rng.randrange(i)], ids[i]) for i in range(1, n)]
+        for _ in range(rng.randint(0, 2)):
+            if rng.random() < 0.3:
+                edges.insert(rng.randint(0, len(edges)), rng.choice([
+                    ("a", "zz"), (ids[0] if ids else "a",), ("a", "b", "c"), 5, {"x"}, (["l"], "a"),
+                ]))
+        rng.shuffle(edges)
+        hashable = ["unhashable"] not in ids
+        given = dict(vertices) if hashable and rng.random() < 0.2 else vertices
+        expected = _outcome(lambda: _oracle_size_pair(given, iter(edges)))
+        got = _outcome(lambda: SizePair(given, iter(edges)))
+        assert got == expected, (given, edges)
+
+
+def test_union_find_matches_naive_relabelling():
+    rng = random.Random(1209)
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        uf, label = _UnionFind(n), list(range(n))
+        for _ in range(rng.randint(0, 3 * n)):
+            p, q = rng.randrange(n), rng.randrange(n)
+            old, new = max(label[p], label[q]), min(label[p], label[q])
+            expected = None if old == new else old
+            if expected is not None:
+                label = [new if lab == old else lab for lab in label]
+            assert uf.union(p, q) == expected
+            if rng.random() < 0.2:
+                assert [uf.find(i) for i in range(n)] == label
+        assert [uf.find(i) for i in range(n)] == label
+
+
+def _elder_rule(values, edges):
+    """Cornerpoints of a float-valued graph by a plain elder-rule sweep on ids."""
+    neighbours = {v: [] for v in values}
+    for u, v in edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    parent, birth, pairs = {}, {}, {}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for v in sorted(values, key=values.get):
+        parent[v], birth[v] = v, values[v]
+        for u in neighbours[v]:
+            if u not in parent:
+                continue
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                continue
+            young, elder = (ru, rv) if birth[ru] > birth[rv] else (rv, ru)
+            if birth[young] < values[v]:
+                key = (birth[young], values[v])
+                pairs[key] = pairs.get(key, 0) + 1
+            parent[young] = elder
+    return min(values.values()), pairs
+
+
+def test_load_and_extract_a_40k_vertex_graph(tmp_path):
+    rng = random.Random(1210)
+    side = 200
+    values = {f"p{i}": rng.randint(0, 4096) / 64 for i in range(side * side)}
+    edges = [(f"p{i}", f"p{i + 1}") for i in range(side * side) if (i + 1) % side]
+    edges += [(f"p{i}", f"p{i + side}") for i in range(side * (side - 1))]
+    edges += [(f"p{rng.randrange(side * side)}", f"p{rng.randrange(side * side)}") for _ in range(2000)]
+    edges = list({frozenset(e): e for e in edges if e[0] != e[1]}.values())
+    rng.shuffle(edges)
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    vertex_items = list(values.items())
+    rng.shuffle(vertex_items)
+    vertex_path, edge_path = tmp_path / "v.csv", tmp_path / "e.csv"
+    vertex_path.write_text("".join(f"{v},{value!r}\n" for v, value in vertex_items))
+    edge_path.write_text("".join(f" {u} , {v}\n" for u, v in edges))
+    start = time.perf_counter()
+    diagram = extract_diagram(load_size_pair(vertex_path, edge_path))
+    elapsed = time.perf_counter() - start
+    infinity_x, pairs = _elder_rule(values, edges)
+    assert diagram.infinity_x == F(infinity_x)
+    assert {(p.x, p.y): m for p, m in diagram.points} == {(F(b), F(d)): m for (b, d), m in pairs.items()}
+    assert len(pairs) > 1000
+    assert elapsed < 10.0
