@@ -24,8 +24,8 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import add
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ._rational import as_fraction, common_denominator, number_to_json, on_scale
@@ -74,35 +74,6 @@ def _diagram_breaks(diagram: Diagram) -> Tuple[List[Fraction], List[Fraction]]:
     return xs, ys
 
 
-def _dominance_table(diagram: Diagram, unit: int) -> Tuple[List[int], List[int], List[List[int]]]:
-    """Breaks and prefix counts of a diagram on an integer scale: (xs, ys, table).
-
-    ``xs`` holds the distinct x-breaks (infinity_x included) and ``ys`` the
-    distinct y-breaks, as ints times ``unit``.  ``table[a][b]`` counts the
-    units with px <= xs[a - 1] and py >= ys[b], the point at infinity
-    included; row 0 is all zeros, and column len(ys) counts the point at
-    infinity alone, the only unit above every y-break.  So l(x, y-) is
-    table[bisect_right(xs, x)][bisect_left(ys, y)].
-    """
-    infinity = on_scale(diagram.infinity_x, unit)
-    points = [(on_scale(p.x, unit), on_scale(p.y, unit), m) for p, m in diagram.points]
-    xs = sorted({infinity, *(x for x, _, _ in points)})
-    ys = sorted({y for _, y, _ in points})
-    rank = {y: b for b, y in enumerate(ys)}
-    row = [0] * (len(ys) + 1)
-    table = [row]
-    k = 0
-    for x in xs:  # points is sorted by x, like diagram.points
-        added = [0] * len(row)
-        added[-1] = 1 if x == infinity else 0
-        while k < len(points) and points[k][0] == x:
-            added[rank[points[k][1]]] += points[k][2]
-            k += 1
-        row = list(map(add, row, reversed(list(accumulate(reversed(added))))))
-        table.append(row)
-    return xs, ys, table
-
-
 def earlier_bound(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Optional[EarlierWitness]]:
     """Exact sup of min(xi - x, y - eta) over the admissible set, with a witness.
 
@@ -112,17 +83,20 @@ def earlier_bound(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Optional[EarlierW
     infinity).  The pair is worth min((by - ax)/2, g*), g* being the c-th
     smallest threshold (infinite if d2 has fewer than c units), and s is the
     largest worth.  The unbounded top y-cell is cut at
-    2 * last - first + 1 over all breaks, above which no worth changes.  A
-    pair is skipped when it cannot beat the best so far: its width is at
-    most twice the best, or c units of d2 already dominate
-    (ax + best, by - best).
+    2 * last - first + 1 over all breaks, above which no worth changes, and
+    each point at infinity becomes the unit (infinity_x, cut).  A pair is
+    skipped when it cannot beat the best so far: its width is at most twice
+    the best, or c units of d2 already dominate (ax + best, by - best).  A
+    pair that is not skipped finds g* by sorting the thresholds below its
+    half width.
 
-    The count of thresholds <= g is l2(ax + g, (by - g)-), non-decreasing
-    in g, so g* is the least candidate qx - ax or by - qy that reaches c;
-    each of these two sorted families is bisected on its own.  All of it
-    runs on ints: every coordinate is multiplied by ``unit``, twice the lcm
-    of the denominators, so widths halve exactly and the counts of both
-    diagrams are table lookups (:func:`_dominance_table`).
+    The pairs are visited with ``ax`` ascending and ``by`` descending, over
+    two rows of counts.  ``counts1[b]`` holds the multiplicity of the d1
+    units passed so far with y = tops[b], so c is a running sum down the
+    tops.  ``row2[j]`` = l2(ax + best, ys2[j]-) gains a unit's multiplicity
+    on its first entries once ``ax + best``, which never decreases, passes
+    the unit.  All of it runs on ints: every coordinate is multiplied by
+    ``unit``, twice the lcm of the denominators, so widths halve exactly.
 
     Every positive threshold and width is at least the minimal gap ``gap``
     between breaks of both diagrams, so s >= gap/2, and the witness
@@ -134,39 +108,52 @@ def earlier_bound(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Optional[EarlierW
         [d1.infinity_x, d2.infinity_x]
         + [c for d in (d1, d2) for p, _ in d.points for c in (p.x, p.y)]
     )
-    xs1, ys1, table1 = _dominance_table(d1, unit)
-    xs2, ys2, table2 = _dominance_table(d2, unit)
-    indices2 = range(max(len(xs2), len(ys2)))  # positions in xs2 / ys2, bisected by their counts
-    breaks = sorted({*xs1, *ys1, *xs2, *ys2})
-    tops = ys1 + [2 * breaks[-1] - breaks[0] + unit]
+    units1, units2 = (
+        [(on_scale(p.x, unit), on_scale(p.y, unit), m) for p, m in d.points] for d in (d1, d2)
+    )
+    infinity1, infinity2 = on_scale(d1.infinity_x, unit), on_scale(d2.infinity_x, unit)
+    breaks = sorted({infinity1, infinity2, *(c for u in units1 + units2 for c in u[:2])})
+    cut = 2 * breaks[-1] - breaks[0] + unit
+    units1 = sorted(units1 + [(infinity1, cut, 1)])
+    units2 = sorted(units2 + [(infinity2, cut, 1)])
+    tops = sorted({y for _, y, _ in units1})
+    ys2 = sorted({y for _, y, _ in units2})
+    counts1 = [0] * len(tops)  # counts1[b]: multiplicity of the passed d1 units with y = tops[b]
+    row2 = [0] * len(ys2)  # row2[j] = l2(ax + best, ys2[j]-)
+    pending2 = units2[::-1]  # the d2 units not yet in row2, x descending
+
+    def count2(limit):
+        while pending2 and pending2[-1][0] <= limit:
+            _, y, m = pending2.pop()
+            j = bisect_right(ys2, y)
+            row2[:j] = [v + m for v in row2[:j]]
+
     best, best_pair = 0, None
-    for ax, row1 in zip(xs1, table1[1:]):
-        row2 = table2[bisect_right(xs2, ax + best)]  # l2 at x = ax + best
+    for ax, group in groupby(units1, key=itemgetter(0)):
+        for _, y, m in group:
+            counts1[bisect_left(tops, y)] += m
+        count2(ax + best)
+        c = 0  # l1(ax, by-), summed down the tops
         for b in range(len(tops) - 1, -1, -1):
             by = tops[b]
             if by - ax <= 2 * best:
                 break
-            c = row1[b]  # l1(ax, by-)
+            c += counts1[b]
             if row2[bisect_left(ys2, by - best)] >= c:
                 continue  # g* <= best; this also skips c == 0
-            # g* > best, so the worth beats best; look for g* in (best, width/2]
+            # g* > best, so the worth beats best: min(half, g*), g* selected
+            # from the thresholds below half
             half = (by - ax) // 2
-            lo, hi = bisect_right(xs2, ax + best), bisect_right(xs2, ax + half)
-            k = bisect_left(
-                indices2, c, lo, hi,
-                key=lambda i: table2[i + 1][bisect_left(ys2, by - xs2[i] + ax)],
-            )
-            if k < hi:  # the least qx - ax that reaches c
-                half = xs2[k] - ax
-            lo, hi = bisect_left(ys2, by - half), bisect_left(ys2, by - best)
-            k = bisect_right(
-                indices2, -c, lo, hi,
-                key=lambda i: -table2[bisect_right(xs2, ax + by - ys2[i])][i],
-            ) - 1
-            if k >= lo:  # the least by - qy that reaches c
-                half = by - ys2[k]
+            x_limit, y_limit = ax + half, by - half
+            rank = c
+            for t, m in sorted((max(qx - ax, by - qy), m) for qx, qy, m in units2
+                               if qx < x_limit and qy > y_limit):
+                rank -= m
+                if rank <= 0:
+                    half = t
+                    break
             best, best_pair = half, (ax, by)
-            row2 = table2[bisect_right(xs2, ax + best)]
+            count2(ax + best)
 
     if best_pair is None:
         return Fraction(0), None

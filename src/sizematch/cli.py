@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import os
 import random
@@ -318,11 +319,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.output is not None:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                with contextlib.redirect_stdout(fh):
-                    return args.func(args)
-        return args.func(args)
+        if args.output is None:
+            return args.func(args)
+        # the file is opened only once the command has returned: a failing
+        # command leaves it as it was, and a command may read it as input
+        report = io.StringIO()
+        with contextlib.redirect_stdout(report):
+            code = args.func(args)
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(report.getvalue())
+        return code
     # ModelViolationError (DisconnectedGraphError is one) subclasses
     # ValueError, so it is caught first; ParseError, also a ValueError,
     # exits 2 through the ValueError branch

@@ -6,6 +6,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -289,6 +290,92 @@ def test_earlier_bound_d1_without_proper_points():
     _check_witness(d1, d2, w, s)
     assert earlier_bound_grid_oracle(d1, d2, 2) <= s
     assert earlier_bound(Diagram(F(5, 7), []), Diagram(F(1, 3), [((1, 2), 2)])) == (0, None)
+
+
+def _pair_reduction_oracle(d1, d2):
+    """s, the first (ax, by) that reaches it and the breaks, by the pair reduction
+    counted directly on Fractions: every d1 x-break ax against every top by."""
+    breaks = sorted({d1.infinity_x, d2.infinity_x}
+                    | {c for d in (d1, d2) for p, _ in d.points for c in (p.x, p.y)})
+    cut = 2 * breaks[-1] - breaks[0] + 1
+    best, best_pair = F(0), None
+    for ax in sorted({d1.infinity_x} | {p.x for p, _ in d1.points}):
+        for by in sorted({p.y for p, _ in d1.points} | {cut}, reverse=True):
+            c = (d1.infinity_x <= ax) + sum(m for p, m in d1.points if p.x <= ax and p.y >= by)
+            thresholds = sorted([max(d2.infinity_x - ax, 0)] + [
+                max(p.x - ax, by - p.y, 0) for p, m in d2.points for _ in range(m)])
+            worth = (by - ax) / 2
+            if c == 0:
+                worth = 0
+            elif c <= len(thresholds):
+                worth = min(worth, thresholds[c - 1])
+            if worth > best:
+                best, best_pair = worth, (ax, by)
+    return best, best_pair, breaks
+
+
+def _oracle_diagram(rng, den, multiplicities):
+    """0-4 points on the 1/den grid, close enough to one another to interact."""
+    infinity_x = F(rng.randint(0, 2 * den), den)
+    points = []
+    for _ in range(rng.choice([0, 1, 2, 3, 4])):
+        x = infinity_x + F(rng.randint(0, 3 * den), den)
+        points.append(((x, x + F(rng.randint(1, 3 * den), den)), rng.choice(multiplicities)))
+    return Diagram(infinity_x, points)
+
+
+def test_earlier_bound_matches_the_pair_reduction_oracle():
+    rng = random.Random("earlier-oracle")
+    seen = set()
+    for trial in range(2000):
+        den = rng.choice([3, 7, 64])
+        multiplicities = rng.choice([(1,), (1, 2, 3)])
+        d1 = _oracle_diagram(rng, den, multiplicities)
+        d2 = (_near_copy(rng, d1, [den]) if trial % 3 == 0
+              else _oracle_diagram(rng, den, multiplicities))
+        seen.add(den)
+        if any(m == 3 for d in (d1, d2) for _, m in d.points):
+            seen.add("multiplicity 3")
+        if not d1.points or not d2.points:
+            seen.add("no proper points")
+        for left, right in ((d1, d2), (d2, d1)):
+            s, w = earlier_bound(left, right)
+            expected, pair, breaks = _pair_reduction_oracle(left, right)
+            assert s == expected, f"trial {trial}"
+            if pair is None:
+                assert w is None
+                continue
+            gap = min(b - a for a, b in zip(breaks, breaks[1:]))
+            assert (w.x, w.y + gap / 8) == pair, f"trial {trial}"
+    assert seen == {3, 7, 64, "multiplicity 3", "no proper points"}
+
+
+def test_earlier_bound_memory_is_linear_in_the_breaks():
+    """The sweep holds O(B) counts: a 300-point near copy peaks under 0.5 MiB."""
+    rng = random.Random("earlier-memory")
+    d1 = _grid_diagram(rng, 300, [64])
+    d2 = _near_copy(rng, d1, [64])
+    tracemalloc.start()
+    try:
+        s, _ = earlier_bound(d1, d2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s > 0
+    assert peak < 2**19
+
+
+def test_earlier_bound_raises_the_best_on_every_pair():
+    """Nested staircases: each lower top of d1 is a better pair, so every pair
+    that is not skipped runs the selection over all of d2."""
+    n = 1000
+    d1 = Diagram(0, [((0, 2 * n - i), 1) for i in range(n)])
+    d2 = Diagram(0, [((F(i, 2), 2 * n - i + F(1, 2)), 1) for i in range(n)])
+    start = time.perf_counter()
+    s, w = earlier_bound(d1, d2)
+    assert time.perf_counter() - start < 2
+    assert s == F(n - 1, 2)
+    _check_witness(d1, d2, w, s)
 
 
 # ---------------------------------------------------------------- oracle

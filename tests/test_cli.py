@@ -186,6 +186,32 @@ def test_output_flag_writes_file(files, capsys, tmp_path):
     assert json.loads(target.read_text())["value"] == 1.5
 
 
+@pytest.mark.parametrize("case", ["bad_json", "disconnected"])
+def test_output_file_is_kept_when_the_command_fails(files, capsys, tmp_path, case):
+    target = tmp_path / "out.json"
+    target.write_bytes(b"earlier report\n")
+    if case == "bad_json":
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        argv, code_expected = ["dist", files["d1"], str(bad)], 2
+    else:
+        (tmp_path / "v.csv").write_text("a,0\nb,1\nc,2\n")
+        (tmp_path / "e.csv").write_text("a,b\n")
+        argv, code_expected = ["diagram", str(tmp_path / "v.csv"), str(tmp_path / "e.csv")], 3
+    expected = run(capsys, argv)
+    assert expected[0] == code_expected
+    assert run(capsys, argv + ["--output", str(target)]) == expected
+    assert target.read_bytes() == b"earlier report\n"
+
+
+def test_output_may_name_the_commands_own_input(files, capsys):
+    code, expected, _ = run(capsys, ["diagram", files["v1"], files["e1"]])
+    code, out, err = run(capsys, ["diagram", files["v1"], files["e1"], "--output", files["v1"]])
+    assert (code, out, err) == (0, "", "")
+    with open(files["v1"], encoding="utf-8") as fh:
+        assert fh.read() == expected
+
+
 # ------------------------------------------------------------------ bound
 
 
