@@ -11,9 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-RealLike = (int, float, Fraction)
-
-
 def as_fraction(value) -> Fraction:
     """Return ``value`` as an exact :class:`Fraction`.
 

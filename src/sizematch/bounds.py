@@ -263,12 +263,13 @@ def exact_graph_pseudo_distance(sp1: SizePair, sp2: SizePair, cap: int = 9) -> F
         raise NotIsomorphicError("graphs have different degree sequences")
 
     # BFS order: after the root every vertex has a previously mapped neighbor,
-    # whose image's neighbours are the only possible images.
-    start = min(sp1.vertex_ids, key=lambda v: (-sp1.degree(v), str(v)))
+    # whose image's neighbours are the only possible images.  vertex_ids and
+    # neighbors() are in str order, which min and sorted keep among equal degrees.
+    start = min(sp1.vertex_ids, key=lambda v: -sp1.degree(v))
     order: List = [start]
     seen = {start}
     for v in order:  # the list is the BFS queue: it grows while it is read
-        for u in sorted(sp1.neighbors(v), key=lambda w: (-sp1.degree(w), str(w))):
+        for u in sorted(sp1.neighbors(v), key=lambda w: -sp1.degree(w)):
             if u not in seen:
                 seen.add(u)
                 order.append(u)

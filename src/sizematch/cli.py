@@ -90,20 +90,18 @@ def _matching_rows(matching):
     """Rows kind,left_x,left_y,right_x,right_y,cost; diagonal side projected."""
     rows = []
     for left, right in matching.pairs:
+        cost = float(pseudo_distance_d(left, right))
         if left is DIAGONAL:
-            mid = (right.x + right.y) / 2
-            rows.append(("right", float(mid), float(mid), float(right.x), float(right.y),
-                         float(right.persistence / 2)))
+            mid = float((right.x + right.y) / 2)
+            rows.append(("right", mid, mid, float(right.x), float(right.y), cost))
         elif right is DIAGONAL:
-            mid = (left.x + left.y) / 2
-            rows.append(("left", float(left.x), float(left.y), float(mid), float(mid),
-                         float(left.persistence / 2)))
+            mid = float((left.x + left.y) / 2)
+            rows.append(("left", float(left.x), float(left.y), mid, mid, cost))
         elif left.is_at_infinity:
-            rows.append(("inf", float(left.x), "inf", float(right.x), "inf",
-                         float(abs(left.x - right.x))))
+            rows.append(("inf", float(left.x), "inf", float(right.x), "inf", cost))
         else:
             rows.append(("pair", float(left.x), float(left.y), float(right.x), float(right.y),
-                         float(pseudo_distance_d(left, right))))
+                         cost))
     return rows
 
 

@@ -357,18 +357,13 @@ def discretize(field: RectField, refine: int = 1) -> SizePair:
             scale = common_denominator((*field.y_breaks, *vs)) * refine
             grid = [h * (scale // (unit * refine)) for h in heights]
             columns.append(_sample(grid[::refine], [on_scale(v, scale) for v in vs], grid, scale))
-    vertices = []
-    for ci, column in enumerate(columns):
-        vertices.extend((f"c{ci}r{ri}", value) for ri, value in enumerate(column))
-    edges = []
+    # ids[p] names position p = ci·rows + ri; every edge reuses those strings:
+    # up each column, then across to the next column
     rows = (len(field.y_breaks) - 1) * refine + 1
-    for ci in range(field.n_columns):
-        for ri in range(rows - 1):
-            edges.append((f"c{ci}r{ri}", f"c{ci}r{ri + 1}"))
-    for ci in range(field.n_columns - 1):
-        for ri in range(rows):
-            edges.append((f"c{ci}r{ri}", f"c{ci + 1}r{ri}"))
-    return SizePair(vertices, edges)
+    ids = [f"c{ci}r{ri}" for ci in range(field.n_columns) for ri in range(rows)]
+    edges = [(ids[p], ids[p + 1]) for p in range(len(ids)) if (p + 1) % rows]
+    edges += [(ids[p], ids[p + rows]) for p in range(len(ids) - rows)]
+    return SizePair(zip(ids, (v for column in columns for v in column)), edges)
 
 
 def max_field_gap(field_a: RectField, field_b: RectField) -> Fraction:

@@ -374,6 +374,19 @@ def test_realize_mislocalized_is_model_violation(files, capsys, tmp_path):
     assert "infinity_x" in err
 
 
+def test_realize_half_width_underflow_exits_2(capsys, tmp_path):
+    # persistence 10^-13: the structure half-width 10^-13 / 8 is below the minimum 10^-12
+    thin = tmp_path / "thin.json"
+    thin.write_text('{"infinity_x": 0, "points": [[0, "1/%d", 1]]}' % 10**13)
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"infinity_x": 0, "points": []}')
+    code, out, err = run(capsys, ["realize", str(thin), str(empty)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: structure half-width") and err.count("\n") == 1
+    assert "underflows" in err
+
+
 # -------------------------------------------------------------- stability
 
 

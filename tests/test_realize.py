@@ -397,6 +397,47 @@ def test_discretize_refined_rows_equal_value_at():
                 assert sp.value(f"c{ci}r{ri}") == field.value_at(ci, y), (ci, ri)
 
 
+def _reference_grid(field, refine):
+    """The grid graph as discretize once built it, one id string per use;
+    refined rows take their values from value_at."""
+    breaks = field.y_breaks
+    heights = [a + (b - a) * F(k, refine)
+               for a, b in zip(breaks, breaks[1:]) for k in range(refine)]
+    heights.append(breaks[-1])
+    columns = [[field.value_at(ci, y) for y in heights] for ci in range(field.n_columns)]
+    vertices = []
+    for ci, column in enumerate(columns):
+        vertices.extend((f"c{ci}r{ri}", value) for ri, value in enumerate(column))
+    edges = []
+    rows = (len(field.y_breaks) - 1) * refine + 1
+    for ci in range(field.n_columns):
+        for ri in range(rows - 1):
+            edges.append((f"c{ci}r{ri}", f"c{ci}r{ri + 1}"))
+    for ci in range(field.n_columns - 1):
+        for ri in range(rows):
+            edges.append((f"c{ci}r{ri}", f"c{ci + 1}r{ri}"))
+    return SizePair(vertices, edges)
+
+
+def test_discretize_builds_the_reference_grid_graph_seeded():
+    rng = random.Random(84)
+    pairs = [(Diagram(0, []), Diagram(1, [])), worked_pair()]
+    pairs += [(random_diagram(rng, max_points=4), random_diagram(rng, max_points=4))
+              for _ in range(12)]
+    assert any(not d.points for pair in pairs[2:] for d in pair)
+    assert any(m > 1 for pair in pairs[2:] for d in pair for _, m in d.points)
+    for trial, pair in enumerate(pairs):
+        for field in realize(*pair)[:2]:
+            for refine in (1, 2, 3):
+                got, want = discretize(field, refine), _reference_grid(field, refine)
+                case = f"trial {trial}, refine {refine}"
+                assert got._ids == want._ids, case
+                assert got.vertex_ids == want.vertex_ids, case
+                assert got.edges == want.edges, case
+                assert got.vertex_values == want.vertex_values, case
+                assert got._adj == want._adj, case
+
+
 def test_discretize_rejects_bad_refine():
     d1, d2 = worked_pair()
     phi, _, _ = realize(d1, d2)
