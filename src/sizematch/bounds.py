@@ -21,6 +21,7 @@ earlier_bound <= matching_distance <= exact_graph_pseudo_distance.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from ._rational import as_fraction, common_denominator, number_to_json, on_scale
+from ._rational import as_fraction, number_to_json
 from .core import SizePair
 from .diagram import Diagram, evaluate_diagram, extract_diagram
 from .matching import Matching, matching_distance
@@ -95,8 +96,9 @@ def earlier_bound(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Optional[EarlierW
     units passed so far with y = tops[b], so c is a running sum down the
     tops.  ``row2[j]`` = l2(ax + best, ys2[j]-) gains a unit's multiplicity
     on its first entries once ``ax + best``, which never decreases, passes
-    the unit.  All of it runs on ints: every coordinate is multiplied by
-    ``unit``, twice the lcm of the denominators, so widths halve exactly.
+    the unit.  All of it runs on ints: ``unit`` is twice the lcm of the two
+    diagrams' integer scales, so widths halve exactly, and their rows are
+    multiplied up to it.
 
     Every positive threshold and width is at least the minimal gap ``gap``
     between breaks of both diagrams, so s >= gap/2, and the witness
@@ -104,14 +106,12 @@ def earlier_bound(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Optional[EarlierW
     strictly admissible and separating; it is re-checked by direct
     evaluation.  On an empty admissible set the result is (0, None).
     """
-    unit = 2 * common_denominator(
-        [d1.infinity_x, d2.infinity_x]
-        + [c for d in (d1, d2) for p, _ in d.points for c in (p.x, p.y)]
-    )
+    unit = 2 * math.lcm(d1._scale, d2._scale)
     units1, units2 = (
-        [(on_scale(p.x, unit), on_scale(p.y, unit), m) for p, m in d.points] for d in (d1, d2)
+        [(x * f, y * f, m) for x, y, m in d._rows]
+        for d, f in ((d1, unit // d1._scale), (d2, unit // d2._scale))
     )
-    infinity1, infinity2 = on_scale(d1.infinity_x, unit), on_scale(d2.infinity_x, unit)
+    infinity1, infinity2 = (int(d.infinity_x * unit) for d in (d1, d2))
     breaks = sorted({infinity1, infinity2, *(c for u in units1 + units2 for c in u[:2])})
     cut = 2 * breaks[-1] - breaks[0] + unit
     units1 = sorted(units1 + [(infinity1, cut, 1)])

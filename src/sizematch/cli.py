@@ -77,7 +77,7 @@ def _cmd_diagram(args) -> int:
     sp = _load_pair(args.vertices, args.edges)
     diagram = extract_diagram(sp)
     if args.format == "json":
-        print(diagram.dumps(indent=2))
+        _print_json(diagram.to_json_dict())
     else:
         print(f"# infinity_x {float(diagram.infinity_x)}")
         print("x,y,multiplicity")
@@ -130,7 +130,7 @@ def _cmd_bound(args) -> int:
     sp2 = _load_pair(args.vertices2, args.edges2)
     report = bound_report(sp1, sp2, cap=args.cap)
     if args.format == "json":
-        print(report.dumps(indent=2))
+        _print_json(report.to_json_dict())
     else:
         earlier, d_match = float(report.earlier), float(report.d_match)  # an overflow prints nothing
         exact = "" if report.exact is None else float(report.exact)
@@ -144,6 +144,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    _check_at_least("--refine", args.refine, 1)
     d1 = _load_diagram(args.diagram1)
     d2 = _load_diagram(args.diagram2)
     # realize() raises RuntimeError (exit 1) unless extract(discretize(field, 1))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ._rational import as_fraction, number_from_json, number_to_json
+from ._rational import as_fraction, number_from_json, number_to_json, on_scale
 from .core import SizePair, _UnionFind, _min_gap, reduced_size_function, size_function_on_grid
 
 __all__ = [
@@ -67,37 +67,43 @@ class ExtendedPoint:
 
 
 def _coerce_point_entry(entry) -> Tuple[ExtendedPoint, int]:
-    if isinstance(entry, ExtendedPoint):
-        return entry, 1
-    seq = tuple(entry)
-    if len(seq) == 2 and isinstance(seq[0], (ExtendedPoint, tuple, list)):
-        raw, mult = seq
-        point = raw if isinstance(raw, ExtendedPoint) else ExtendedPoint(raw[0], raw[1])
-        if isinstance(mult, bool) or not isinstance(mult, int) or mult <= 0:
-            raise ValueError(f"multiplicity must be a positive integer, got {mult!r}")
-        return point, mult
-    if len(seq) == 2:
-        return ExtendedPoint(seq[0], seq[1]), 1
-    if len(seq) == 3:
-        point, mult = _coerce_point_entry(((seq[0], seq[1]), seq[2]))
-        return point, mult
-    raise ValueError(f"cannot interpret diagram point entry {entry!r}")
+    try:
+        raw, mult = entry
+    except (TypeError, ValueError):
+        raise ValueError(f"cannot interpret diagram point entry {entry!r}") from None
+    if not isinstance(raw, (ExtendedPoint, tuple, list)):
+        raw, mult = (raw, mult), 1
+    elif isinstance(mult, bool) or not isinstance(mult, int) or mult <= 0:
+        raise ValueError(f"multiplicity must be a positive integer, got {mult!r}")
+    point = raw if isinstance(raw, ExtendedPoint) else ExtendedPoint(raw[0], raw[1])
+    if point.is_at_infinity:
+        raise ValueError("the cornerpoint at infinity is given by infinity_x, not a point")
+    return point, mult
 
 
 class Diagram:
-    """Multiset of proper cornerpoints plus the cornerpoint at infinity."""
+    """Multiset of proper cornerpoints plus the cornerpoint at infinity.
 
-    __slots__ = ("_infinity_x", "_points")
+    ``_scale`` is the lcm of the denominators of infinity_x and of every
+    coordinate, and ``_rows[i]`` is (x*_scale, y*_scale, m) for the point
+    ``_points[i]``: the one integer scale that matching and earlier_bound read.
+    """
+
+    __slots__ = ("_infinity_x", "_points", "_scale", "_rows")
 
     def __init__(self, infinity_x, points: Iterable = ()):
         self._infinity_x = as_fraction(infinity_x)
-        counts: Dict[ExtendedPoint, int] = {}
-        for entry in points:
-            point, mult = _coerce_point_entry(entry)
-            if point.is_at_infinity:
-                raise ValueError("the cornerpoint at infinity is given by infinity_x, not a point")
-            counts[point] = counts.get(point, 0) + mult
-        self._points = tuple(sorted(counts.items(), key=lambda pm: (pm[0].x, pm[0].y)))
+        entries = [_coerce_point_entry(entry) for entry in points]
+        scale = self._scale = math.lcm(
+            self._infinity_x.denominator, *(c.denominator for p, _ in entries for c in (p.x, p.y))
+        )
+        merged: Dict[Tuple[int, int], list] = {}  # int key -> [its first entry's point, mult]
+        for point, mult in entries:
+            key = (on_scale(point.x, scale), on_scale(point.y, scale))
+            merged.setdefault(key, [point, 0])[1] += mult
+        keys = sorted(merged)  # the (x, y) order, as the scale is positive
+        self._rows = tuple((x, y, merged[x, y][1]) for x, y in keys)
+        self._points = tuple(tuple(merged[key]) for key in keys)
 
     @property
     def infinity_x(self) -> Fraction:
@@ -114,10 +120,7 @@ class Diagram:
 
     def expanded(self) -> Tuple[ExtendedPoint, ...]:
         """Proper cornerpoints repeated according to multiplicity."""
-        out: List[ExtendedPoint] = []
-        for point, mult in self._points:
-            out.extend([point] * mult)
-        return tuple(out)
+        return tuple(point for point, mult in self._points for _ in range(mult))
 
     def __eq__(self, other):
         if not isinstance(other, Diagram):
@@ -149,9 +152,6 @@ class Diagram:
         for row in raw_points:
             if not isinstance(row, (list, tuple)) or len(row) != 3:
                 raise ValueError(f"diagram JSON: bad point row {row!r}, expected [x, y, mult]")
-            mult = row[2]
-            if isinstance(mult, bool) or not isinstance(mult, int):
-                raise ValueError(f"diagram JSON: multiplicity must be an integer, got {mult!r}")
         try:
             return cls(
                 number_from_json(data["infinity_x"]),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple, Union
 
-from ._rational import as_fraction, common_denominator, number_from_json, number_to_json, on_scale
+from ._rational import as_fraction, number_from_json, number_to_json
 from .core import SizePair
 from .diagram import Diagram, ExtendedPoint, extract_diagram
 
@@ -202,8 +202,8 @@ class _Instance:
     their max-norm.  realize() relies on that shape.
 
     Costs are compared on one integer scale for the pair: ``scale`` is the
-    lcm of the denominators of every proper coordinate (a power of two for
-    file inputs), a point (x, y) becomes the ints (x*scale, y*scale), and a
+    lcm of the two diagrams' integer scales (a power of two for file inputs),
+    each diagram's int rows are multiplied by ``scale // d._scale``, and a
     threshold t is held as the int 2*t*scale, that is in units of
     1/``unit`` with ``unit = 2*scale``.  A half persistence is then Y - X
     and a max-norm 2*max(|dX|, |dY|), both exact, so no Fraction is formed
@@ -219,10 +219,11 @@ class _Instance:
 
     def __init__(self, d1: Diagram, d2: Diagram):
         self.points = (d1.expanded(), d2.expanded())
-        scale = common_denominator(c for d in (d1, d2) for p, _ in d.points for c in (p.x, p.y))
+        scale = math.lcm(d1._scale, d2._scale)
         self.unit = 2 * scale
         scaled = tuple(
-            [(on_scale(p.x, scale), on_scale(p.y, scale)) for p in side] for side in self.points
+            [(x * f, y * f) for x, y, m in d._rows for _ in range(m)]
+            for d, f in ((d1, scale // d1._scale), (d2, scale // d2._scale))
         )
         self.half = tuple([y - x for x, y in side] for side in scaled)
         right = [(u, v, g) for (u, v), g in zip(scaled[1], self.half[1])]

@@ -19,6 +19,7 @@ grid and its node maximum is the true maximum.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -230,23 +231,19 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
     the orientation.
     """
     for name, diagram in (("d1", d1), ("d2", d2)):
-        for point, _ in diagram.points:
-            if point.x < diagram.infinity_x:
-                raise ModelViolationError(
-                    f"{name}: cornerpoint abscissa {point.x} lies below infinity_x "
-                    f"{diagram.infinity_x}"
-                )
+        # the points are sorted by x: if any lies below infinity_x, the first one does
+        x = diagram.points[0][0].x if diagram.points else diagram.infinity_x
+        if x < diagram.infinity_x:
+            raise ModelViolationError(
+                f"{name}: cornerpoint abscissa {x} lies below infinity_x {diagram.infinity_x}"
+            )
     swapped = d2.infinity_x < d1.infinity_x
     low, high = (d2, d1) if swapped else (d1, d2)
     d_match, matching = matching_distance(low, high)
     min_phi = low.infinity_x
     min_psi = high.infinity_x
 
-    coords = [low.infinity_x, high.infinity_x]
-    for diagram in (low, high):
-        for point, _ in diagram.points:
-            coords.extend((point.x, point.y))
-    S = max(coords) + 1
+    S = max(low.infinity_x, high.infinity_x, *(p.y for d in (low, high) for p, _ in d.points)) + 1
 
     structures: List[StructureParams] = []
     y_breaks = {min_phi, S}
@@ -279,7 +276,7 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
 
     # every knot height and value below is min_phi, min_psi, S, a diagram
     # coordinate or c, c ± e of y_grid, so all of them are ints on one scale
-    scale = common_denominator((*y_grid, *coords))
+    scale = math.lcm(low._scale, high._scale, common_denominator(y_grid))
     grid = [on_scale(y, scale) for y in y_grid]
     bottom, top = grid[0], grid[-1]
 

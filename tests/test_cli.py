@@ -118,11 +118,14 @@ def test_dist_rejects_point_below_diagonal(files, capsys, tmp_path):
     assert "error" in err
 
 
-def test_dist_rejects_bad_multiplicity(files, capsys, tmp_path):
+@pytest.mark.parametrize("mult", ["0", "-1", "1.5", "true"])
+def test_dist_rejects_bad_multiplicity(files, capsys, tmp_path, mult):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"infinity_x": 0.0, "points": [[1.0, 2.0, 0]]}')
-    code, _, err = run(capsys, ["dist", str(bad), files["d2"]])
-    assert code == 2
+    bad.write_text('{"infinity_x": 0.0, "points": [[1.0, 2.0, %s]]}' % mult)
+    code, out, err = run(capsys, ["dist", str(bad), files["d2"]])
+    assert (code, out) == (2, "")
+    assert err == (f"error: {bad}: diagram JSON: multiplicity must be a positive integer, "
+                   f"got {json.loads(mult)!r}\n")
 
 
 def test_dist_csv_witness_projects_diagonal(files, capsys):
@@ -525,8 +528,11 @@ def test_selftest_rejects_bad_env_seed(capsys, monkeypatch):
         (["selftest", "--scale", "-1"], "--scale"),
         (["selftest", "--cap", "-2"], "--cap"),
         (["bound", "{v1}", "{e1}", "{v1}", "{e1}", "--cap", "-1"], "--cap"),
+        (["realize", "{d1}", "{d2}", "--refine", "0"], "--refine"),
+        (["realize", "{d1}", "{d2}", "--refine", "-1"], "--refine"),
     ],
-    ids=["trials-0", "trials-negative", "scale-0", "scale-negative", "selftest-cap", "bound-cap"],
+    ids=["trials-0", "trials-negative", "scale-0", "scale-negative", "selftest-cap", "bound-cap",
+         "refine-0", "refine-negative"],
 )
 def test_count_argument_out_of_range_exit_2(files, capsys, argv, option):
     code, out, err = run(capsys, [arg.format(**files) for arg in argv])

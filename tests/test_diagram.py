@@ -367,6 +367,59 @@ def test_diagram_accumulates_multiplicities_and_sorts():
     assert d.points == ((ExtendedPoint(1, 2), 2), (ExtendedPoint(2, 3), 1))
 
 
+def _dict_and_sort_points(entries):
+    """The construction Diagram used before its integer scale: a dict, then a Fraction sort."""
+    counts = {}
+    for (x, y), mult in entries:
+        point = ExtendedPoint(x, y)
+        counts[point] = counts.get(point, 0) + mult
+    return tuple(sorted(counts.items(), key=lambda pm: (pm[0].x, pm[0].y)))
+
+
+def test_diagram_merges_on_its_integer_scale_like_the_dict_reference():
+    rng = random.Random(15)
+    den = lambda: rng.choice([1, 3, 7, 64])
+
+    def spelled(value):
+        """value as a Fraction, or as an int or a float when one holds it exactly."""
+        forms = [value]
+        if value.denominator == 1:
+            forms.append(int(value))
+        if value.denominator in (1, 64) and abs(value) < 2**53:
+            forms.append(float(value))
+        return rng.choice(forms)
+
+    for _ in range(300):
+        infinity_x = F(rng.randint(-20, 20), den())
+        distinct = {}
+        for _ in range(rng.randint(0, 6)):
+            x = infinity_x + F(rng.randint(0, 40), den())
+            y = 10**400 if rng.random() < 0.1 else x + F(rng.randint(1, 30), den())
+            distinct[x, F(y)] = rng.randint(1, 4)
+        canonical = []
+        for point, mult in distinct.items():
+            while mult:  # one point's multiplicity split across entries
+                part = rng.randint(1, mult)
+                canonical.append((point, part))
+                mult -= part
+        rng.shuffle(canonical)
+        entries = []
+        for (x, y), mult in canonical:
+            x, y = spelled(x), spelled(y)
+            shape = rng.randrange(3 if mult == 1 else 2)
+            entries.append([((x, y), mult), (ExtendedPoint(x, y), mult), (x, y)][shape])
+        d = Diagram(spelled(infinity_x), entries)
+        assert d.points == _dict_and_sort_points(canonical)
+        assert d._scale == math.lcm(
+            d.infinity_x.denominator, *(c.denominator for p, _ in d.points for c in (p.x, p.y))
+        )
+        assert d._rows == tuple((p.x * d._scale, p.y * d._scale, m) for p, m in d.points)
+        assert all(type(v) is int for row in d._rows for v in row)
+    for entry in (ExtendedPoint(1, 2), (1, 2, 1)):
+        with pytest.raises(ValueError, match=r"^cannot interpret diagram point entry "):
+            Diagram(0, [entry])
+
+
 def test_diagram_rejects_on_or_below_diagonal():
     with pytest.raises(ValueError):
         ExtendedPoint(1, 1)
