@@ -53,19 +53,18 @@ def number_to_json(value):
     range, becomes the string ``"p/q"`` so that parsing the output
     reproduces the value bit-exactly.
     """
-    frac = as_fraction(value)
-    den = frac.denominator
+    num, den = as_fraction(value).as_integer_ratio()
     if den == 1:
-        return int(frac)
-    if den & (den - 1):  # a finite float is dyadic: no float equals p/q unless q is 2^k
-        return f"{frac.numerator}/{den}"
-    try:
-        as_float = float(frac)
-    except OverflowError:
-        as_float = math.inf
-    if math.isfinite(as_float) and Fraction(as_float) == frac:
-        return as_float
-    return f"{frac.numerator}/{frac.denominator}"
+        return num
+    if not den & (den - 1):  # a finite float is dyadic: no float equals p/q unless q is 2^k
+        try:
+            as_float = num / den  # int true division rounds correctly
+        except OverflowError:
+            pass
+        else:
+            if as_float.as_integer_ratio() == (num, den):
+                return as_float
+    return f"{num}/{den}"
 
 
 def number_from_json(value) -> Fraction:

@@ -13,10 +13,12 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional
 
 from ._rational import number_to_json
@@ -66,8 +68,79 @@ def _check_at_least(option: str, value: int, least: int) -> None:
         raise ValueError(f"{option} must be at least {least}, got {value}")
 
 
+def _float_json(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# json's scalar encoders by exact type; a subclass is looked up by isinstance
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_json,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _write_json(value, out: List[str], pad: str) -> None:
+    """Append the indented JSON of ``value`` to ``out``; ``pad`` is the newline and indent."""
+    encode = _SCALAR_JSON.get(type(value))
+    if encode is not None:
+        out.append(encode(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        try:  # the common case, a list of scalars, in one join
+            out += ("[", inner, ("," + inner).join([_SCALAR_JSON[type(v)](v) for v in value]))
+        except KeyError:
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _write_json(item, out, inner)
+                sep = "," + inner
+        out.append(pad + "]")
+    else:  # a subclass of a scalar type is written as json writes its base
+        for kind, encode in _SCALAR_JSON.items():
+            if isinstance(value, kind):
+                out.append(encode(value))
+                return
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _dumps(data) -> str:
+    """``json.dumps(data, indent=2)`` byte for byte, without json's pure-Python encoder.
+
+    Any ``indent`` makes json fall back to a generator chain per value; this
+    writer appends to one list instead.  Keys must be str.
+    """
+    out: List[str] = []
+    _write_json(data, out, "\n")
+    return "".join(out)
+
+
 def _print_json(data: dict) -> None:
-    print(json.dumps(data, indent=2))
+    print(_dumps(data))
 
 
 # ----------------------------------------------------------------- commands

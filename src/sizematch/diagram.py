@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ._rational import as_fraction, number_from_json, number_to_json, on_scale
+from ._rational import as_fraction, number_from_json, number_to_json
 from .core import SizePair, _UnionFind, _min_gap, reduced_size_function, size_function_on_grid
 
 __all__ = [
@@ -49,6 +49,14 @@ class ExtendedPoint:
             raise ValueError(f"point must lie strictly above the diagonal, got ({self.x}, {self.y})")
 
     @classmethod
+    def _exact(cls, x: Fraction, y: Fraction) -> "ExtendedPoint":
+        """The proper point (x, y) of two Fractions known to satisfy x < y, unchecked."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "x", x)  # as a frozen dataclass sets its fields
+        object.__setattr__(point, "y", y)
+        return point
+
+    @classmethod
     def at_infinity(cls, x) -> "ExtendedPoint":
         return cls(as_fraction(x), math.inf)
 
@@ -66,7 +74,23 @@ class ExtendedPoint:
         return f"ExtendedPoint({self.x}, {y})"
 
 
-def _coerce_point_entry(entry) -> Tuple[ExtendedPoint, int]:
+def _ratio(value) -> Tuple[int, int]:
+    """``value`` as (numerator, denominator) in lowest terms, with the errors of as_fraction."""
+    kind = type(value)
+    if kind is int:
+        return value, 1
+    if kind is Fraction or kind is float and math.isfinite(value):
+        return value.as_integer_ratio()
+    return as_fraction(value).as_integer_ratio()
+
+
+def _read_entry(entry):
+    """(x, x's ratio, y, y's ratio, multiplicity) of one entry, each ratio an int pair.
+
+    An entry is ``((x, y), m)``, ``(ExtendedPoint, m)`` or a bare ``(x, y)``
+    of multiplicity 1.  The checks and their order are those of building an
+    ExtendedPoint: the multiplicity, then x, then y, then x < y.
+    """
     try:
         raw, mult = entry
     except (TypeError, ValueError):
@@ -75,10 +99,23 @@ def _coerce_point_entry(entry) -> Tuple[ExtendedPoint, int]:
         raw, mult = (raw, mult), 1
     elif isinstance(mult, bool) or not isinstance(mult, int) or mult <= 0:
         raise ValueError(f"multiplicity must be a positive integer, got {mult!r}")
-    point = raw if isinstance(raw, ExtendedPoint) else ExtendedPoint(raw[0], raw[1])
-    if point.is_at_infinity:
+    x, y = (raw.x, raw.y) if isinstance(raw, ExtendedPoint) else (raw[0], raw[1])
+    x_ratio = _ratio(x)
+    if isinstance(y, float) and y == math.inf:
         raise ValueError("the cornerpoint at infinity is given by infinity_x, not a point")
-    return point, mult
+    y_ratio = _ratio(y)
+    if y_ratio[0] * x_ratio[1] <= x_ratio[0] * y_ratio[1]:  # denominators are positive
+        x, y = Fraction(*x_ratio), Fraction(*y_ratio)
+        raise ValueError(f"point must lie strictly above the diagonal, got ({x}, {y})")
+    return x, x_ratio, y, y_ratio, mult
+
+
+def _json_number(value):
+    """A JSON int or finite float as it is; anything else through number_from_json."""
+    kind = type(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return value
+    return number_from_json(value)
 
 
 class Diagram:
@@ -87,23 +124,39 @@ class Diagram:
     ``_scale`` is the lcm of the denominators of infinity_x and of every
     coordinate, and ``_rows[i]`` is (x*_scale, y*_scale, m) for the point
     ``_points[i]``: the one integer scale that matching and earlier_bound read.
+    Every coordinate is read as an int ratio (a float by ``as_integer_ratio``):
+    no Fraction is formed per entry, and a point keeps the Fractions it was
+    given.
     """
 
     __slots__ = ("_infinity_x", "_points", "_scale", "_rows")
 
     def __init__(self, infinity_x, points: Iterable = ()):
         self._infinity_x = as_fraction(infinity_x)
-        entries = [_coerce_point_entry(entry) for entry in points]
+        merged: Dict[tuple, list] = {}  # (x ratio, y ratio) -> [mult, x, y] of its first entry
+        for entry in points:
+            x, x_ratio, y, y_ratio, mult = _read_entry(entry)
+            row = merged.get((x_ratio, y_ratio))
+            if row is None:
+                merged[x_ratio, y_ratio] = [mult, x, y]
+            else:
+                row[0] += mult
         scale = self._scale = math.lcm(
-            self._infinity_x.denominator, *(c.denominator for p, _ in entries for c in (p.x, p.y))
+            self._infinity_x.denominator, *(ratio[1] for key in merged for ratio in key)
         )
-        merged: Dict[Tuple[int, int], list] = {}  # int key -> [its first entry's point, mult]
-        for point, mult in entries:
-            key = (on_scale(point.x, scale), on_scale(point.y, scale))
-            merged.setdefault(key, [point, 0])[1] += mult
-        keys = sorted(merged)  # the (x, y) order, as the scale is positive
-        self._rows = tuple((x, y, merged[x, y][1]) for x, y in keys)
-        self._points = tuple(tuple(merged[key]) for key in keys)
+        rows = sorted(  # by (X, Y), which no two points share; a Fraction given is kept
+            (
+                xn * (scale // xd),
+                yn * (scale // yd),
+                m,
+                x if type(x) is Fraction else Fraction(xn, xd),
+                y if type(y) is Fraction else Fraction(yn, yd),
+            )
+            for ((xn, xd), (yn, yd)), (m, x, y) in merged.items()
+        )
+        del merged  # freed before the tuples are built, which lowers the peak memory
+        self._rows = tuple(row[:3] for row in rows)
+        self._points = tuple((ExtendedPoint._exact(x, y), mult) for _, _, mult, x, y in rows)
 
     @property
     def infinity_x(self) -> Fraction:
@@ -153,9 +206,11 @@ class Diagram:
             if not isinstance(row, (list, tuple)) or len(row) != 3:
                 raise ValueError(f"diagram JSON: bad point row {row!r}, expected [x, y, mult]")
         try:
+            # every number is checked before any multiplicity or diagonal test;
+            # ints and finite floats go on as they are, to be read as int ratios
             return cls(
                 number_from_json(data["infinity_x"]),
-                [((number_from_json(x), number_from_json(y)), m) for x, y, m in raw_points],
+                [((_json_number(x), _json_number(y)), m) for x, y, m in raw_points],
             )
         except (TypeError, ValueError) as exc:
             raise ValueError(f"diagram JSON: {exc}") from exc

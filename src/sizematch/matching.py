@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple, Union
@@ -192,6 +193,22 @@ def _max_norm(p: ExtendedPoint, q: ExtendedPoint) -> Fraction:
     return max(abs(p.x - q.x), abs(p.y - q.y))
 
 
+# The solver expands each diagram to one node per copy of a point, visits
+# pairs of nodes, and the witness lists one pair per copy.
+_MAX_MATCHED_POINTS = 10**6
+
+
+def _check_matching_size(d1: Diagram, d2: Diagram) -> None:
+    """Raise ValueError, before anything is expanded, if a diagram has too many copies."""
+    for name, diagram in (("first", d1), ("second", d2)):
+        total = diagram.total_multiplicity
+        if total > _MAX_MATCHED_POINTS:
+            raise ValueError(
+                f"the {name} diagram has {total} points counted with multiplicity; "
+                f"matching takes at most {_MAX_MATCHED_POINTS}"
+            )
+
+
 class _Instance:
     """Expanded proper points of both diagrams, every cost an int on one scale.
 
@@ -212,6 +229,11 @@ class _Instance:
     edges and every search step and witness is what the Fraction costs
     would give.
 
+    The second diagram's rows are sorted by X, so each point of the first
+    one tests only the window |dX| <= max(h, G)/2 found by bisection (h its
+    half persistence, G the largest on the other side): a kept edge has
+    2|dX| <= norm <= max(h, g).  The edges kept are those of all pairs.
+
     ``half[s]`` holds the half persistences of side s and ``adj[s]`` each
     point's kept edges as (norm, partner) rows sorted by norm.  Side 0 is the
     first diagram; a matching is a pair of partner lists ``mate[s]`` (-1: free).
@@ -226,12 +248,17 @@ class _Instance:
             for d, f in ((d1, scale // d1._scale), (d2, scale // d2._scale))
         )
         self.half = tuple([y - x for x, y in side] for side in scaled)
-        right = [(u, v, g) for (u, v), g in zip(scaled[1], self.half[1])]
+        right = [(j, u, v, g) for j, ((u, v), g) in enumerate(zip(scaled[1], self.half[1]))]
+        right_xs = [u for u, _ in scaled[1]]  # sorted, as the rows are
+        widest = max(self.half[1], default=0)
         self.adj = tuple([[] for _ in side] for side in self.points)
         norms = set()
         for i, ((x, y), h) in enumerate(zip(scaled[0], self.half[0])):
             row = self.adj[0][i]
-            for j, (u, v, g) in enumerate(right):
+            # a kept edge has 2|dX| <= norm <= max(h, g) <= max(h, widest)
+            reach = (h if h > widest else widest) // 2
+            lo, hi = bisect_left(right_xs, x - reach), bisect_right(right_xs, x + reach)
+            for j, u, v, g in right[lo:hi]:
                 dx = x - u if x > u else u - x  # abs() and max() calls cost twice as much here
                 dy = y - v if y > v else v - y
                 norm = 2 * dx if dx > dy else 2 * dy
@@ -314,7 +341,11 @@ def matching_distance(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Matching]:
     first diagram's points in (x, y) order and then the second diagram's
     diagonal pairs, and for identical diagrams it is the identity; it is
     not in general the lexicographically smallest optimal pairing.
+
+    A diagram of more than ``_MAX_MATCHED_POINTS`` points counted with
+    multiplicity is refused with ValueError before anything is expanded.
     """
+    _check_matching_size(d1, d2)
     inst = _Instance(d1, d2)
     start, found = [[-1] * len(side) for side in inst.points], None
     lo, hi = 0, len(inst.thresholds) - 1
@@ -349,13 +380,13 @@ def brute_force_matching_distance(d1: Diagram, d2: Diagram, cap: int = 8) -> Fra
     branch-and-bound pruning on the running bottleneck.  Refuses inputs
     with more than ``cap`` points (counting multiplicity) on either side.
     """
+    sizes = (d1.total_multiplicity, d2.total_multiplicity)
+    if max(sizes) > cap:
+        raise ValueError(
+            f"brute force is capped at {cap} points per side, got {sizes[0]} and {sizes[1]}"
+        )
     left = d1.expanded()
     right = d2.expanded()
-    if len(left) > cap or len(right) > cap:
-        raise ValueError(
-            f"brute force is capped at {cap} points per side, "
-            f"got {len(left)} and {len(right)}"
-        )
     infinity_gap = abs(d1.infinity_x - d2.infinity_x)
     half_left = [p.persistence / 2 for p in left]
     half_right = [q.persistence / 2 for q in right]

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 from ._rational import as_fraction, common_denominator, number_from_json, number_to_json, on_scale
 from .core import ModelViolationError, SizePair
 from .diagram import Diagram, ExtendedPoint, extract_diagram
-from .matching import DIAGONAL, Matching, matching_distance
+from .matching import DIAGONAL, Matching, _check_matching_size, matching_distance
 
 __all__ = [
     "RectField",
@@ -237,6 +237,7 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
             raise ModelViolationError(
                 f"{name}: cornerpoint abscissa {x} lies below infinity_x {diagram.infinity_x}"
             )
+    _check_matching_size(d1, d2)  # before the swap, so that it names the diagram as given
     swapped = d2.infinity_x < d1.infinity_x
     low, high = (d2, d1) if swapped else (d1, d2)
     d_match, matching = matching_distance(low, high)

@@ -2,9 +2,12 @@
 
 import importlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +15,7 @@ import pytest
 import sizematch
 from sizematch import Diagram
 from sizematch._rational import number_from_json
-from sizematch.cli import main
+from sizematch.cli import _dumps, main
 
 
 PATH_V = "a,0\nb,2\nc,1\nd,3\ne,0\n"
@@ -646,3 +649,100 @@ def test_one_process_runs_many_commands_like_separate_ones(files, capsys):
         )
         assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr)
     assert [code for code, _, _ in in_process] == [0, 0, 0]
+
+
+# ------------------------------------------------------------ JSON writer
+
+
+_CHARS = 'aZ09 "\\/\b\f\n\r\t\x00\x1f\x7f\x80é\u2028\ufeff\ud800€😀𝄞'
+_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, -2.5, 1e16, 1e-7,
+           math.nan, math.inf, -math.inf]
+
+
+def _random_json(rng, depth):
+    kind = rng.randrange(9 if depth < 5 else 6)
+    if kind == 0:
+        return "".join(rng.choice(_CHARS) for _ in range(rng.randint(0, 6)))
+    if kind == 1:
+        return rng.choice([0, -1, 7, 2**63, -(10**300), rng.randint(-(2**70), 2**70)])
+    if kind == 2:
+        drawn = [rng.uniform(-1e9, 1e9), rng.random() * 10.0 ** rng.randint(-300, 300)]
+        return rng.choice(_FLOATS + drawn)
+    if kind == 3:
+        return rng.choice([True, False, None])
+    if kind == 4:  # mostly scalars, as the number rows of the outputs
+        return [_random_json(rng, 5) for _ in range(rng.randint(0, 5))]
+    if kind == 5:
+        return rng.choice([[], (), {}])
+    if kind == 6:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if kind == 7:
+        return tuple(_random_json(rng, depth + 1) for _ in range(rng.randint(0, 4)))
+    return {
+        "".join(rng.choice(_CHARS) for _ in range(rng.randint(0, 4))): _random_json(rng, depth + 1)
+        for _ in range(rng.randint(0, 4))
+    }
+
+
+def test_dumps_writes_the_bytes_of_json_dumps_indent_2():
+    rng = random.Random(17)
+    for _ in range(1500):
+        data = _random_json(rng, 0)
+        assert _dumps(data) == json.dumps(data, indent=2)
+    nested = {"a": [[], {}, [[]], [{}], {"b": []}, ()], "": {"c": {"d": [(), [1.5, "x"]]}}}
+    assert _dumps(nested) == json.dumps(nested, indent=2)
+
+    class Text(str):
+        pass
+
+    class Count(int):
+        pass
+
+    class Real(float):
+        pass
+
+    subclassed = {"s": [Text('q"'), Count(-3), Real("nan"), Real(2.5)], "t": (Count(7),)}
+    assert _dumps(subclassed) == json.dumps(subclassed, indent=2)
+    with pytest.raises(TypeError, match=r"^Object of type object is not JSON serializable$"):
+        _dumps({"a": [object()]})
+
+
+@pytest.mark.parametrize("data", [{1: 2}, {"a": {None: 1}}, [{1.5: 0}], {(1, 2): 3}, {True: 1}])
+def test_dumps_rejects_a_key_that_is_not_a_str(data):
+    with pytest.raises(TypeError, match=r"^keys must be str, not "):
+        _dumps(data)
+
+
+def test_every_json_command_prints_json_dumps_indent_2(files, capsys, tmp_path):
+    (tmp_path / "r.json").write_text(
+        '{"infinity_x": "-1/3", "points": [[0.5, 3, 2], ["1/3", "7/3", 1]]}'
+    )
+    commands = [
+        ["diagram", files["v1"], files["e1"]],
+        ["dist", files["d1"], str(tmp_path / "r.json"), "--witness"],
+        ["bound", files["v1"], files["e1"], files["v1"], files["e1"]],
+        ["realize", files["d1"], str(tmp_path / "r.json")],
+        ["stability", files["v1"], files["e1"], "--epsilon", "1/3", "--trials", "3"],
+    ]
+    for argv in commands:
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+@pytest.mark.parametrize("command", ["dist", "realize"])
+@pytest.mark.parametrize("which", [0, 1])
+def test_huge_multiplicity_is_refused_at_once(files, capsys, tmp_path, command, which):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"infinity_x": 0, "points": [[1, 2, 10000000000000000000000]]}')
+    argv = [command, files["d1"], files["d1"]]
+    argv[1 + which] = str(huge)
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv + (["--witness"] if command == "dist" else []))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    name = ("first", "second")[which]
+    assert err == (
+        f"error: the {name} diagram has 10000000000000000000000 points counted with "
+        "multiplicity; matching takes at most 1000000\n"
+    )

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -496,6 +497,122 @@ def test_diagram_json_integral_values_print_as_integers():
 def test_diagram_json_rejects_bad_numbers(data):
     with pytest.raises(ValueError, match=r"^diagram JSON: "):
         Diagram.from_json_dict(data)
+
+
+# (stage, JSON row, message) per fault: from_json_dict reports a bad number
+# (stage 0) before any multiplicity or diagonal fault (stage 1) of an earlier row
+JSON_FAULTS = {
+    "bad number": (0, '["abc", 2, 1]', "malformed rational literal 'abc'"),
+    "NaN": (0, "[1, NaN, 1]", "expected a finite number, got nan"),
+    "Infinity": (0, "[1, Infinity, 1]", "expected a finite number, got inf"),
+    "bool": (0, "[true, 2, 1]", "expected a real number, got a bool"),
+    "bad p/q": (0, '[1, "1/0", 1]', "malformed rational literal '1/0'"),
+    "null": (0, "[1, null, 1]", "expected a real number, got NoneType"),
+    "multiplicity 0": (1, "[1, 2, 0]", "multiplicity must be a positive integer, got 0"),
+    "multiplicity 1.5": (1, "[1, 2, 1.5]", "multiplicity must be a positive integer, got 1.5"),
+    "on the diagonal": (1, "[1, 1, 1]", "point must lie strictly above the diagonal, got (1, 1)"),
+    "below the diagonal": (
+        1, '["5/2", 0.5, 1]', "point must lie strictly above the diagonal, got (5/2, 1/2)"
+    ),
+    "float on the diagonal": (
+        1,
+        "[0.1, 0.1, 2]",
+        "point must lie strictly above the diagonal, got "
+        "(3602879701896397/36028797018963968, 3602879701896397/36028797018963968)",
+    ),
+}
+
+# (entry, exception, message) per fault of Diagram(...), which checks entry by entry
+API_FAULTS = {
+    "bad number": (((1, "2"), 1), TypeError, "expected a real number, got str"),
+    "NaN": (((math.nan, 2), 1), ValueError, "expected a finite number, got nan"),
+    "x = inf": (((math.inf, 2), 1), ValueError, "expected a finite number, got inf"),
+    "bool": (((True, 2), 1), TypeError, "expected a real number, got a bool"),
+    "multiplicity 0": (((1, 2), 0), ValueError, "multiplicity must be a positive integer, got 0"),
+    "multiplicity True": (
+        ((1, 2), True), ValueError, "multiplicity must be a positive integer, got True"
+    ),
+    "on the diagonal": (
+        ((F(1, 3), F(1, 3)), 1),
+        ValueError,
+        "point must lie strictly above the diagonal, got (1/3, 1/3)",
+    ),
+    "below the diagonal": (
+        ((2.5, 2), 1), ValueError, "point must lie strictly above the diagonal, got (5/2, 2)"
+    ),
+    "y = inf": (
+        ((1, math.inf), 1),
+        ValueError,
+        "the cornerpoint at infinity is given by infinity_x, not a point",
+    ),
+    "point at infinity": (
+        (ExtendedPoint.at_infinity(1), 2),
+        ValueError,
+        "the cornerpoint at infinity is given by infinity_x, not a point",
+    ),
+    "malformed entry": ((1, 2, 3), ValueError, "cannot interpret diagram point entry (1, 2, 3)"),
+}
+
+
+def _two_fault_cases(faults, seed):
+    """Valid rows and two row indices i < j for every ordered pair (first, second) of faults."""
+    rng = random.Random(seed)
+    for first in faults:
+        for second in faults:
+            n = rng.randint(2, 6)
+            i, j = sorted(rng.sample(range(n), 2))
+            rows = [None] * n
+            for k in range(n):
+                x = F(rng.randint(0, 40), rng.choice([1, 3, 64]))
+                rows[k] = (x, x + F(rng.randint(1, 40), 64), rng.randint(1, 3))
+            yield rows, i, first, j, second
+
+
+def test_the_first_fault_and_its_message_are_pinned_for_json():
+    spell = lambda v: f'"{v.numerator}/{v.denominator}"' if v.denominator % 64 else repr(float(v))
+    cases = 0
+    for rows, i, first, j, second in _two_fault_cases(JSON_FAULTS, 17):
+        text = [f"[{spell(x)}, {spell(y)}, {m}]" for x, y, m in rows]
+        text[i], text[j] = JSON_FAULTS[first][1], JSON_FAULTS[second][1]
+        data = json.loads(f'{{"infinity_x": -1, "points": [{", ".join(text)}]}}')
+        # a bad number anywhere comes first; otherwise the earlier row's fault
+        reported = second if JSON_FAULTS[second][0] < JSON_FAULTS[first][0] else first
+        with pytest.raises(ValueError) as info:
+            Diagram.from_json_dict(data)
+        assert str(info.value) == f"diagram JSON: {JSON_FAULTS[reported][2]}", (first, second)
+        cases += 1
+    assert cases == len(JSON_FAULTS) ** 2
+    data = {"infinity_x": 0, "points": [[1, 1, 1], [1, 2, 0]]}
+    with pytest.raises(ValueError, match=r"^diagram JSON: point must lie strictly above the "
+                       r"diagonal, got \(1, 1\)$"):
+        Diagram.from_json_dict(data)
+
+
+def test_the_first_fault_and_its_message_are_pinned_for_entries():
+    for rows, i, first, j, second in _two_fault_cases(API_FAULTS, 18):
+        entries = [((x, y), m) for x, y, m in rows]
+        entries[i], entries[j] = API_FAULTS[first][0], API_FAULTS[second][0]
+        _, kind, message = API_FAULTS[first]
+        with pytest.raises(kind) as info:
+            Diagram(F(-1, 3), entries)
+        assert type(info.value) is kind and str(info.value) == message, (first, second)
+
+
+def test_diagram_with_many_odd_denominators_stays_small():
+    rng = random.Random(3)
+    entries = []
+    for _ in range(2000):
+        x = F(rng.randint(0, 10**6), rng.randint(1, 10**4))
+        entries.append(((x, x + F(rng.randint(0, 10**6), rng.randint(1, 10**4))), 1))
+    entries = [((x, y), m) for (x, y), m in entries if y > x]
+    tracemalloc.start()
+    try:
+        d = Diagram(0, entries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d._scale.bit_length() > 8000
+    assert peak <= 6 * 2**20
 
 
 def test_extraction_localized_above_infinity_x():

@@ -4,7 +4,9 @@ import hashlib
 import json
 import math
 import random
+import struct
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -21,7 +23,7 @@ from sizematch import (
     pseudo_distance_d,
     stability_probe,
 )
-from sizematch._rational import number_from_json, number_to_json
+from sizematch._rational import as_fraction, number_from_json, number_to_json
 from sizematch.matching import _max_norm
 from sizematch.selftest import perturbed_values, random_diagram, random_size_pair
 
@@ -146,6 +148,20 @@ def test_brute_force_cap():
     with pytest.raises(ValueError):
         brute_force_matching_distance(d, d, cap=8)
     assert brute_force_matching_distance(d, d, cap=9) == 0
+
+
+def test_huge_multiplicities_are_refused_before_anything_is_expanded():
+    huge = Diagram(0, [((1, 2), 10**22)])
+    small = Diagram(0, [((1, 2), 1)])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^brute force is capped at 8 points per side, "
+                       r"got 1 and 10000000000000000000000$"):
+        brute_force_matching_distance(small, huge)
+    with pytest.raises(ValueError, match=r"^the first diagram has 10000000000000000000000 "):
+        matching_distance(huge, small)
+    with pytest.raises(ValueError, match=r"^the second diagram has 1000001 points "):
+        matching_distance(small, Diagram(0, [((1, 2), 10**6 + 1)]))
+    assert time.perf_counter() - start < 1
 
 
 def test_witness_is_deterministic_and_identity_at_zero():
@@ -387,6 +403,51 @@ def test_number_codec_beyond_the_float_range():
     for value in (F(10**400 + 1, 2), F(1, 3 * 10**400), F(10**400)):
         assert number_from_json(json.loads(json.dumps(number_to_json(value)))) == value
     assert number_to_json(F(3, 2)) == 1.5
+
+
+def _number_to_json_reference(value):
+    """number_to_json as written with a Fraction round trip, kept as the reference."""
+    frac = as_fraction(value)
+    den = frac.denominator
+    if den == 1:
+        return int(frac)
+    if den & (den - 1):
+        return f"{frac.numerator}/{den}"
+    try:
+        as_float = float(frac)
+    except OverflowError:
+        as_float = math.inf
+    if math.isfinite(as_float) and F(as_float) == frac:
+        return as_float
+    return f"{frac.numerator}/{frac.denominator}"
+
+
+def test_number_to_json_equals_its_fraction_reference():
+    edges = [F(1, 2**1074), F(1, 2**1075), F(3, 2**1075), F(2**53 + 1, 2**60),
+             F(2**53 - 1, 2**60), F(2**53 + 1), F(2**54 + 1, 2), F(2**53 - 1, 2**1074),
+             F(sys.float_info.max), F(sys.float_info.max) + F(1, 2), F(2**1024),
+             F(2**1024 + 1, 2), F(1, 2**1100), F(1, 3), F(-7, 3), F(10**400),
+             F(-(10**400) - 1, 2), F(-1, 2**1074), 10**400, -(2**64), 0,
+             sys.float_info.max, 5e-324, -0.0, 0.1, F(0)]
+    rng = random.Random(8)
+    values = list(edges)
+    for _ in range(3000):
+        kind = rng.randrange(4)
+        if kind == 0:  # a dyadic, often inside the float range and sometimes past it
+            value = F(rng.randint(-(2**70), 2**70), 2 ** rng.randint(0, 1140))
+        elif kind == 1:  # a finite double from random bits
+            value = struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+            if not math.isfinite(value):
+                continue
+        elif kind == 2:
+            value = F(rng.randint(-(10**30), 10**30), rng.randint(1, 10**6))
+        else:
+            value = rng.choice([-1, 1]) * rng.randint(0, 2 ** rng.randint(1, 1100))
+        values.append(value)
+    for value in values:
+        encoded, reference = number_to_json(value), _number_to_json_reference(value)
+        assert type(encoded) is type(reference) and encoded == reference, value
+        assert number_from_json(json.loads(json.dumps(encoded))) == value
 
 
 def test_matching_json_needs_infinity_context():
