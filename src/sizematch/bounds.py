@@ -346,8 +346,8 @@ class BoundReport:
             },
         }
 
-    def dumps(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def dumps(self) -> str:
+        return json.dumps(self.to_json_dict())
 
 
 def bound_report(sp1: SizePair, sp2: SizePair, cap: int = 9) -> BoundReport:

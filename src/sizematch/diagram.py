@@ -85,7 +85,7 @@ def _ratio(value) -> Tuple[int, int]:
 
 
 def _read_entry(entry):
-    """(x, x's ratio, y, y's ratio, multiplicity) of one entry, each ratio an int pair.
+    """(x's ratio, y's ratio, multiplicity) of one entry, each ratio an int pair.
 
     An entry is ``((x, y), m)``, ``(ExtendedPoint, m)`` or a bare ``(x, y)``
     of multiplicity 1.  The checks and their order are those of building an
@@ -107,7 +107,7 @@ def _read_entry(entry):
     if y_ratio[0] * x_ratio[1] <= x_ratio[0] * y_ratio[1]:  # denominators are positive
         x, y = Fraction(*x_ratio), Fraction(*y_ratio)
         raise ValueError(f"point must lie strictly above the diagonal, got ({x}, {y})")
-    return x, x_ratio, y, y_ratio, mult
+    return x_ratio, y_ratio, mult
 
 
 def _json_number(value):
@@ -122,41 +122,29 @@ class Diagram:
     """Multiset of proper cornerpoints plus the cornerpoint at infinity.
 
     ``_scale`` is the lcm of the denominators of infinity_x and of every
-    coordinate, and ``_rows[i]`` is (x*_scale, y*_scale, m) for the point
-    ``_points[i]``: the one integer scale that matching and earlier_bound read.
-    Every coordinate is read as an int ratio (a float by ``as_integer_ratio``):
-    no Fraction is formed per entry, and a point keeps the Fractions it was
-    given.
+    coordinate, and ``_rows`` holds (x*_scale, y*_scale, m) per distinct
+    point, sorted: the one stored form, read by matching, earlier_bound,
+    ``==`` and ``hash``.  Coordinates are read as int ratios (a float by
+    ``as_integer_ratio``), and ``points`` is built from the rows when first read.
     """
 
     __slots__ = ("_infinity_x", "_points", "_scale", "_rows")
 
     def __init__(self, infinity_x, points: Iterable = ()):
         self._infinity_x = as_fraction(infinity_x)
-        merged: Dict[tuple, list] = {}  # (x ratio, y ratio) -> [mult, x, y] of its first entry
+        merged: Dict[tuple, int] = {}  # (x ratio, y ratio) -> multiplicity
         for entry in points:
-            x, x_ratio, y, y_ratio, mult = _read_entry(entry)
-            row = merged.get((x_ratio, y_ratio))
-            if row is None:
-                merged[x_ratio, y_ratio] = [mult, x, y]
-            else:
-                row[0] += mult
+            x_ratio, y_ratio, mult = _read_entry(entry)
+            key = (x_ratio, y_ratio)
+            merged[key] = merged.get(key, 0) + mult
         scale = self._scale = math.lcm(
             self._infinity_x.denominator, *(ratio[1] for key in merged for ratio in key)
         )
-        rows = sorted(  # by (X, Y), which no two points share; a Fraction given is kept
-            (
-                xn * (scale // xd),
-                yn * (scale // yd),
-                m,
-                x if type(x) is Fraction else Fraction(xn, xd),
-                y if type(y) is Fraction else Fraction(yn, yd),
-            )
-            for ((xn, xd), (yn, yd)), (m, x, y) in merged.items()
-        )
-        del merged  # freed before the tuples are built, which lowers the peak memory
-        self._rows = tuple(row[:3] for row in rows)
-        self._points = tuple((ExtendedPoint._exact(x, y), mult) for _, _, mult, x, y in rows)
+        self._rows = tuple(sorted(  # by (X, Y), which no two points share
+            (xn * (scale // xd), yn * (scale // yd), m)
+            for ((xn, xd), (yn, yd)), m in merged.items()
+        ))
+        self._points = None
 
     @property
     def infinity_x(self) -> Fraction:
@@ -165,32 +153,40 @@ class Diagram:
     @property
     def points(self) -> Tuple[Tuple[ExtendedPoint, int], ...]:
         """Proper cornerpoints with multiplicities, sorted by (x, y)."""
+        if self._points is None:
+            scale = self._scale
+            self._points = tuple(
+                (ExtendedPoint._exact(Fraction(x, scale), Fraction(y, scale)), m)
+                for x, y, m in self._rows
+            )
         return self._points
 
     @property
     def total_multiplicity(self) -> int:
-        return sum(m for _, m in self._points)
+        return sum(m for _, _, m in self._rows)
 
     def expanded(self) -> Tuple[ExtendedPoint, ...]:
         """Proper cornerpoints repeated according to multiplicity."""
-        return tuple(point for point, mult in self._points for _ in range(mult))
+        return tuple(point for point, mult in self.points for _ in range(mult))
 
     def __eq__(self, other):
         if not isinstance(other, Diagram):
             return NotImplemented
-        return self._infinity_x == other._infinity_x and self._points == other._points
+        # rows alone would not tell (1, 3) on scale 1 from (1/2, 3/2) on scale 2
+        key = (other._infinity_x, other._scale, other._rows)
+        return (self._infinity_x, self._scale, self._rows) == key
 
     def __hash__(self):
-        return hash((self._infinity_x, self._points))
+        return hash((self._infinity_x, self._scale, self._rows))
 
     def __repr__(self):
-        pts = ", ".join(f"({p.x}, {p.y})x{m}" for p, m in self._points)
+        pts = ", ".join(f"({p.x}, {p.y})x{m}" for p, m in self.points)
         return f"Diagram(infinity_x={self._infinity_x}, points=[{pts}])"
 
     def to_json_dict(self) -> dict:
         return {
             "infinity_x": number_to_json(self._infinity_x),
-            "points": [[number_to_json(p.x), number_to_json(p.y), m] for p, m in self._points],
+            "points": [[number_to_json(p.x), number_to_json(p.y), m] for p, m in self.points],
         }
 
     @classmethod
@@ -215,8 +211,8 @@ class Diagram:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"diagram JSON: {exc}") from exc
 
-    def dumps(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def dumps(self) -> str:
+        return json.dumps(self.to_json_dict())
 
     @classmethod
     def loads(cls, text: str) -> "Diagram":
@@ -254,7 +250,7 @@ def extract_diagram(sp: SizePair) -> Diagram:
         # 2^-64, which the values themselves then order exactly
         keys = [value.as_integer_ratio() for value in values]
         level_key = lambda key: ((key[0] << 64) // key[1], value_of[key])
-    value_of = dict(zip(keys, values))  # equal values become one Fraction in the Diagram
+    value_of = dict(zip(keys, values))  # one value per distinct key
     levels_by_key = sorted(value_of, key=level_key)
     levels = [value_of[key] for key in levels_by_key]
     rank_of = {key: r for r, key in enumerate(levels_by_key)}

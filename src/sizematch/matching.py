@@ -58,18 +58,14 @@ DIAGONAL = _Diagonal()
 MatchTarget = Union[ExtendedPoint, _Diagonal]
 
 
-def _half_persistence(p: ExtendedPoint):
-    return math.inf if p.is_at_infinity else p.persistence / 2
-
-
 def pseudo_distance_d(p, q):
     """Ground distance between extended points and/or the diagonal."""
     if p is DIAGONAL and q is DIAGONAL:
         return Fraction(0)
     if p is DIAGONAL:
-        return _half_persistence(q)
+        return q.persistence / 2
     if q is DIAGONAL:
-        return _half_persistence(p)
+        return p.persistence / 2
     if p.is_at_infinity and q.is_at_infinity:
         return abs(p.x - q.x)
     if p.is_at_infinity or q.is_at_infinity:
@@ -136,8 +132,8 @@ class Matching:
             )
         return cls(pairs=tuple(pairs), cost=number_from_json(data["cost"]))
 
-    def dumps(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def dumps(self) -> str:
+        return json.dumps(self.to_json_dict())
 
     def verify(self, d1: Diagram, d2: Diagram) -> None:
         """Raise ValueError unless this is a valid optimal-form witness for (d1, d2).
@@ -414,8 +410,7 @@ def brute_force_matching_distance(d1: Diagram, d2: Diagram, cap: int = 8) -> Fra
         descend(i + 1, used, max(running, half_left[i]))
 
     descend(0, 0, infinity_gap)
-    result = best[0]
-    return result if isinstance(result, Fraction) else as_fraction(result)
+    return best[0]
 
 
 def stability_probe(sp: SizePair, perturbed_values, epsilon) -> Tuple[Fraction, bool]:

@@ -41,6 +41,9 @@ __all__ = [
 # smallest structure half-width realize() accepts
 MIN_EPSILON = Fraction(1, 10**12)
 
+# most grid nodes discretize() samples; at ~700 bytes a node this is ~7 GB
+_MAX_GRID_NODES = 10**7
+
 
 @dataclass(frozen=True)
 class RectField:
@@ -129,8 +132,8 @@ class RectField:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"field JSON: {exc}") from exc
 
-    def dumps(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def dumps(self) -> str:
+        return json.dumps(self.to_json_dict())
 
     @classmethod
     def loads(cls, text: str) -> "RectField":
@@ -336,10 +339,15 @@ def discretize(field: RectField, refine: int = 1) -> SizePair:
 
     Columns sit at the field's x breaks; each consecutive y gap is split
     into ``refine`` equal parts (refine=1 keeps the break rows only).
-    Values are sampled exactly.
+    Values are sampled exactly.  A grid of more than 10^7 nodes is refused
+    with ValueError before anything is sampled.
     """
     if isinstance(refine, bool) or not isinstance(refine, int) or refine < 1:
         raise ValueError(f"refine must be a positive integer, got {refine!r}")
+    rows = (len(field.y_breaks) - 1) * refine + 1
+    nodes = field.n_columns * rows
+    if nodes > _MAX_GRID_NODES:
+        raise ValueError(f"refine {refine} would sample {nodes} grid nodes, more than {_MAX_GRID_NODES}")
     if refine == 1:
         columns = field.values_per_column
     else:
@@ -357,7 +365,6 @@ def discretize(field: RectField, refine: int = 1) -> SizePair:
             columns.append(_sample(grid[::refine], [on_scale(v, scale) for v in vs], grid, scale))
     # ids[p] names position p = ci·rows + ri; every edge reuses those strings:
     # up each column, then across to the next column
-    rows = (len(field.y_breaks) - 1) * refine + 1
     ids = [f"c{ci}r{ri}" for ci in range(field.n_columns) for ri in range(rows)]
     edges = [(ids[p], ids[p + 1]) for p in range(len(ids)) if (p + 1) % rows]
     edges += [(ids[p], ids[p + rows]) for p in range(len(ids) - rows)]

@@ -730,6 +730,17 @@ def test_every_json_command_prints_json_dumps_indent_2(files, capsys, tmp_path):
         assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_realize_refine_too_large_is_refused_at_once(files, capsys, fmt):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, ["realize", files["d1"], files["d2"], "--refine", "1000000000", "--format", fmt]
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: refine 1000000000 would sample 48000000008 grid nodes, more than 10000000\n"
+
+
 @pytest.mark.parametrize("command", ["dist", "realize"])
 @pytest.mark.parametrize("which", [0, 1])
 def test_huge_multiplicity_is_refused_at_once(files, capsys, tmp_path, command, which):

@@ -416,9 +416,38 @@ def test_diagram_merges_on_its_integer_scale_like_the_dict_reference():
         )
         assert d._rows == tuple((p.x * d._scale, p.y * d._scale, m) for p, m in d.points)
         assert all(type(v) is int for row in d._rows for v in row)
+        again = Diagram(infinity_x, canonical)
+        assert d == again and hash(d) == hash(again)
+        assert d.points is d.points
     for entry in (ExtendedPoint(1, 2), (1, 2, 1)):
         with pytest.raises(ValueError, match=r"^cannot interpret diagram point entry "):
             Diagram(0, [entry])
+
+
+def test_diagrams_of_equal_rows_on_different_scales_differ():
+    whole = Diagram(0, [((1, 3), 1)])
+    halves = Diagram(0, [((F(1, 2), F(3, 2)), 1)])
+    assert whole._rows == halves._rows == ((1, 3, 1),)
+    assert whole != halves
+    assert whole.points != halves.points
+
+
+def test_a_diagram_builds_no_point_until_points_is_read(monkeypatch):
+    def refuse(cls, x, y):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr(ExtendedPoint, "_exact", classmethod(refuse))
+    built = Diagram(F(-1, 2), [((F(1, 4), F(7, 4)), 2), ((0.5, 3), 1), ((F(1, 2), 3), 1)])
+    loaded = Diagram.from_json_dict(
+        {"infinity_x": -0.5, "points": [[0.25, "7/4", 2], ["1/2", 3, 2]]}
+    )
+    sp = SizePair([("a", 0), ("b", 2), ("c", 1), ("d", 3)], [("a", "b"), ("b", "c"), ("c", "d")])
+    extracted = extract_diagram(sp)
+    assert built == loaded and hash(built) == hash(loaded)
+    assert built.total_multiplicity == 4
+    assert extracted == Diagram(0, [((1, 2), 1)]) and extracted.total_multiplicity == 1
+    with pytest.raises(AssertionError, match="a point was built"):
+        built.points
 
 
 def test_diagram_rejects_on_or_below_diagonal():

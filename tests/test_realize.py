@@ -1,8 +1,10 @@
 """Realizing diagram pairs by explicit fields on a rectangle grid."""
 
 import hashlib
+import importlib
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +24,9 @@ from sizematch import (
 from sizematch.selftest import random_diagram
 
 from test_matching import HUGE
+
+# the package attribute sizematch.realize is the function, so fetch the module
+realize_module = importlib.import_module("sizematch.realize")
 
 
 def worked_pair():
@@ -445,6 +450,23 @@ def test_discretize_rejects_bad_refine():
         discretize(phi, 0)
     with pytest.raises(ValueError):
         discretize(phi, -2)
+
+
+def test_discretize_refuses_a_grid_too_large_before_sampling(monkeypatch):
+    phi, _, _ = realize(*worked_pair())  # 5 columns, 5 y breaks
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        discretize(phi, 10**9)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == (
+        "refine 1000000000 would sample 20000000005 grid nodes, more than 10000000"
+    )
+    # refine 3 makes 5 * (4 * 3 + 1) = 65 nodes: the cap itself is allowed
+    monkeypatch.setattr(realize_module, "_MAX_GRID_NODES", 65)
+    assert len(discretize(phi, 3).vertex_values) == 65
+    monkeypatch.setattr(realize_module, "_MAX_GRID_NODES", 64)
+    with pytest.raises(ValueError, match=r"^refine 3 would sample 65 grid nodes, more than 64$"):
+        discretize(phi, 3)
 
 
 # ------------------------------------------------------------------- fields
