@@ -54,16 +54,22 @@ def number_to_json(value):
     reproduces the value bit-exactly.
     """
     num, den = as_fraction(value).as_integer_ratio()
+    return ratio_to_json(num, den)
+
+
+def ratio_to_json(num: int, den: int):
+    """Encode the exact number num/den (``den`` > 0, any common factor) as
+    :func:`number_to_json` does."""
+    common = math.gcd(num, den)
+    if common != 1:
+        num, den = num // common, den // common
     if den == 1:
         return num
-    if not den & (den - 1):  # a finite float is dyadic: no float equals p/q unless q is 2^k
-        try:
-            as_float = num / den  # int true division rounds correctly
-        except OverflowError:
-            pass
-        else:
-            if as_float.as_integer_ratio() == (num, den):
-                return as_float
+    # a finite float is dyadic, so no float equals p/q unless q = 2^k; then p
+    # is odd, and p/q is a float exactly when p fits the 53-bit significand
+    # and 2^-k is not below the least subnormal, 2^-1074
+    if not den & (den - 1) and num.bit_length() <= 53 and den.bit_length() <= 1075:
+        return num / den  # int true division rounds correctly, here exactly
     return f"{num}/{den}"
 
 

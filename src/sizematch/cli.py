@@ -19,6 +19,7 @@ import random
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import is_
 from typing import List, Optional
 
 from ._rational import number_to_json
@@ -111,14 +112,35 @@ def _write_json(value, out: List[str], pad: str) -> None:
             out.append("[]")
             return
         inner = pad + "  "
+        comma = "," + inner
         try:  # the common case, a list of scalars, in one join
-            out += ("[", inner, ("," + inner).join([_SCALAR_JSON[type(v)](v) for v in value]))
+            out += ("[", inner, comma.join([_SCALAR_JSON[type(v)](v) for v in value]))
         except KeyError:
+            # a list of rows: a row of scalars is joined here, and a row that
+            # holds the very objects of the row before it (a copy of it, or the
+            # same list again) reuses that join, since equal objects of
+            # different types (1, 1.0, True) are written differently
+            deeper = inner + "  "
+            join = ("," + deeper).join
+            close = inner + "]"
             sep = "[" + inner
+            last = None  # the row that text was joined from, if it is the item before
             for item in value:
                 out.append(sep)
-                _write_json(item, out, inner)
-                sep = "," + inner
+                sep = comma
+                if (type(item) is list or type(item) is tuple) and item:
+                    if last is None or len(item) != len(last) or not all(map(is_, item, last)):
+                        try:
+                            text = join([_SCALAR_JSON[type(v)](v) for v in item])
+                        except KeyError:
+                            last = None
+                            _write_json(item, out, inner)
+                            continue
+                        last = item
+                    out += ("[", deeper, text, close)
+                else:
+                    last = None
+                    _write_json(item, out, inner)
         out.append(pad + "]")
     else:  # a subclass of a scalar type is written as json writes its base
         for kind, encode in _SCALAR_JSON.items():

@@ -79,6 +79,28 @@ def _vertex_fault(ids, values) -> None:
         seen.add(vid)
 
 
+def _vertex_position(ids, values) -> Dict[Hashable, int]:
+    """The map from each id to its position, once the vertex columns pass their checks.
+
+    Empty input, then per vertex a duplicate id or a value that is not a
+    finite real, raises ModelViolationError.
+    """
+    n = len(ids)
+    if not n:
+        raise ModelViolationError("a size pair needs at least one vertex")
+    try:
+        position = dict(zip(ids, range(n)))
+    except TypeError:  # an unhashable id
+        position = {}
+    kinds = set(map(type, values))
+    if len(position) != n or not (
+        kinds <= {int, Fraction} or kinds == {float} and all(map(math.isfinite, values))
+    ):
+        # raises, unless the values are finite reals of mixed or derived types
+        _vertex_fault(ids, values)
+    return position
+
+
 def _edge_fault(position: Dict[Hashable, int], edges) -> None:
     """Raise the first fault of ``edges`` in input order, if there is one.
 
@@ -165,25 +187,13 @@ class SizePair:
         unknown first end, unknown second end, self-loop, duplicate edge;
         then connectivity.
         """
-        n = len(ids)
-        if not n:
-            raise ModelViolationError("a size pair needs at least one vertex")
-        try:
-            position = dict(zip(ids, range(n)))
-        except TypeError:  # an unhashable id
-            position = {}
-        kinds = set(map(type, values))
-        if len(position) != n or not (
-            kinds <= {int, Fraction} or kinds == {float} and all(map(math.isfinite, values))
-        ):
-            # raises, unless the values are finite reals of mixed or derived types
-            _vertex_fault(ids, values)
+        position = _vertex_position(ids, values)
         try:
             at = list(map(position.get, ends))  # the position of every edge end
         except TypeError:  # ends is None, or holds an unhashable end
             at = [None]
         known = None not in at
-        adj: List[List[int]] = [[] for _ in range(n)]
+        adj: List[List[int]] = [[] for _ in ids]
         if known:
             ats = iter(at)
             for p, q in zip(ats, ats):
@@ -193,11 +203,28 @@ class SizePair:
         # a self-loop or a second edge between two vertices repeats a neighbour
         if not known or sum(map(len, map(set, adj))) != 2 * m:
             _edge_fault(position, edges if ends is None else zip(ends[0::2], ends[1::2]))
+        self._store(ids, values, position, adj, m)
+
+    @classmethod
+    def _from_adjacency(cls, ids, values, adj, n_edges: int) -> "SizePair":
+        """A size pair on adjacency lists of positions, as a grid builder makes them.
+
+        The vertices get the checks of ``_build`` and the graph its
+        connectivity check.  The edge checks are skipped: a graph built on
+        positions has no unknown end, and its builder makes no self-loop and
+        no edge twice.  ``adj`` is kept as given.
+        """
+        sp = cls.__new__(cls)
+        sp._store(ids, values, _vertex_position(ids, values), adj, n_edges)
+        return sp
+
+    def _store(self, ids, values, position, adj, n_edges: int) -> None:
+        """Keep the checked columns; raise DisconnectedGraphError unless ``adj`` is connected."""
         self._ids = ids
         self._values = values
         self._position = position
         self._adj = adj
-        self._n_edges = m
+        self._n_edges = n_edges
         self._vertex_ids = self._edges = self._neighbors = None
         count = _component_count(adj)
         if count != 1:

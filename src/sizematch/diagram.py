@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ._rational import as_fraction, number_from_json, number_to_json
+from ._rational import as_fraction, number_from_json, number_to_json, ratio_to_json
 from .core import SizePair, _UnionFind, _min_gap, reduced_size_function, size_function_on_grid
 
 __all__ = [
@@ -184,9 +184,11 @@ class Diagram:
         return f"Diagram(infinity_x={self._infinity_x}, points=[{pts}])"
 
     def to_json_dict(self) -> dict:
+        scale = self._scale
         return {
             "infinity_x": number_to_json(self._infinity_x),
-            "points": [[number_to_json(p.x), number_to_json(p.y), m] for p, m in self.points],
+            "points": [[ratio_to_json(x, scale), ratio_to_json(y, scale), m]
+                       for x, y, m in self._rows],
         }
 
     @classmethod

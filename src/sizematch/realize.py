@@ -363,12 +363,20 @@ def discretize(field: RectField, refine: int = 1) -> SizePair:
             scale = common_denominator((*field.y_breaks, *vs)) * refine
             grid = [h * (scale // (unit * refine)) for h in heights]
             columns.append(_sample(grid[::refine], [on_scale(v, scale) for v in vs], grid, scale))
-    # ids[p] names position p = ci·rows + ri; every edge reuses those strings:
-    # up each column, then across to the next column
+    # ids[p] names position p = ci·rows + ri; the edges go up each column, then
+    # across to the next, so adj[p] lists p - 1, p + 1, p - rows, p + rows
     ids = [f"c{ci}r{ri}" for ci in range(field.n_columns) for ri in range(rows)]
-    edges = [(ids[p], ids[p + 1]) for p in range(len(ids)) if (p + 1) % rows]
-    edges += [(ids[p], ids[p + rows]) for p in range(len(ids) - rows)]
-    return SizePair(zip(ids, (v for column in columns for v in column)), edges)
+    adj = [[p - 1, p + 1] for p in range(nodes)]
+    for p in range(0, nodes, rows):  # a column's bottom and top nodes (rows >= 2)
+        del adj[p][0]
+        adj[p + rows - 1].pop()
+    for p in range(rows, nodes):
+        adj[p].append(p - rows)
+    for p in range(nodes - rows):
+        adj[p].append(p + rows)
+    n_edges = field.n_columns * (rows - 1) + (field.n_columns - 1) * rows
+    values = [v for column in columns for v in column]
+    return SizePair._from_adjacency(ids, values, adj, n_edges)
 
 
 def max_field_gap(field_a: RectField, field_b: RectField) -> Fraction:
@@ -381,9 +389,15 @@ def max_field_gap(field_a: RectField, field_b: RectField) -> Fraction:
     if field_a.x_breaks != field_b.x_breaks or field_a.y_breaks != field_b.y_breaks:
         raise ValueError("fields do not share their grid")
     # |a - b| = |an·bd - bn·ad| / (ad·bd) is compared with the best so far by
-    # cross-multiplying, so no Fraction is formed per node
+    # cross-multiplying, so no Fraction is formed per node; a field holds
+    # equal columns as one object, so each distinct pair of columns is scanned once
     best_num, best_den = 0, 1
+    scanned = set()
     for va, vb in zip(field_a.values_per_column, field_b.values_per_column):
+        pair = (id(va), id(vb))  # both fields hold their columns for the whole scan
+        if pair in scanned:
+            continue
+        scanned.add(pair)
         for a, b in zip(va, vb):
             an, ad = a.as_integer_ratio()
             bn, bd = b.as_integer_ratio()

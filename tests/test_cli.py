@@ -651,6 +651,28 @@ def test_one_process_runs_many_commands_like_separate_ones(files, capsys):
     assert [code for code, _, _ in in_process] == [0, 0, 0]
 
 
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import sizematch, sizematch.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_the_package_and_its_cli_import_only_the_standard_library():
+    # the diff, not the whole of sys.modules: site hooks may load third-party
+    # modules before any import here
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sizematch.__file__)))
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    loaded = done.stdout.split()
+    assert {"sizematch", "sizematch.cli", "sizematch.realize"} <= set(loaded)
+    outside = [name for name in loaded if name.partition(".")[0] != "sizematch"
+               and name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
 # ------------------------------------------------------------ JSON writer
 
 
@@ -705,6 +727,41 @@ def test_dumps_writes_the_bytes_of_json_dumps_indent_2():
     assert _dumps(subclassed) == json.dumps(subclassed, indent=2)
     with pytest.raises(TypeError, match=r"^Object of type object is not JSON serializable$"):
         _dumps({"a": [object()]})
+
+
+def test_dumps_of_rows_that_share_objects_writes_the_bytes_of_json_dumps_seeded():
+    # the writer reuses a row's text when the row holds the very objects of the
+    # row before it; rows that are only equal must still be written on their own
+    rng = random.Random(23)
+    nan = float("nan")
+    look_alike = [1, 1.0, True, 0.0, -0.0, nan, float("nan"), 0, False, None, "1"]
+    for trial in range(400):
+        base = [rng.choice(look_alike) for _ in range(rng.randint(1, 5))]
+        rows = []
+        for _ in range(rng.randint(1, 8)):
+            kind = rng.randrange(7)
+            last = rows[-1] if rows and isinstance(rows[-1], (list, tuple)) else base
+            if kind == 0:  # the same list object again
+                rows.append(last)
+            elif kind == 1:  # a shallow copy of one row
+                rows.append(list(last))
+            elif kind == 2:  # a prefix of the same objects, then others
+                cut = rng.randint(0, len(base))
+                rows.append(base[:cut] + [rng.choice(look_alike) for _ in range(len(base) - cut)])
+            elif kind == 3:  # equal values in distinct objects
+                rows.append([float(v) if type(v) is float else v for v in base]
+                            + [rng.choice((1, 1.0, True))])
+            elif kind == 4:  # empty rows and tuples
+                rows.append(rng.choice(([], (), tuple(base), [[]])))
+            elif kind == 5:  # nested lists and scalars between the rows
+                rows.append(rng.choice(([base, list(base)], [base[:1], {"k": base}], 7, "r")))
+            else:
+                rows.append([rng.choice(look_alike) for _ in range(len(base))])
+        data = rng.choice((rows, {"rows": rows}, [rows, rows], tuple(rows)))
+        assert _dumps(data) == json.dumps(data, indent=2), f"trial {trial}"
+    row = [0.5, "1/3", 2]
+    assert _dumps([row, row.copy(), row]) == json.dumps([row, row, row], indent=2)
+    assert _dumps([[1], [1.0], [True]]) == "[\n  [\n    1\n  ],\n  [\n    1.0\n  ],\n  [\n    true\n  ]\n]"
 
 
 @pytest.mark.parametrize("data", [{1: 2}, {"a": {None: 1}}, [{1.5: 0}], {(1, 2): 3}, {True: 1}])

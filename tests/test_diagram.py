@@ -22,6 +22,7 @@ from sizematch import (
     size_function_on_grid,
     SizePair,
 )
+from sizematch._rational import number_to_json
 from sizematch.core import _quarter_gap_grid
 from sizematch.selftest import random_size_pair
 
@@ -448,6 +449,39 @@ def test_a_diagram_builds_no_point_until_points_is_read(monkeypatch):
     assert extracted == Diagram(0, [((1, 2), 1)]) and extracted.total_multiplicity == 1
     with pytest.raises(AssertionError, match="a point was built"):
         built.points
+
+
+def test_diagram_json_is_written_from_its_rows_seeded(monkeypatch):
+    # each coordinate is encoded from its row int and the scale: the bytes are
+    # those of number_to_json on the point's Fractions, and no point is built
+    rng = random.Random(19)
+    cases = [Diagram(0, []), Diagram(F(-1, 3), [((F(1, 3), 1), 1), ((0, 10**400), 2)])]
+    cases.append(Diagram.from_json_dict(
+        {"infinity_x": 0, "points": [[0, "%d/1" % 10**400, 1], ["1/7", 0.75, 2]]}))
+    for _ in range(150):
+        dens = rng.choice([(1, 2, 1024), (1, 3, 7, 21), (2**60, 3), (5, 10**6 + 3, 64)])
+        infinity_x = F(rng.randint(-50, 50), rng.choice(dens))
+        entries = []
+        for _ in range(rng.randint(1, 8)):
+            x = infinity_x + F(rng.randint(0, 99), rng.choice(dens))
+            y = x + (F(10**400) if rng.random() < 0.05 else F(rng.randint(1, 99), rng.choice(dens)))
+            entries.append(((x, y), rng.randint(1, 3)))
+        cases.append(Diagram(infinity_x, entries))
+    expected = [
+        {"infinity_x": number_to_json(d.infinity_x),
+         "points": [[number_to_json(p.x), number_to_json(p.y), m] for p, m in d.points]}
+        for d in cases
+    ]
+    fresh = [Diagram(d.infinity_x, d.points) for d in cases]  # no points read yet
+
+    def refuse(cls, x, y):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr(ExtendedPoint, "_exact", classmethod(refuse))
+    assert any(d._scale % 2 and d._scale > 1 for d in fresh)
+    for d, want in zip(fresh, expected):
+        assert d.to_json_dict() == want
+        assert d.dumps() == json.dumps(want)
 
 
 def test_diagram_rejects_on_or_below_diagonal():

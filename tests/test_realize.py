@@ -316,6 +316,39 @@ def test_max_field_gap_equals_the_fraction_maximum_seeded():
         assert max_field_gap(a, a) == 0
 
 
+def _node_gap(a, b):
+    """max |a - b| over every node of two fields, one Fraction per node."""
+    return max(abs(F(u) - F(v)) for cu, cv in zip(a.values_per_column, b.values_per_column)
+               for u, v in zip(cu, cv))
+
+
+def test_max_field_gap_scans_each_column_pair_like_the_node_reference_seeded():
+    rng = random.Random(86)
+    shared_seen = 0
+    for trial in range(60):
+        phi, psi, params = realize(random_diagram(rng, max_points=5),
+                                   random_diagram(rng, max_points=5))
+        shared_seen += len(set(map(id, phi.values_per_column))) < phi.n_columns
+        assert max_field_gap(phi, psi) == _node_gap(phi, psi) == params.d_match, f"trial {trial}"
+    assert shared_seen >= 50
+    # one column object repeats in one field while the other field holds
+    # different columns there: the scan must key on the pair, not on one side
+    rng = random.Random(87)
+    for trial in range(60):
+        n_columns, n_rows = rng.randint(3, 8), rng.randint(2, 6)
+        x_breaks, y_breaks = range(n_columns), range(n_rows)
+        repeated = _random_column(rng, n_rows)
+        held = [repeated if rng.random() < 0.6 else _random_column(rng, n_rows)
+                for _ in range(n_columns)]
+        varied = [_random_column(rng, n_rows) for _ in range(n_columns)]
+        a, b = RectField(x_breaks, y_breaks, held), RectField(x_breaks, y_breaks, varied)
+        assert max_field_gap(a, b) == max_field_gap(b, a) == _node_gap(a, b), f"trial {trial}"
+    column = (0, 4)
+    a = RectField((0, 1, 2), (0, 1), (column, column, column))
+    b = RectField((0, 1, 2), (0, 1), ((0, 4), (0, 4), (0, 9)))
+    assert max_field_gap(a, b) == max_field_gap(b, a) == 5
+
+
 def test_value_at_equals_the_interpolation_formula_seeded():
     rng = random.Random(83)
     for trial in range(60):
@@ -441,6 +474,18 @@ def test_discretize_builds_the_reference_grid_graph_seeded():
                 assert got.edges == want.edges, case
                 assert got.vertex_values == want.vertex_values, case
                 assert got._adj == want._adj, case
+
+
+def test_discretize_equals_the_reference_grid_size_pair_seeded():
+    rng = random.Random(88)
+    for trial in range(12):
+        pair = random_diagram(rng, max_points=4), random_diagram(rng, max_points=4)
+        for field in realize(*pair)[:2]:
+            for refine in (1, 2, 3):
+                got, want = discretize(field, refine), _reference_grid(field, refine)
+                case = f"trial {trial}, refine {refine}"
+                assert got == want, case
+                assert got.n_edges == want.n_edges == len(want.edges), case
 
 
 def test_discretize_rejects_bad_refine():
