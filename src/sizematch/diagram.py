@@ -224,39 +224,55 @@ class Diagram:
 def extract_diagram(sp: SizePair) -> Diagram:
     """Cornerpoint diagram of a size pair, by one elder-rule sweep on integer ranks.
 
-    The sweep reads the size pair's value and adjacency arrays directly.
     The distinct values are sorted once and each gets an int rank (a list
-    that holds a Fraction is keyed by ``as_integer_ratio()``, so no Fraction
-    is hashed and equal values of any type share a rank); the
-    vertex positions are stable-sorted by rank, so vertices of equal value
-    keep their input order and no id is ever turned into a string.  The
-    sweep visits the positions in that order and compares ints only.  An
-    edge appears at the later of its endpoints.  The root of a class is its
-    earliest vertex.  When vertex p joins, the classes of its earlier
-    neighbours merge: every one of their roots but the oldest dies at p's
-    level and contributes the pair (its birth, p's level), whatever order
-    the neighbours are visited in.  The order among vertices of equal value
-    only decides which pairs have zero persistence, and those are
-    discarded, so the multiset of cornerpoints does not depend on it.
-    Ranks become values again only for the pairs emitted.  The oldest
-    class survives as the cornerpoint at infinity at the global minimum.
+    that holds a Fraction is ranked on ``as_integer_ratio()`` pairs, so no
+    Fraction is hashed); :func:`_sweep` reads the ranks and the size pair's
+    adjacency.  Ranks become values again only for the pairs emitted.
     """
     values, adj = sp._values, sp._adj
-    n = len(values)
-    if set(map(type, values)) <= {int, float}:
-        keys, level_key = values, None
-    else:
-        # a Fraction hashes and compares slowly: (numerator, denominator) is a
-        # cheap key that int, float and Fraction share for one value, and
-        # floor(value·2^64) orders the distinct values but those closer than
-        # 2^-64, which the values themselves then order exactly
-        keys = [value.as_integer_ratio() for value in values]
-        level_key = lambda key: ((key[0] << 64) // key[1], value_of[key])
-    value_of = dict(zip(keys, values))  # one value per distinct key
-    levels_by_key = sorted(value_of, key=level_key)
-    levels = [value_of[key] for key in levels_by_key]
-    rank_of = {key: r for r, key in enumerate(levels_by_key)}
-    rank = [rank_of[key] for key in keys]
+    if not set(map(type, values)) <= {int, float}:
+        return _ratio_diagram([value.as_integer_ratio() for value in values], adj)
+    levels = sorted(dict.fromkeys(values))  # in first-seen order, which sorts faster than a set
+    rank_of = {value: r for r, value in enumerate(levels)}
+    pairs = _sweep([rank_of[value] for value in values], adj)
+    return Diagram(levels[0], [((levels[b], levels[d]), m) for (b, d), m in pairs.items()])
+
+
+def _ratio_diagram(keys: Sequence[Tuple[int, int]], adj) -> Diagram:
+    """The diagram of the graph ``adj`` whose vertex p has the value keys[p],
+    given as (numerator, denominator) in lowest terms with denominator > 0."""
+    levels = _ratio_levels(keys)
+    rank_of = {key: r for r, key in enumerate(levels)}
+    pairs = _sweep([rank_of[key] for key in keys], adj)
+    value = lambda r: Fraction(*levels[r])
+    return Diagram(value(0), [((value(b), value(d)), m) for (b, d), m in pairs.items()])
+
+
+def _ratio_levels(keys: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """The distinct reduced (numerator, denominator) pairs of ``keys``, by value:
+    floor(value·2^64) orders them but those closer than 2^-64, and if two
+    share it, the keys are sorted again exactly."""
+    floor = {key: (key[0] << 64) // key[1] for key in dict.fromkeys(keys)}
+    levels = sorted(floor, key=floor.__getitem__)
+    if len(set(floor.values())) < len(levels):
+        levels.sort(key=lambda key: Fraction(*key))
+    return levels
+
+
+def _sweep(rank: Sequence[int], adj) -> Dict[Tuple[int, int], int]:
+    """The (birth rank, death rank) -> multiplicity pairs of the graph ``adj``
+    whose vertex p has the int rank[p]; the class of rank 0 lives on.
+
+    The positions are visited stable-sorted by rank.  An edge appears at
+    the later of its endpoints.  The root of a class is its earliest
+    vertex.  When vertex p joins, the classes of its earlier neighbours
+    merge: every one of their roots but the oldest dies at p's level and
+    contributes the pair (its birth, p's level), whatever order the
+    neighbours are visited in.  The order among vertices of equal value
+    only decides which pairs have zero persistence, and those are
+    discarded, so the multiset of pairs does not depend on it.
+    """
+    n = len(rank)
     order = sorted(range(n), key=rank.__getitem__)
     swept = [0] * n  # swept[v]: the index at which the sweep visits vertex v
     for p, v in enumerate(order):
@@ -273,7 +289,7 @@ def extract_diagram(sp: SizePair) -> Diagram:
                 if dead is not None and ranks[dead] < level:
                     key = (ranks[dead], level)
                     pairs[key] = pairs.get(key, 0) + 1
-    return Diagram(levels[0], [((levels[b], levels[d]), m) for (b, d), m in pairs.items()])
+    return pairs
 
 
 def evaluate_diagram(diagram: Diagram, x, y) -> int:

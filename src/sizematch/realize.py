@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from ._rational import as_fraction, common_denominator, number_from_json, number_to_json, on_scale
+from ._rational import as_fraction, common_denominator, number_from_json, number_to_json
+from ._rational import on_scale, ratio_to_json
 from .core import ModelViolationError, SizePair
-from .diagram import Diagram, ExtendedPoint, extract_diagram
+from .diagram import Diagram, ExtendedPoint, _ratio, _ratio_diagram
 from .matching import DIAGONAL, Matching, _check_matching_size, matching_distance
 
 __all__ = [
@@ -45,7 +46,14 @@ MIN_EPSILON = Fraction(1, 10**12)
 _MAX_GRID_NODES = 10**7
 
 
-@dataclass(frozen=True)
+def _per_column(columns: tuple, convert) -> tuple:
+    """``convert`` once per column object, so equal columns passed as one stay one;
+    the tuple ``columns`` holds every column, so no two of them share an id."""
+    done = {}
+    return tuple(done[id(vs)] if id(vs) in done else done.setdefault(id(vs), convert(vs))
+                 for vs in columns)
+
+
 class RectField:
     """Piecewise-linear field on the grid x_breaks x y_breaks.
 
@@ -54,32 +62,60 @@ class RectField:
     between columns the field interpolates linearly (nothing in the
     package ever needs values off the columns, but the model is the full
     rectangle [x_breaks[0], x_breaks[-1]] x [y_breaks[0], y_breaks[-1]]).
+
+    Each value is held as its (numerator, denominator) in lowest terms, the form the package
+    reads; ``values_per_column`` builds Fractions from these pairs when first read.
     """
 
-    x_breaks: Tuple[Fraction, ...]
-    y_breaks: Tuple[Fraction, ...]
-    values_per_column: Tuple[Tuple[Fraction, ...], ...]
+    __slots__ = ("x_breaks", "y_breaks", "_columns", "_values")
 
-    def __post_init__(self):
-        for name in ("x_breaks", "y_breaks"):
-            breaks = tuple(as_fraction(b) for b in getattr(self, name))
+    def __init__(self, x_breaks, y_breaks, values_per_column):
+        for name, given in (("x_breaks", x_breaks), ("y_breaks", y_breaks)):
+            breaks = tuple(as_fraction(b) for b in given)
             if len(breaks) < 2:
                 raise ValueError(f"{name} needs at least two entries")
             if any(b <= a for a, b in zip(breaks, breaks[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
             object.__setattr__(self, name, breaks)
-        # realize() passes equal columns as one object: convert each object once
-        # and keep its copies as one shared tuple; holding every column until
-        # the end keeps two distinct columns from ever sharing an id
-        columns = tuple(self.values_per_column)
-        converted = {}
-        for column in columns:
-            if id(column) not in converted:
-                converted[id(column)] = tuple(as_fraction(v) for v in column)
-        values = tuple(converted[id(column)] for column in columns)
-        if len(values) != len(self.x_breaks) or any(len(vs) != len(self.y_breaks) for vs in values):
+        columns = _per_column(tuple(values_per_column), lambda vs: tuple(_ratio(v) for v in vs))
+        if len(columns) != len(self.x_breaks) or any(len(vs) != len(self.y_breaks) for vs in columns):
             raise ValueError("a field needs one column per x break and one value per y break")
-        object.__setattr__(self, "values_per_column", values)
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_values", None)
+
+    @classmethod
+    def _exact(cls, x_breaks, y_breaks, columns) -> "RectField":
+        """The field of Fraction break tuples and columns of reduced int pairs, unchecked."""
+        field = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (x_breaks, y_breaks, columns, None)):
+            object.__setattr__(field, name, value)
+        return field
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a RectField")
+
+    def __reduce__(self):  # pickle and copy build the field again, not by setattr
+        return RectField._exact, (self.x_breaks, self.y_breaks, self._columns)
+
+    @property
+    def values_per_column(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        if self._values is None:
+            values = _per_column(self._columns, lambda vs: tuple(Fraction(n, d) for n, d in vs))
+            object.__setattr__(self, "_values", values)
+        return self._values
+
+    def __eq__(self, other):
+        if not isinstance(other, RectField):
+            return NotImplemented
+        key = (other.x_breaks, other.y_breaks, other._columns)
+        return (self.x_breaks, self.y_breaks, self._columns) == key
+
+    def __hash__(self):
+        return hash((self.x_breaks, self.y_breaks, self._columns))
+
+    def __repr__(self):
+        return (f"RectField(x_breaks={self.x_breaks!r}, y_breaks={self.y_breaks!r}, "
+                f"values_per_column={self.values_per_column!r})")
 
     @property
     def n_columns(self) -> int:
@@ -87,23 +123,22 @@ class RectField:
 
     def value_at(self, column: int, y) -> Fraction:
         """Exact field value on a column at height y (linear between breaks)."""
-        y, vs = as_fraction(y), self.values_per_column[column]
-        scale = common_denominator((*self.y_breaks, *vs, y))
+        y, vs = as_fraction(y), self._columns[column]
+        scale = math.lcm(common_denominator((*self.y_breaks, y)), *(d for _, d in vs))
         ys = [on_scale(b, scale) for b in self.y_breaks]
-        return _sample(ys, [on_scale(v, scale) for v in vs], (on_scale(y, scale),), scale)[0]
+        values = [n * (scale // d) for n, d in vs]
+        return Fraction(*_sample(ys, values, (on_scale(y, scale),), scale)[0])
 
     def to_json_dict(self) -> dict:
-        # the grid is encoded once and written per column, its ends as S and min_phi;
-        # each shared column tuple is encoded once and copied for its repeats
+        # the grid is encoded once and written per column, its ends as S and min_phi; each
+        # distinct value is encoded once, each shared column once and copied for its repeats
         ys = [number_to_json(y) for y in self.y_breaks]
-        encoded = {}
-        for vs in self.values_per_column:
-            if id(vs) not in encoded:
-                encoded[id(vs)] = [number_to_json(v) for v in vs]
+        codes = {key: ratio_to_json(*key) for key in set().union(*self._columns)}
+        encoded = _per_column(self._columns, lambda vs: [codes[key] for key in vs])
         return {
             "x_breaks": [number_to_json(x) for x in self.x_breaks],
             "y_breaks_per_column": [ys.copy() for _ in self.x_breaks],
-            "values_per_column": [encoded[id(vs)].copy() for vs in self.values_per_column],
+            "values_per_column": [vs.copy() for vs in encoded],
             "S": ys[-1],
             "min_phi": ys[0],
         }
@@ -193,15 +228,15 @@ class RealizationParams:
 
 def _sample(
     ys: Sequence[int], vs: Sequence[int], grid: Sequence[int], scale: int
-) -> List[Fraction]:
+) -> List[Tuple[int, int]]:
     """Values at the ascending, non-empty heights ``grid`` of the column that
     is linear between the points (ys[i], vs[i]), in one walk.
 
     Heights and values are ints on one ``scale``: the int y stands for the
-    rational y / scale.  A height between ys[i] and ys[i + 1] gets the one
-    Fraction (vs[i]·Δy + Δv·(y − ys[i])) / (scale·Δy), with Δy and Δv the
-    rises of that piece.  ``ys`` is strictly increasing; a height outside
-    [ys[0], ys[-1]] raises ValueError.
+    rational y / scale.  A height between ys[i] and ys[i + 1] gets the value
+    (vs[i]·Δy + Δv·(y − ys[i])) / (scale·Δy), with Δy and Δv the rises of
+    that piece, as its (numerator, denominator) in lowest terms.  ``ys`` is
+    strictly increasing; a height outside [ys[0], ys[-1]] raises ValueError.
     """
     for y in (grid[0], grid[-1]):
         if not ys[0] <= y <= ys[-1]:
@@ -216,9 +251,11 @@ def _sample(
         rise = y - ys[i]
         if rise:
             span = ys[i + 1] - ys[i]
-            out.append(Fraction(vs[i] * span + (vs[i + 1] - vs[i]) * rise, scale * span))
+            num, den = vs[i] * span + (vs[i + 1] - vs[i]) * rise, scale * span
         else:
-            out.append(Fraction(vs[i], scale))
+            num, den = vs[i], scale
+        common = math.gcd(num, den)
+        out.append((num // common, den // common))
     return out
 
 
@@ -307,13 +344,15 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
             else:
                 columns += (column(b, (c - e, c), (c + e, c)),) * 3
         columns.append(base)
-        fields.append(RectField(x_breaks, y_grid, columns))
+        fields.append(RectField._exact(tuple(x_breaks), y_grid, tuple(columns)))
     field_low, field_high = fields
 
-    if extract_diagram(discretize(field_low, 1)) != low:
-        raise RuntimeError("internal error: realization does not reproduce the first diagram")
-    if extract_diagram(discretize(field_high, 1)) != high:
-        raise RuntimeError("internal error: realization does not reproduce the second diagram")
+    # extract(discretize(field, 1)) on the value pairs, one grid for both fields
+    adj = _grid_adjacency(len(x_breaks), len(y_grid))
+    for field, diagram, which in ((field_low, low, "first"), (field_high, high, "second")):
+        if _ratio_diagram([key for vs in field._columns for key in vs], adj) != diagram:
+            raise RuntimeError(
+                f"internal error: realization does not reproduce the {which} diagram")
     gap = max_field_gap(field_low, field_high)
     if gap != d_match:
         raise RuntimeError(
@@ -332,6 +371,21 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
     if swapped:
         return field_high, field_low, params
     return field_low, field_high, params
+
+
+def _grid_adjacency(n_columns: int, rows: int) -> List[List[int]]:
+    """Adjacency of the 4-connected grid whose position p = ci·rows + ri is column ci,
+    row ri (rows >= 2): adj[p] lists p - 1, p + 1, p - rows, p + rows, those that exist."""
+    nodes = n_columns * rows
+    adj = [[p - 1, p + 1] for p in range(nodes)]
+    for p in range(0, nodes, rows):  # a column's bottom and top nodes
+        del adj[p][0]
+        adj[p + rows - 1].pop()
+    for p in range(rows, nodes):
+        adj[p].append(p - rows)
+    for p in range(nodes - rows):
+        adj[p].append(p + rows)
+    return adj
 
 
 def discretize(field: RectField, refine: int = 1) -> SizePair:
@@ -359,24 +413,16 @@ def discretize(field: RectField, refine: int = 1) -> SizePair:
                    for a, b in zip(breaks, breaks[1:]) for k in range(refine)]
         heights.append(breaks[-1] * refine)
         columns = []
-        for vs in field.values_per_column:
-            scale = common_denominator((*field.y_breaks, *vs)) * refine
+        for vs in field._columns:
+            scale = math.lcm(unit, *(d for _, d in vs)) * refine
             grid = [h * (scale // (unit * refine)) for h in heights]
-            columns.append(_sample(grid[::refine], [on_scale(v, scale) for v in vs], grid, scale))
-    # ids[p] names position p = ci·rows + ri; the edges go up each column, then
-    # across to the next, so adj[p] lists p - 1, p + 1, p - rows, p + rows
+            keys = _sample(grid[::refine], [n * (scale // d) for n, d in vs], grid, scale)
+            columns.append([Fraction(*key) for key in keys])
+    # ids[p] names position p = ci·rows + ri
     ids = [f"c{ci}r{ri}" for ci in range(field.n_columns) for ri in range(rows)]
-    adj = [[p - 1, p + 1] for p in range(nodes)]
-    for p in range(0, nodes, rows):  # a column's bottom and top nodes (rows >= 2)
-        del adj[p][0]
-        adj[p + rows - 1].pop()
-    for p in range(rows, nodes):
-        adj[p].append(p - rows)
-    for p in range(nodes - rows):
-        adj[p].append(p + rows)
     n_edges = field.n_columns * (rows - 1) + (field.n_columns - 1) * rows
     values = [v for column in columns for v in column]
-    return SizePair._from_adjacency(ids, values, adj, n_edges)
+    return SizePair._from_adjacency(ids, values, _grid_adjacency(field.n_columns, rows), n_edges)
 
 
 def max_field_gap(field_a: RectField, field_b: RectField) -> Fraction:
@@ -389,18 +435,16 @@ def max_field_gap(field_a: RectField, field_b: RectField) -> Fraction:
     if field_a.x_breaks != field_b.x_breaks or field_a.y_breaks != field_b.y_breaks:
         raise ValueError("fields do not share their grid")
     # |a - b| = |an·bd - bn·ad| / (ad·bd) is compared with the best so far by
-    # cross-multiplying, so no Fraction is formed per node; a field holds
-    # equal columns as one object, so each distinct pair of columns is scanned once
+    # cross-multiplying, so no Fraction is formed per node; a field holds equal
+    # columns as one object, so each distinct pair of columns is scanned once
     best_num, best_den = 0, 1
     scanned = set()
-    for va, vb in zip(field_a.values_per_column, field_b.values_per_column):
+    for va, vb in zip(field_a._columns, field_b._columns):
         pair = (id(va), id(vb))  # both fields hold their columns for the whole scan
         if pair in scanned:
             continue
         scanned.add(pair)
-        for a, b in zip(va, vb):
-            an, ad = a.as_integer_ratio()
-            bn, bd = b.as_integer_ratio()
+        for (an, ad), (bn, bd) in zip(va, vb):
             num, den = abs(an * bd - bn * ad), ad * bd
             if num * best_den > best_num * den:
                 best_num, best_den = num, den

@@ -331,7 +331,7 @@ def test_realize_self_check_failure_exits_1(files, capsys, monkeypatch):
     # at the default refine 1 the command reports realize()'s own check; the
     # package attribute sizematch.realize is the function, so fetch the module
     realize_module = importlib.import_module("sizematch.realize")
-    monkeypatch.setattr(realize_module, "extract_diagram", lambda sp: Diagram(7, []))
+    monkeypatch.setattr(realize_module, "_ratio_diagram", lambda keys, adj: Diagram(7, []))
     code, out, err = run(capsys, ["realize", files["d1"], files["d2"]])
     assert code == 1
     assert out == ""

@@ -1,8 +1,10 @@
 """Realizing diagram pairs by explicit fields on a rectangle grid."""
 
+import copy
 import hashlib
 import importlib
 import json
+import pickle
 import random
 import time
 from fractions import Fraction as F
@@ -27,6 +29,7 @@ from test_matching import HUGE
 
 # the package attribute sizematch.realize is the function, so fetch the module
 realize_module = importlib.import_module("sizematch.realize")
+diagram_module = importlib.import_module("sizematch.diagram")
 
 
 def worked_pair():
@@ -403,6 +406,18 @@ def test_extract_diagram_mixed_value_types_match_the_four_point_oracle():
             assert got == expected.get((x, y), 0), f"trial {trial}: ({x}, {y})"
 
 
+def test_ratio_levels_sort_values_closer_than_2_to_the_minus_64_exactly():
+    keys = sorted({F(v).as_integer_ratio() for v in MIXED_VALUES}, key=lambda k: F(*k))
+    floors = [(n << 64) // d for n, d in keys]
+    assert len(set(floors)) < len(floors)  # the floor key alone cannot order them
+    rng = random.Random(89)
+    for trial in range(20):
+        # descending first: a sort on the floor key alone would keep its ties in that order
+        given = keys[::-1] if trial == 0 else rng.sample(keys, len(keys))
+        given += rng.choices(keys, k=5)
+        assert diagram_module._ratio_levels(given) == keys, f"trial {trial}"
+
+
 # -------------------------------------------------------------- discretize
 
 
@@ -612,3 +627,164 @@ def test_max_field_gap_rejects_different_ranges():
             max_field_gap(a, other)
         with pytest.raises(ValueError):
             max_field_gap(other, a)
+
+
+# ------------------------------------------------------- the grid self-check
+
+
+def _float_diagram(rng, n):
+    """n points with non-dyadic float coordinates, localized above infinity_x."""
+    infinity_x = rng.uniform(-2, 2)
+    points = []
+    for _ in range(n):
+        x = infinity_x + rng.uniform(0, 10)
+        points.append((x, x + rng.uniform(0.1, 4)))
+    return Diagram(infinity_x, points)
+
+
+def _self_check_pairs(count):
+    """Seeded 8-13-point pairs, in turn float, odd-denominator and near-copy."""
+    rng = random.Random(90)
+    for trial in range(count):
+        n = rng.randint(8, 13)
+        if trial % 3 == 0:
+            yield _float_diagram(rng, n), _float_diagram(rng, rng.randint(8, 13))
+        elif trial % 3 == 1:
+            yield (_localized_diagram(rng, n, [3, 7, 21]),
+                   _localized_diagram(rng, rng.randint(8, 13), [3, 5, 9]))
+        else:
+            d1 = _localized_diagram(rng, n, [64])
+            yield d1, _moved(rng, d1, 4, 64)
+
+
+def test_grid_sweep_equals_the_extraction_of_the_discretized_field_seeded():
+    fields = 0
+    for trial, pair in enumerate(_self_check_pairs(102)):
+        for field in realize(*pair)[:2]:
+            adj = realize_module._grid_adjacency(field.n_columns, len(field.y_breaks))
+            keys = [key for column in field._columns for key in column]
+            got = diagram_module._ratio_diagram(keys, adj)
+            assert got == extract_diagram(discretize(field, 1)), f"trial {trial}"
+            fields += 1
+    assert fields >= 200
+
+
+def _break_one_node(monkeypatch, which, column, row, shift):
+    """Make realize() build its `which`-th field (0: the one anchored lower)
+    with one node moved by `shift`, before its self-check runs."""
+    made = realize_module.RectField._exact
+    calls = []
+
+    def broken(x_breaks, y_breaks, columns):
+        if len(calls) == which:
+            n, d = columns[column][row]
+            value = F(n, d) + shift
+            moved = list(columns[column])
+            moved[row] = value.as_integer_ratio()
+            columns = columns[:column] + (tuple(moved),) + columns[column + 1:]
+        calls.append(columns)
+        return made(x_breaks, y_breaks, columns)
+
+    monkeypatch.setattr(realize_module.RectField, "_exact", staticmethod(broken))
+
+
+def test_realize_self_check_catches_a_moved_pit_bottom(monkeypatch):
+    # the worked example's scale is 4: its pit bottom (1 at column 2, y = 2)
+    # moved up one unit of it makes the cornerpoint (5/4, 3)
+    d1, d2 = worked_pair()
+    _break_one_node(monkeypatch, 0, 2, 2, F(1, 4))
+    with pytest.raises(RuntimeError, match="does not reproduce the first diagram"):
+        realize(d1, d2)
+    # a plateau node of the second field moved down makes a pit there
+    monkeypatch.undo()
+    _break_one_node(monkeypatch, 1, 2, 2, F(-1, 4))
+    with pytest.raises(RuntimeError, match="does not reproduce the second diagram"):
+        realize(d1, d2)
+
+
+def test_realize_self_check_catches_a_moved_plateau_node(monkeypatch):
+    # psi's plateau at 2 raised to 9/4 under the pit bottom keeps psi's diagram
+    # but widens the gap there from 1 to 5/4
+    d1, d2 = worked_pair()
+    _break_one_node(monkeypatch, 1, 2, 2, F(1, 4))
+    with pytest.raises(RuntimeError, match=r"realized field gap 5/4 differs from the matching distance 1"):
+        realize(d1, d2)
+
+
+# ------------------------------------------------------------ RectField API
+
+WORKED_PHI_REPR = (
+    "RectField(x_breaks=(Fraction(0, 1), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), "
+    "Fraction(1, 1)), y_breaks=(Fraction(0, 1), Fraction(7, 4), Fraction(2, 1), Fraction(9, 4), "
+    "Fraction(4, 1)), values_per_column=((Fraction(0, 1), Fraction(7, 4), Fraction(2, 1), "
+    "Fraction(9, 4), Fraction(4, 1)), (Fraction(0, 1), Fraction(3, 1), Fraction(3, 1), "
+    "Fraction(3, 1), Fraction(4, 1)), (Fraction(0, 1), Fraction(3, 1), Fraction(1, 1), "
+    "Fraction(3, 1), Fraction(4, 1)), (Fraction(0, 1), Fraction(3, 1), Fraction(3, 1), "
+    "Fraction(3, 1), Fraction(4, 1)), (Fraction(0, 1), Fraction(7, 4), Fraction(2, 1), "
+    "Fraction(9, 4), Fraction(4, 1))))"
+)
+
+
+def test_rect_field_values_per_column_equal_value_at_seeded():
+    for trial, pair in enumerate(_self_check_pairs(6)):
+        for field in realize(*pair)[:2]:
+            columns = field.values_per_column
+            assert columns is field.values_per_column  # built once
+            assert columns[0] is columns[-1]
+            for ci, column in enumerate(columns):
+                assert all(type(v) is F for v in column)
+                assert column == tuple(field.value_at(ci, y) for y in field.y_breaks), trial
+
+
+def test_rect_field_equality_and_hash_agree_across_constructors_seeded():
+    for trial, pair in enumerate(_self_check_pairs(9)):
+        phi, psi, _ = realize(*pair)
+        for field in (phi, psi):
+            again = RectField.loads(field.dumps())
+            public = RectField(field.x_breaks, field.y_breaks,
+                               [list(vs) for vs in field.values_per_column])
+            floats = RectField([float(x) if x.denominator == 1 else x for x in field.x_breaks],
+                               field.y_breaks, field.values_per_column)
+            for other in (again, public, floats):
+                assert other == field and field == other, f"trial {trial}"
+                assert hash(other) == hash(field), f"trial {trial}"
+                assert other.dumps() == field.dumps()
+    a = RectField((0, 1), (0, 1), ((0, 1), (0, 1)))
+    assert a != RectField((0, 1), (0, 1), ((0, 1), (0, F(3, 2))))
+    assert a != RectField((0, 2), (0, 1), ((0, 1), (0, 1)))
+    assert a != ((0, 1), (0, 1), ((0, 1), (0, 1)))
+
+
+def test_rect_field_repr_is_the_dataclass_repr():
+    phi, _, _ = realize(*worked_pair())
+    assert repr(phi) == WORKED_PHI_REPR
+    assert repr(RectField.loads(phi.dumps())) == WORKED_PHI_REPR
+
+
+def test_rect_field_refuses_assignment_but_copies_and_pickles():
+    phi, _, _ = realize(*worked_pair())
+    for name in ("x_breaks", "y_breaks", "values_per_column", "_columns", "other"):
+        with pytest.raises(AttributeError):
+            setattr(phi, name, ())
+    assert phi.n_columns == 5
+    for again in (copy.copy(phi), copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):
+        assert again == phi and repr(again) == WORKED_PHI_REPR
+        assert again.values_per_column[0] is again.values_per_column[-1]
+
+
+def test_realize_near_copy_80_points_budget():
+    rng = random.Random(0)
+    d1 = random_diagram(rng, max_points=80)
+    while d1.total_multiplicity < 80:
+        d1 = random_diagram(rng, max_points=80)
+    move = lambda: F(rng.randint(-1, 1), 8)
+    points = []
+    for p in d1.expanded():
+        x = max(p.x + move(), d1.infinity_x)
+        points.append((x, max(p.y + move(), x + F(1, 8))))
+    d2 = Diagram(d1.infinity_x, points)
+    start = time.perf_counter()
+    phi, psi, params = realize(d1, d2)
+    elapsed = time.perf_counter() - start
+    assert len(params.structures) == 80
+    assert elapsed < 2, f"realize took {elapsed:.2f} s"
