@@ -27,7 +27,7 @@ from .core import ModelViolationError, ParseError, SizePair, load_size_pair
 from .diagram import Diagram, extract_diagram
 from .matching import DIAGONAL, matching_distance, pseudo_distance_d, stability_probe
 from .bounds import bound_report
-from .realize import discretize, realize
+from .realize import _field_diagrams, realize
 from .selftest import perturbed_values, run_selftest
 
 __all__ = ["main"]
@@ -242,16 +242,11 @@ def _cmd_realize(args) -> int:
     _check_at_least("--refine", args.refine, 1)
     d1 = _load_diagram(args.diagram1)
     d2 = _load_diagram(args.diagram2)
-    # realize() raises RuntimeError (exit 1) unless extract(discretize(field, 1))
-    # gives back each diagram and max_field_gap(phi, psi) == d_match
+    # realize() checks refine 1 and the gap itself (RuntimeError: exit 1); a finer grid is checked here
     phi, psi, params = realize(d1, d2)
     gap = params.d_match
-    if args.refine == 1:
-        round_phi = round_psi = True
-    else:
-        round_phi = extract_diagram(discretize(phi, args.refine)) == d1
-        round_psi = extract_diagram(discretize(psi, args.refine)) == d2
-    ok = round_phi and round_psi
+    got = _field_diagrams((phi, psi), args.refine) if args.refine > 1 else (d1, d2)
+    round_phi, round_psi = got[0] == d1, got[1] == d2
     if args.format == "json":
         _print_json(
             {
@@ -272,7 +267,7 @@ def _cmd_realize(args) -> int:
             x = float(x)
             lines.extend(f"{x},{y},{float(a)},{float(b)}" for y, a, b in zip(ys, vs_phi, vs_psi))
         print("\n".join(lines))
-    if not ok:
+    if not (round_phi and round_psi):
         print(f"error: realization failed its round-trip check at refine {args.refine}",
               file=sys.stderr)
         return 1

@@ -42,7 +42,7 @@ __all__ = [
 # smallest structure half-width realize() accepts
 MIN_EPSILON = Fraction(1, 10**12)
 
-# most grid nodes discretize() samples; at ~700 bytes a node this is ~7 GB
+# most grid nodes a field is sampled on; as discretize()'s size pair, ~700 bytes a node, ~7 GB
 _MAX_GRID_NODES = 10**7
 
 
@@ -122,12 +122,12 @@ class RectField:
         return len(self.x_breaks)
 
     def value_at(self, column: int, y) -> Fraction:
-        """Exact field value on a column at height y (linear between breaks)."""
-        y, vs = as_fraction(y), self._columns[column]
-        scale = math.lcm(common_denominator((*self.y_breaks, y)), *(d for _, d in vs))
-        ys = [on_scale(b, scale) for b in self.y_breaks]
-        values = [n * (scale // d) for n, d in vs]
-        return Fraction(*_sample(ys, values, (on_scale(y, scale),), scale)[0])
+        """Exact value on a column 0 <= column < n_columns at height y (linear between breaks)."""
+        if not 0 <= column < self.n_columns:
+            raise IndexError(f"column {column} is outside 0 <= column < n_columns = {self.n_columns}")
+        y = as_fraction(y)
+        unit = common_denominator((*self.y_breaks, y))
+        return Fraction(*_resample(self.y_breaks, self._columns[column], [on_scale(y, unit)], unit)[0])
 
     def to_json_dict(self) -> dict:
         # the grid is encoded once and written per column, its ends as S and min_phi; each
@@ -281,8 +281,7 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
     swapped = d2.infinity_x < d1.infinity_x
     low, high = (d2, d1) if swapped else (d1, d2)
     d_match, matching = matching_distance(low, high)
-    min_phi = low.infinity_x
-    min_psi = high.infinity_x
+    min_phi, min_psi = low.infinity_x, high.infinity_x
 
     S = max(low.infinity_x, high.infinity_x, *(p.y for d in (low, high) for p, _ in d.points)) + 1
 
@@ -302,8 +301,7 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
         if epsilon < MIN_EPSILON:
             raise ValueError(f"structure half-width {epsilon} underflows the minimum {MIN_EPSILON}")
         structures.append(
-            StructureParams(kind=kind, left=left, right=right, center=center, epsilon=epsilon)
-        )
+            StructureParams(kind=kind, left=left, right=right, center=center, epsilon=epsilon))
         y_breaks.update((center - epsilon, center, center + epsilon))
     y_grid = tuple(sorted(y_breaks))
 
@@ -347,27 +345,16 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
         fields.append(RectField._exact(tuple(x_breaks), y_grid, tuple(columns)))
     field_low, field_high = fields
 
-    # extract(discretize(field, 1)) on the value pairs, one grid for both fields
-    adj = _grid_adjacency(len(x_breaks), len(y_grid))
-    for field, diagram, which in ((field_low, low, "first"), (field_high, high, "second")):
-        if _ratio_diagram([key for vs in field._columns for key in vs], adj) != diagram:
-            raise RuntimeError(
-                f"internal error: realization does not reproduce the {which} diagram")
+    for extracted, diagram, which in zip(_field_diagrams(fields, 1), (low, high), ("first", "second")):
+        if extracted != diagram:
+            raise RuntimeError(f"internal error: realization does not reproduce the {which} diagram")
     gap = max_field_gap(field_low, field_high)
     if gap != d_match:
         raise RuntimeError(
-            f"internal error: realized field gap {gap} differs from the matching distance {d_match}"
-        )
+            f"internal error: realized field gap {gap} differs from the matching distance {d_match}")
 
-    params = RealizationParams(
-        S=S,
-        min_phi=min_phi,
-        min_psi=min_psi,
-        swapped=swapped,
-        d_match=d_match,
-        structures=tuple(structures),
-        matching=matching,
-    )
+    params = RealizationParams(S=S, min_phi=min_phi, min_psi=min_psi, swapped=swapped,
+                               d_match=d_match, structures=tuple(structures), matching=matching)
     if swapped:
         return field_high, field_low, params
     return field_low, field_high, params
@@ -388,6 +375,44 @@ def _grid_adjacency(n_columns: int, rows: int) -> List[List[int]]:
     return adj
 
 
+def _resample(y_breaks, pairs, heights, unit: int) -> List[Tuple[int, int]]:
+    """The reduced value pairs at the ascending ``heights`` (ints on ``unit``, a multiple of every
+    break's denominator) of the column that is ``pairs[i]`` at ``y_breaks[i]`` and linear between."""
+    scale = math.lcm(unit, *(d for _, d in pairs))
+    ys = [on_scale(b, scale) for b in y_breaks]
+    values = [n * (scale // d) for n, d in pairs]
+    return _sample(ys, values, [h * (scale // unit) for h in heights], scale)
+
+
+def _grid_values(field: RectField, refine: int) -> Tuple[int, List[Tuple[int, int]]]:
+    """(rows, node value pairs by position p = ci·rows + ri) of ``discretize(field, refine)``."""
+    if isinstance(refine, bool) or not isinstance(refine, int) or refine < 1:
+        raise ValueError(f"refine must be a positive integer, got {refine!r}")
+    rows = (len(field.y_breaks) - 1) * refine + 1
+    nodes = field.n_columns * rows
+    if nodes > _MAX_GRID_NODES:
+        raise ValueError(f"refine {refine} would sample {nodes} grid nodes, more than {_MAX_GRID_NODES}")
+    columns = field._columns
+    if refine > 1:
+        # the rows a + (b - a)·k/refine are ints on unit·refine; each distinct column is sampled once
+        unit = common_denominator(field.y_breaks) * refine
+        breaks = [on_scale(y, unit) for y in field.y_breaks]
+        heights = [a + (b - a) // refine * k for a, b in zip(breaks, breaks[1:]) for k in range(refine)]
+        heights.append(breaks[-1])
+        columns = _per_column(columns, lambda vs: _resample(field.y_breaks, vs, heights, unit))
+    return rows, [key for vs in columns for key in vs]
+
+
+def _field_diagrams(fields: Sequence[RectField], refine: int) -> List[Diagram]:
+    """``extract_diagram(discretize(field, refine))`` of each field; the fields share one grid."""
+    diagrams, adj = [], None
+    for field in fields:  # one field's values at a time
+        rows, values = _grid_values(field, refine)
+        adj = adj or _grid_adjacency(field.n_columns, rows)
+        diagrams.append(_ratio_diagram(values, adj))
+    return diagrams
+
+
 def discretize(field: RectField, refine: int = 1) -> SizePair:
     """Sample a field onto a 4-connected grid graph.
 
@@ -396,32 +421,12 @@ def discretize(field: RectField, refine: int = 1) -> SizePair:
     Values are sampled exactly.  A grid of more than 10^7 nodes is refused
     with ValueError before anything is sampled.
     """
-    if isinstance(refine, bool) or not isinstance(refine, int) or refine < 1:
-        raise ValueError(f"refine must be a positive integer, got {refine!r}")
-    rows = (len(field.y_breaks) - 1) * refine + 1
-    nodes = field.n_columns * rows
-    if nodes > _MAX_GRID_NODES:
-        raise ValueError(f"refine {refine} would sample {nodes} grid nodes, more than {_MAX_GRID_NODES}")
-    if refine == 1:
-        columns = field.values_per_column
-    else:
-        # the rows a + (b - a)·k/refine are ints on unit·refine; each column
-        # is sampled on its own scale, a multiple of that
-        unit = common_denominator(field.y_breaks)
-        breaks = [on_scale(y, unit) for y in field.y_breaks]
-        heights = [a * refine + (b - a) * k
-                   for a, b in zip(breaks, breaks[1:]) for k in range(refine)]
-        heights.append(breaks[-1] * refine)
-        columns = []
-        for vs in field._columns:
-            scale = math.lcm(unit, *(d for _, d in vs)) * refine
-            grid = [h * (scale // (unit * refine)) for h in heights]
-            keys = _sample(grid[::refine], [n * (scale // d) for n, d in vs], grid, scale)
-            columns.append([Fraction(*key) for key in keys])
+    rows, values = _grid_values(field, refine)
     # ids[p] names position p = ci·rows + ri
     ids = [f"c{ci}r{ri}" for ci in range(field.n_columns) for ri in range(rows)]
     n_edges = field.n_columns * (rows - 1) + (field.n_columns - 1) * rows
-    values = [v for column in columns for v in column]
+    fraction = {key: Fraction(*key) for key in set(values)}
+    values = [fraction[key] for key in values]
     return SizePair._from_adjacency(ids, values, _grid_adjacency(field.n_columns, rows), n_edges)
 
 

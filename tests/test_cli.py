@@ -341,7 +341,7 @@ def test_realize_self_check_failure_exits_1(files, capsys, monkeypatch):
 
 def test_realize_refined_round_trip_failure_exits_1(files, capsys, monkeypatch):
     # refine > 1 runs the command's own round trips
-    monkeypatch.setattr("sizematch.cli.extract_diagram", lambda sp: Diagram(7, []))
+    monkeypatch.setattr("sizematch.cli._field_diagrams", lambda fields, refine: [Diagram(7, [])] * 2)
     code, out, err = run(capsys, ["realize", files["d1"], files["d2"], "--refine", "2"])
     assert code == 1
     data = json.loads(out)

@@ -541,6 +541,14 @@ def test_rect_field_value_at_interpolates():
     assert phi.value_at(2, 4) == 4
 
 
+def test_rect_field_value_at_refuses_a_column_outside_the_field():
+    phi, _, _ = realize(*worked_pair())  # 5 columns
+    for column in (-1, phi.n_columns):
+        with pytest.raises(IndexError, match=r"^column -?\d+ is outside 0 <= column < n_columns = 5$"):
+            phi.value_at(column, 1)
+    assert phi.value_at(phi.n_columns - 1, 1) == phi.value_at(0, 1)
+
+
 def test_rect_field_json_round_trip_with_thirds():
     d1, d2 = worked_pair()
     phi, _, _ = realize(d1, d2)
@@ -660,12 +668,13 @@ def _self_check_pairs(count):
 def test_grid_sweep_equals_the_extraction_of_the_discretized_field_seeded():
     fields = 0
     for trial, pair in enumerate(_self_check_pairs(102)):
-        for field in realize(*pair)[:2]:
-            adj = realize_module._grid_adjacency(field.n_columns, len(field.y_breaks))
-            keys = [key for column in field._columns for key in column]
-            got = diagram_module._ratio_diagram(keys, adj)
-            assert got == extract_diagram(discretize(field, 1)), f"trial {trial}"
-            fields += 1
+        phi, psi, _ = realize(*pair)
+        for refine in (1, 2, 3):
+            got = realize_module._field_diagrams((phi, psi), refine)
+            for field, diagram in zip((phi, psi), got):
+                want = extract_diagram(discretize(field, refine))
+                assert diagram == want, f"trial {trial}, refine {refine}"
+        fields += 2
     assert fields >= 200
 
 
