@@ -7,108 +7,17 @@ realizes any pair of diagrams by explicit piecewise-linear fields whose
 gap equals the matching distance.
 """
 
-from .core import (
-    DisconnectedGraphError,
-    ModelViolationError,
-    ParseError,
-    SizePair,
-    SublevelPartition,
-    load_size_pair,
-    parse_size_pair,
-    reduced_size_function,
-    shifted_inequality_check,
-    size_function_on_grid,
-    sublevel_components,
-)
-from .diagram import (
-    Diagram,
-    ExtendedPoint,
-    count_in_square,
-    evaluate_diagram,
-    evaluate_diagram_on_grid,
-    extract_diagram,
-    multiplicity,
-    multiplicity_at_infinity,
-    multiplicity_grid,
-)
-from .matching import (
-    DIAGONAL,
-    Matching,
-    MatchTarget,
-    brute_force_matching_distance,
-    matching_distance,
-    pseudo_distance_d,
-    stability_probe,
-)
-from .bounds import (
-    BoundReport,
-    EarlierWitness,
-    NotIsomorphicError,
-    bound_report,
-    earlier_bound,
-    earlier_bound_grid_oracle,
-    exact_graph_pseudo_distance,
-)
-from .realize import (
-    RealizationParams,
-    RectField,
-    StructureParams,
-    discretize,
-    max_field_gap,
-    realize,
-)
+from . import bounds, core, diagram, matching, realize
 from .selftest import SuiteResult, run_selftest
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "SizePair",
-    "SublevelPartition",
-    "ParseError",
-    "ModelViolationError",
-    "DisconnectedGraphError",
-    "parse_size_pair",
-    "load_size_pair",
-    "sublevel_components",
-    "reduced_size_function",
-    "size_function_on_grid",
-    "shifted_inequality_check",
-    # diagram
-    "ExtendedPoint",
-    "Diagram",
-    "extract_diagram",
-    "evaluate_diagram",
-    "evaluate_diagram_on_grid",
-    "multiplicity",
-    "multiplicity_at_infinity",
-    "multiplicity_grid",
-    "count_in_square",
-    # matching
-    "DIAGONAL",
-    "MatchTarget",
-    "Matching",
-    "pseudo_distance_d",
-    "matching_distance",
-    "brute_force_matching_distance",
-    "stability_probe",
-    # bounds
-    "NotIsomorphicError",
-    "EarlierWitness",
-    "BoundReport",
-    "earlier_bound",
-    "earlier_bound_grid_oracle",
-    "exact_graph_pseudo_distance",
-    "bound_report",
-    # realize
-    "RectField",
-    "StructureParams",
-    "RealizationParams",
-    "realize",
-    "discretize",
-    "max_field_gap",
-    # selftest
-    "SuiteResult",
-    "run_selftest",
-]
+# read before the star imports, the last of which rebinds realize to the function
+__all__ = ["__version__", *(name for module in (core, diagram, matching, bounds, realize)
+                            for name in module.__all__), "SuiteResult", "run_selftest"]
+
+from .core import *  # noqa: E402,F403
+from .diagram import *  # noqa: E402,F403
+from .matching import *  # noqa: E402,F403
+from .bounds import *  # noqa: E402,F403
+from .realize import *  # noqa: E402,F403

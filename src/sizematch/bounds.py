@@ -88,8 +88,8 @@ def earlier_bound(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Optional[EarlierW
     each point at infinity becomes the unit (infinity_x, cut).  A pair is
     skipped when it cannot beat the best so far: its width is at most twice
     the best, or c units of d2 already dominate (ax + best, by - best).  A
-    pair that is not skipped finds g* by sorting the thresholds below its
-    half width.
+    pair that is not skipped finds g* by sorting only the thresholds above
+    the best and below its half width.
 
     The pairs are visited with ``ax`` ascending and ``by`` descending, over
     two rows of counts.  ``counts1[b]`` holds the multiplicity of the d1
@@ -139,15 +139,17 @@ def earlier_bound(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Optional[EarlierW
             if by - ax <= 2 * best:
                 break
             c += counts1[b]
-            if row2[bisect_left(ys2, by - best)] >= c:
+            # row2 holds the units with thresholds <= best: g* is the rank-th of the rest
+            rank = c - row2[bisect_left(ys2, by - best)]
+            if rank <= 0:
                 continue  # g* <= best; this also skips c == 0
             # g* > best, so the worth beats best: min(half, g*), g* selected
-            # from the thresholds below half
+            # from the thresholds in (best, half)
             half = (by - ax) // 2
             x_limit, y_limit = ax + half, by - half
-            rank = c
+            x_best, y_best = ax + best, by - best
             for t, m in sorted((max(qx - ax, by - qy), m) for qx, qy, m in units2
-                               if qx < x_limit and qy > y_limit):
+                               if qx < x_limit and qy > y_limit and (qx > x_best or qy < y_best)):
                 rank -= m
                 if rank <= 0:
                     half = t

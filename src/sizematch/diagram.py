@@ -364,41 +364,34 @@ def multiplicity_grid(sp: SizePair, coords: Sequence) -> Dict[Tuple, int]:
     One shared probe offset (a quarter of the minimal gap of the critical
     values extended with all coordinates) is below every local constancy
     scale, so the values agree with :func:`multiplicity` pointwise while
-    using four grid sweeps instead of four evaluations per pair.
+    reading one grid sweep over the coordinates ± the offset instead of
+    four evaluations per pair.
     """
     coords = sorted({as_fraction(c) for c in coords})
     if len(coords) < 2:
         return {}
     extended = sorted(set(coords) | {as_fraction(v) for v in sp.critical_values})
     eps = _min_gap(extended) / 4
-    xs_plus = [c + eps for c in coords]
-    xs_minus = [c - eps for c in coords]
-    ys_minus = [c - eps for c in coords]
-    ys_plus = [c + eps for c in coords]
-    grid_a = size_function_on_grid(sp, xs_plus, ys_minus)
-    grid_b = size_function_on_grid(sp, xs_minus, ys_minus)
-    grid_c = size_function_on_grid(sp, xs_plus, ys_plus)
-    grid_e = size_function_on_grid(sp, xs_minus, ys_plus)
-    result: Dict[Tuple, int] = {}
-    for i, x in enumerate(coords):
-        for y in coords[i + 1 :]:
-            result[(x, y)] = (
-                grid_a[(x + eps, y - eps)]
-                - grid_b[(x - eps, y - eps)]
-                - grid_c[(x + eps, y + eps)]
-                + grid_e[(x - eps, y + eps)]
-            )
-    return result
+    probes = [c + sign * eps for c in coords for sign in (-1, 1)]
+    table = size_function_on_grid(sp, probes, probes)
+    at = lambda x, y: table[x, y]
+    return {(x, y): _four_point(at, x, y, eps)
+            for i, x in enumerate(coords) for y in coords[i + 1 :]}
+
+
+def _four_point(l, x, y, e) -> int:
+    """l(x+e, y-e) - l(x-e, y-e) - l(x+e, y+e) + l(x-e, y+e): the multiplicity of the
+    size function ``l`` in the half-open square of half-side e centred at (x, y)."""
+    return l(x + e, y - e) - l(x - e, y - e) - l(x + e, y + e) + l(x - e, y + e)
 
 
 def count_in_square(sp: SizePair, center, eta) -> int:
     """Total multiplicity inside the half-open square of half-side eta at center.
 
     ``center`` is a proper :class:`ExtendedPoint` or an (x, y) pair.  Uses
-    the inclusion-exclusion of the four corner evaluations a=(x+eta, y-eta),
-    b=(x-eta, y-eta), c=(x+eta, y+eta), e=(x-eta, y+eta):
-    l(a) - l(b) - l(c) + l(e).  The square must sit inside the half-plane:
-    eta > 0 and x + eta < y - eta, otherwise ValueError.
+    the four-point formula of :func:`multiplicity` with e = eta.  The square
+    must sit inside the half-plane: eta > 0 and x + eta < y - eta, otherwise
+    ValueError.
     """
     if isinstance(center, ExtendedPoint):
         if center.is_at_infinity:
@@ -418,8 +411,4 @@ def count_in_square(sp: SizePair, center, eta) -> int:
         raise ValueError(
             f"degenerate square: need center_x + eta < center_y - eta, got ({cx}, {cy}), eta={eta}"
         )
-    a = reduced_size_function(sp, cx + eta, cy - eta)
-    b = reduced_size_function(sp, cx - eta, cy - eta)
-    c = reduced_size_function(sp, cx + eta, cy + eta)
-    e = reduced_size_function(sp, cx - eta, cy + eta)
-    return a - b - c + e
+    return _four_point(lambda x, y: reduced_size_function(sp, x, y), cx, cy, eta)

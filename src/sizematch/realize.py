@@ -33,6 +33,7 @@ from .matching import DIAGONAL, Matching, _check_matching_size, matching_distanc
 
 __all__ = [
     "RectField",
+    "StructureParams",
     "RealizationParams",
     "realize",
     "discretize",
@@ -312,6 +313,7 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
     for i in range(len(structures), 0, -1):
         x_breaks += (Fraction(1, 3 * i + 1), Fraction(1, 3 * i), Fraction(1, 3 * i - 1))
     x_breaks.append(Fraction(1))
+    _check_grid(len(x_breaks), len(y_grid), 1)  # the self-check's grid, before a field is sampled
 
     # every knot height and value below is min_phi, min_psi, S, a diagram
     # coordinate or c, c ± e of y_grid, so all of them are ints on one scale
@@ -384,14 +386,19 @@ def _resample(y_breaks, pairs, heights, unit: int) -> List[Tuple[int, int]]:
     return _sample(ys, values, [h * (scale // unit) for h in heights], scale)
 
 
+def _check_grid(n_columns: int, rows: int, refine: int) -> None:
+    """Refuse a grid of ``n_columns`` x ``rows`` nodes, ``refine`` per break gap, above the cap."""
+    nodes = n_columns * rows
+    if nodes > _MAX_GRID_NODES:
+        raise ValueError(f"refine {refine} would sample {nodes} grid nodes, more than {_MAX_GRID_NODES}")
+
+
 def _grid_values(field: RectField, refine: int) -> Tuple[int, List[Tuple[int, int]]]:
     """(rows, node value pairs by position p = ci·rows + ri) of ``discretize(field, refine)``."""
     if isinstance(refine, bool) or not isinstance(refine, int) or refine < 1:
         raise ValueError(f"refine must be a positive integer, got {refine!r}")
     rows = (len(field.y_breaks) - 1) * refine + 1
-    nodes = field.n_columns * rows
-    if nodes > _MAX_GRID_NODES:
-        raise ValueError(f"refine {refine} would sample {nodes} grid nodes, more than {_MAX_GRID_NODES}")
+    _check_grid(field.n_columns, rows, refine)
     columns = field._columns
     if refine > 1:
         # the rows a + (b - a)·k/refine are ints on unit·refine; each distinct column is sampled once

@@ -529,6 +529,21 @@ def test_discretize_refuses_a_grid_too_large_before_sampling(monkeypatch):
         discretize(phi, 3)
 
 
+def test_realize_refuses_an_oversized_grid_before_sampling_a_field(monkeypatch):
+    # six points against an empty diagram: 20 columns of 20 rows, 400 nodes
+    calls = []
+    sample = realize_module._sample
+    monkeypatch.setattr(realize_module, "_sample", lambda *a: calls.append(1) or sample(*a))
+    monkeypatch.setattr(realize_module, "_MAX_GRID_NODES", 100)
+    d1 = Diagram(0, [((i, i + 2 + F(i, 7)), 1) for i in range(6)])
+    with pytest.raises(ValueError, match=r"^refine 1 would sample 400 grid nodes, more than 100$"):
+        realize(d1, Diagram(0, []))
+    assert calls == []
+    monkeypatch.setattr(realize_module, "_MAX_GRID_NODES", 400)  # the cap itself is allowed
+    assert realize(d1, Diagram(0, []))[2].d_match > 0
+    assert calls
+
+
 # ------------------------------------------------------------------- fields
 
 
