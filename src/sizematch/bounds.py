@@ -21,7 +21,6 @@ earlier_bound <= matching_distance <= exact_graph_pseudo_distance.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ._rational import as_fraction, number_to_json
 from .core import SizePair
-from .diagram import Diagram, evaluate_diagram, extract_diagram
+from .diagram import Diagram, _on_one_unit, evaluate_diagram, extract_diagram
 from .matching import Matching, matching_distance
 
 __all__ = [
@@ -96,9 +95,9 @@ def earlier_bound(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Optional[EarlierW
     units passed so far with y = tops[b], so c is a running sum down the
     tops.  ``row2[j]`` = l2(ax + best, ys2[j]-) gains a unit's multiplicity
     on its first entries once ``ax + best``, which never decreases, passes
-    the unit.  All of it runs on ints: ``unit`` is twice the lcm of the two
-    diagrams' integer scales, so widths halve exactly, and their rows are
-    multiplied up to it.
+    the unit.  All of it runs on the ints of ``_on_one_unit``: ``unit`` is
+    twice the lcm of the two diagrams' integer scales, so widths halve
+    exactly, and their rows are multiplied up to it.
 
     Every positive threshold and width is at least the minimal gap ``gap``
     between breaks of both diagrams, so s >= gap/2, and the witness
@@ -106,11 +105,7 @@ def earlier_bound(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Optional[EarlierW
     strictly admissible and separating; it is re-checked by direct
     evaluation.  On an empty admissible set the result is (0, None).
     """
-    unit = 2 * math.lcm(d1._scale, d2._scale)
-    units1, units2 = (
-        [(x * f, y * f, m) for x, y, m in d._rows]
-        for d, f in ((d1, unit // d1._scale), (d2, unit // d2._scale))
-    )
+    unit, units1, units2 = _on_one_unit(d1, d2)
     infinity1, infinity2 = (int(d.infinity_x * unit) for d in (d1, d2))
     breaks = sorted({infinity1, infinity2, *(c for u in units1 + units2 for c in u[:2])})
     cut = 2 * breaks[-1] - breaks[0] + unit

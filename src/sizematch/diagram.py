@@ -123,8 +123,8 @@ class Diagram:
 
     ``_scale`` is the lcm of the denominators of infinity_x and of every
     coordinate, and ``_rows`` holds (x*_scale, y*_scale, m) per distinct
-    point, sorted: the one stored form, read by matching, earlier_bound,
-    ``==`` and ``hash``.  Coordinates are read as int ratios (a float by
+    point, sorted: the one stored form, read by ``_on_one_unit``, ``==``
+    and ``hash``.  Coordinates are read as int ratios (a float by
     ``as_integer_ratio``), and ``points`` is built from the rows when first read.
     """
 
@@ -219,6 +219,19 @@ class Diagram:
     @classmethod
     def loads(cls, text: str) -> "Diagram":
         return cls.from_json_dict(json.loads(text))
+
+
+def _on_one_unit(d1: Diagram, d2: Diagram) -> Tuple[int, List[tuple], List[tuple]]:
+    """Both diagrams' rows on one int unit: ``(unit, rows1, rows2)``.
+
+    ``unit`` is twice the lcm of the two integer scales, and each row
+    (X, Y, m) holds (x*unit, y*unit, m), in the diagram's (x, y) order.
+    Every coordinate is even, so a half persistence (Y - X) // 2 is exact.
+    """
+    unit = 2 * math.lcm(d1._scale, d2._scale)
+    rows1, rows2 = ([(x * f, y * f, m) for x, y, m in d._rows]
+                    for d, f in ((d1, unit // d1._scale), (d2, unit // d2._scale)))
+    return unit, rows1, rows2
 
 
 def extract_diagram(sp: SizePair) -> Diagram:

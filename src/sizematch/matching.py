@@ -24,7 +24,7 @@ from typing import List, Tuple, Union
 
 from ._rational import as_fraction, number_from_json, number_to_json
 from .core import SizePair
-from .diagram import Diagram, ExtendedPoint, extract_diagram
+from .diagram import Diagram, ExtendedPoint, _on_one_unit, extract_diagram
 
 __all__ = [
     "DIAGONAL",
@@ -102,35 +102,35 @@ class Matching:
 
     @classmethod
     def from_json_dict(cls, data: dict, infinity_left=None, infinity_right=None) -> "Matching":
-        """Rebuild a matching; 'inf' entries need the diagrams' abscissas."""
-        if not isinstance(data, dict) or "pairs" not in data or "cost" not in data:
-            raise ValueError("matching JSON: expected an object with 'cost' and 'pairs'")
+        """Rebuild a matching; 'inf' entries need the diagrams' abscissas.
+
+        Every malformed input raises ValueError("matching JSON: ...").
+        """
+        rows = data.get("pairs") if isinstance(data, dict) else None
+        if not isinstance(rows, list) or "cost" not in data:
+            raise ValueError("matching JSON: expected an object with 'cost' and a list 'pairs'")
 
         def decode(side, abscissa, label):
             if side == "diag":
                 return DIAGONAL
             if side == "inf":
                 if abscissa is None:
-                    raise ValueError(
-                        f"matching JSON: cannot rebuild the {label} point at infinity "
-                        "without its abscissa"
-                    )
+                    raise ValueError(f"no abscissa for the {label} point at infinity")
                 return ExtendedPoint.at_infinity(abscissa)
             if isinstance(side, (list, tuple)) and len(side) == 2:
                 return ExtendedPoint(number_from_json(side[0]), number_from_json(side[1]))
-            raise ValueError(f"matching JSON: bad pair side {side!r}")
+            raise ValueError(f"bad pair side {side!r}")
 
-        pairs = []
-        for row in data["pairs"]:
-            if not isinstance(row, dict) or "left" not in row or "right" not in row:
-                raise ValueError(f"matching JSON: bad pair row {row!r}")
-            pairs.append(
-                (
-                    decode(row["left"], infinity_left, "left"),
-                    decode(row["right"], infinity_right, "right"),
-                )
-            )
-        return cls(pairs=tuple(pairs), cost=number_from_json(data["cost"]))
+        try:
+            pairs = []
+            for row in rows:
+                if not isinstance(row, dict) or "left" not in row or "right" not in row:
+                    raise ValueError(f"bad pair row {row!r}")
+                pairs.append((decode(row["left"], infinity_left, "left"),
+                              decode(row["right"], infinity_right, "right")))
+            return cls(pairs=tuple(pairs), cost=number_from_json(data["cost"]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"matching JSON: {exc}") from exc
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -205,69 +205,70 @@ def _check_matching_size(d1: Diagram, d2: Diagram) -> None:
             )
 
 
-class _Instance:
-    """Expanded proper points of both diagrams, every cost an int on one scale.
+def matching_distance(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Matching]:
+    """Bottleneck matching distance and an optimal witness.
 
-    Direct edges that are strictly beaten by the route through the diagonal
-    are dropped: any matching that used one can be rewired through two
-    diagonal slots at no extra bottleneck cost, so feasibility thresholds
-    are unchanged while witnesses keep only pairs whose ground distance is
-    their max-norm.  realize() relies on that shape.
+    The optimal value is located by a binary search over the finite
+    candidate set {0} | {half persistences} | {usable pairwise max-norms},
+    then combined with the mandatory |infinity_x1 - infinity_x2| term.
+    Each feasibility test starts from the matching left by the last
+    infeasible one, which stays valid at every larger threshold.
 
-    Costs are compared on one integer scale for the pair: ``scale`` is the
-    lcm of the two diagrams' integer scales (a power of two for file inputs),
-    each diagram's int rows are multiplied by ``scale // d._scale``, and a
-    threshold t is held as the int 2*t*scale, that is in units of
-    1/``unit`` with ``unit = 2*scale``.  A half persistence is then Y - X
-    and a max-norm 2*max(|dX|, |dY|), both exact, so no Fraction is formed
-    per pair.  Multiplying by the positive ``unit`` keeps the order of the
-    thresholds and never merges two of them, so the pruning keeps the same
-    edges and every search step and witness is what the Fraction costs
-    would give.
-
+    Every cost is an int on the unit of ``_on_one_unit`` (twice the lcm of
+    the two diagrams' integer scales): a half persistence is (Y - X) // 2
+    and a max-norm max(|dX|, |dY|), both exact, so no Fraction is formed
+    per pair.  Multiplying by the positive unit keeps the order of the
+    thresholds and never merges two of them.  Direct edges strictly beaten
+    by the route through the diagonal are dropped: a matching that used one
+    can be rewired through two diagonal slots at no extra bottleneck cost,
+    so the thresholds are unchanged while witnesses keep only pairs whose
+    ground distance is their max-norm.  realize() relies on that shape.
     The second diagram's rows are sorted by X, so each point of the first
-    one tests only the window |dX| <= max(h, G)/2 found by bisection (h its
+    one tests only the window |dX| <= max(h, G) found by bisection (h its
     half persistence, G the largest on the other side): a kept edge has
-    2|dX| <= norm <= max(h, g).  The edges kept are those of all pairs.
+    |dX| <= norm <= max(h, g).  The edges kept are those of all pairs.
 
-    ``half[s]`` holds the half persistences of side s and ``adj[s]`` each
-    point's kept edges as (norm, partner) rows sorted by norm.  Side 0 is the
-    first diagram; a matching is a pair of partner lists ``mate[s]`` (-1: free).
+    The witness is read off the final matching, extended by augmenting
+    paths to the maximum number of direct pairs at the optimal threshold;
+    every other point goes to the diagonal.  It is deterministic, lists the
+    first diagram's points in (x, y) order and then the second diagram's
+    diagonal pairs, and for identical diagrams it is the identity; it is
+    not in general the lexicographically smallest optimal pairing.
+
+    A diagram of more than ``_MAX_MATCHED_POINTS`` points counted with
+    multiplicity is refused with ValueError before anything is expanded.
     """
+    _check_matching_size(d1, d2)
+    unit, rows1, rows2 = _on_one_unit(d1, d2)
+    # one (X, Y) per copy of a point; side 0 is the first diagram
+    left, right = ([(x, y) for x, y, m in rows for _ in range(m)] for rows in (rows1, rows2))
+    # half[s]: half persistences of side s; adj[s]: each point's kept edges
+    # as (norm, partner) rows sorted by norm
+    half = tuple([(y - x) // 2 for x, y in side] for side in (left, right))
+    adj = tuple([[] for _ in side] for side in (left, right))
+    partners = [(j, u, v, g) for j, ((u, v), g) in enumerate(zip(right, half[1]))]
+    right_xs = [u for u, _ in right]  # sorted, as the rows are
+    widest = max(half[1], default=0)
+    norms = set()
+    for i, ((x, y), h) in enumerate(zip(left, half[0])):
+        row = adj[0][i]
+        reach = h if h > widest else widest  # a kept edge has |dX| <= norm <= max(h, g)
+        lo, hi = bisect_left(right_xs, x - reach), bisect_right(right_xs, x + reach)
+        for j, u, v, g in partners[lo:hi]:
+            dx = x - u if x > u else u - x  # abs() and max() calls cost twice as much here
+            dy = y - v if y > v else v - y
+            norm = dx if dx > dy else dy
+            if norm <= h or norm <= g:
+                row.append((norm, j))
+                adj[1][j].append((norm, i))
+                norms.add(norm)
+    thresholds = sorted({0, *half[0], *half[1], *norms})
+    for side in adj:
+        for row in side:
+            row.sort()
 
-    def __init__(self, d1: Diagram, d2: Diagram):
-        self.points = (d1.expanded(), d2.expanded())
-        scale = math.lcm(d1._scale, d2._scale)
-        self.unit = 2 * scale
-        scaled = tuple(
-            [(x * f, y * f) for x, y, m in d._rows for _ in range(m)]
-            for d, f in ((d1, scale // d1._scale), (d2, scale // d2._scale))
-        )
-        self.half = tuple([y - x for x, y in side] for side in scaled)
-        right = [(j, u, v, g) for j, ((u, v), g) in enumerate(zip(scaled[1], self.half[1]))]
-        right_xs = [u for u, _ in scaled[1]]  # sorted, as the rows are
-        widest = max(self.half[1], default=0)
-        self.adj = tuple([[] for _ in side] for side in self.points)
-        norms = set()
-        for i, ((x, y), h) in enumerate(zip(scaled[0], self.half[0])):
-            row = self.adj[0][i]
-            # a kept edge has 2|dX| <= norm <= max(h, g) <= max(h, widest)
-            reach = (h if h > widest else widest) // 2
-            lo, hi = bisect_left(right_xs, x - reach), bisect_right(right_xs, x + reach)
-            for j, u, v, g in right[lo:hi]:
-                dx = x - u if x > u else u - x  # abs() and max() calls cost twice as much here
-                dy = y - v if y > v else v - y
-                norm = 2 * dx if dx > dy else 2 * dy
-                if norm <= h or norm <= g:
-                    row.append((norm, j))
-                    self.adj[1][j].append((norm, i))
-                    norms.add(norm)
-        self.thresholds = sorted({0, *self.half[0], *self.half[1], *norms})
-        for side in self.adj:
-            for row in side:
-                row.sort()
-
-    def rematch(self, mate, s: int, root: int, t: int, drop: int) -> bool:
+    # a matching is a pair of partner lists mate[s] (-1: free)
+    def rematch(mate, s: int, root: int, t: int, drop: int) -> bool:
         """Match ``root`` of side s along an alternating path of edges of cost <= t.
 
         The path ends at a free point of the other side (augmentation) or at
@@ -275,11 +276,11 @@ class _Instance:
         that point loses its partner (swap).  Every other matched point stays
         matched.  Explicit-stack depth-first search; False if no path exists.
         """
-        adj, mine, theirs, half = self.adj[s], mate[s], mate[1 - s], self.half[s]
+        edges, mine, theirs, halves = adj[s], mate[s], mate[1 - s], half[s]
         seen = set()
         path, picks, pos = [root], [], [0]
         while path:
-            row, k = adj[path[-1]], pos[-1]
+            row, k = edges[path[-1]], pos[-1]
             if k == len(row) or row[k][0] > t:
                 path.pop()
                 pos.pop()
@@ -293,7 +294,7 @@ class _Instance:
             seen.add(y)
             picks.append(y)
             w = theirs[y]
-            if w != -1 and half[w] > drop:
+            if w != -1 and halves[w] > drop:
                 path.append(w)
                 pos.append(0)
                 continue
@@ -304,7 +305,7 @@ class _Instance:
             return True
         return False
 
-    def cover(self, mate, t: int) -> bool:
+    def cover(mate, t: int) -> bool:
         """Feasibility of the threshold t, extending ``mate`` in place.
 
         A point whose half persistence exceeds the threshold cannot go to
@@ -316,39 +317,17 @@ class _Instance:
         threshold infeasible.
         """
         for s in (0, 1):
-            for x, h in enumerate(self.half[s]):
-                if h > t and mate[s][x] == -1 and not self.rematch(mate, s, x, t, t):
+            for x, h in enumerate(half[s]):
+                if h > t and mate[s][x] == -1 and not rematch(mate, s, x, t, t):
                     return False
         return True
 
-
-def matching_distance(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Matching]:
-    """Bottleneck matching distance and an optimal witness.
-
-    The optimal value is located by a binary search over the finite
-    candidate set {0} | {half persistences} | {usable pairwise max-norms},
-    then combined with the mandatory |infinity_x1 - infinity_x2| term.
-    Each feasibility test starts from the matching left by the last
-    infeasible one, which stays valid at every larger threshold.
-
-    The witness is read off the final matching, extended by augmenting
-    paths to the maximum number of direct pairs at the optimal threshold;
-    every other point goes to the diagonal.  It is deterministic, lists the
-    first diagram's points in (x, y) order and then the second diagram's
-    diagonal pairs, and for identical diagrams it is the identity; it is
-    not in general the lexicographically smallest optimal pairing.
-
-    A diagram of more than ``_MAX_MATCHED_POINTS`` points counted with
-    multiplicity is refused with ValueError before anything is expanded.
-    """
-    _check_matching_size(d1, d2)
-    inst = _Instance(d1, d2)
-    start, found = [[-1] * len(side) for side in inst.points], None
-    lo, hi = 0, len(inst.thresholds) - 1
+    start, found = [[-1] * len(side) for side in half], None
+    lo, hi = 0, len(thresholds) - 1
     while lo < hi:
         mid = (lo + hi) // 2
         mate = [list(side) for side in start]
-        if inst.cover(mate, inst.thresholds[mid]):
+        if cover(mate, thresholds[mid]):
             hi, found = mid, mate
         else:
             lo, start = mid + 1, mate
@@ -356,15 +335,15 @@ def matching_distance(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Matching]:
         found = start
     for i, j in enumerate(found[0]):
         if j == -1:
-            inst.rematch(found, 0, i, inst.thresholds[lo], -1)
-    value = max(Fraction(inst.thresholds[lo], inst.unit), abs(d1.infinity_x - d2.infinity_x))
+            rematch(found, 0, i, thresholds[lo], -1)
+    value = max(Fraction(thresholds[lo], unit), abs(d1.infinity_x - d2.infinity_x))
 
-    left, right = inst.points
+    points2 = d2.expanded()
     pairs: List[Tuple[object, object]] = [
         (ExtendedPoint.at_infinity(d1.infinity_x), ExtendedPoint.at_infinity(d2.infinity_x))
     ]
-    pairs.extend((p, DIAGONAL if j == -1 else right[j]) for p, j in zip(left, found[0]))
-    pairs.extend((DIAGONAL, q) for q, i in zip(right, found[1]) if i == -1)
+    pairs.extend((p, DIAGONAL if j == -1 else points2[j]) for p, j in zip(d1.expanded(), found[0]))
+    pairs.extend((DIAGONAL, q) for q, i in zip(points2, found[1]) if i == -1)
     return value, Matching(pairs=tuple(pairs), cost=value)
 
 

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 from ._rational import as_fraction, common_denominator, number_from_json, number_to_json
 from ._rational import on_scale, ratio_to_json
 from .core import ModelViolationError, SizePair
-from .diagram import Diagram, ExtendedPoint, _ratio, _ratio_diagram
+from .diagram import Diagram, ExtendedPoint, _on_one_unit, _ratio, _ratio_diagram
 from .matching import DIAGONAL, Matching, _check_matching_size, matching_distance
 
 __all__ = [
@@ -317,7 +317,7 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
 
     # every knot height and value below is min_phi, min_psi, S, a diagram
     # coordinate or c, c ± e of y_grid, so all of them are ints on one scale
-    scale = math.lcm(low._scale, high._scale, common_denominator(y_grid))
+    scale = math.lcm(_on_one_unit(low, high)[0], common_denominator(y_grid))
     grid = [on_scale(y, scale) for y in y_grid]
     bottom, top = grid[0], grid[-1]
 

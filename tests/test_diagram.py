@@ -24,7 +24,8 @@ from sizematch import (
 )
 from sizematch._rational import number_to_json
 from sizematch.core import _quarter_gap_grid
-from sizematch.selftest import random_size_pair
+from sizematch.diagram import _on_one_unit
+from sizematch.selftest import random_diagram, random_size_pair
 
 from test_core import path_fixture
 
@@ -431,6 +432,25 @@ def test_diagrams_of_equal_rows_on_different_scales_differ():
     assert whole._rows == halves._rows == ((1, 3, 1),)
     assert whole != halves
     assert whole.points != halves.points
+
+
+def test_on_one_unit_puts_both_diagrams_on_twice_the_lcm_of_their_scales():
+    rng = random.Random(24)
+    pairs = [(random_diagram(rng), random_diagram(rng)) for _ in range(60)]
+    for den1, den2 in ((3, 5), (7, 64), (64, 3), (5, 7), (3, 3)):
+        pairs.append((
+            Diagram(F(-1, den1), [((F(1, den1), F(7, den1)), 2), ((0, 2), 1), ((F(2, 3), 1), 1)]),
+            Diagram(F(1, den2), [((F(1, den2), F(9, den2)), 1), ((F(3, 64), F(1, 7)), 3)]),
+        ))
+    pairs.append((Diagram(0), Diagram(F(1, 5))))
+    for d1, d2 in pairs:
+        unit, rows1, rows2 = _on_one_unit(d1, d2)
+        assert unit == 2 * math.lcm(d1._scale, d2._scale)
+        for d, rows in ((d1, rows1), (d2, rows2)):
+            expected = [(p.x * unit, p.y * unit, m) for p, m in d.points]
+            assert all(x.denominator == y.denominator == 1 for x, y, _ in expected)
+            assert rows == expected
+            assert all(type(x) is type(y) is int and (y - x) % 2 == 0 for x, y, _ in rows)
 
 
 def test_a_diagram_builds_no_point_until_points_is_read(monkeypatch):

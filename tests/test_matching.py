@@ -465,6 +465,15 @@ def test_matching_json_rejects_bad_shapes():
         Matching.from_json_dict({"cost": 0, "pairs": [{"left": "diag"}]})
     with pytest.raises(ValueError):
         Matching.from_json_dict({"cost": 0, "pairs": [{"left": "what", "right": "diag"}]})
+    for data in (
+        {"cost": 1, "pairs": 5},
+        {"cost": [1], "pairs": []},
+        {"cost": 1, "pairs": [{"left": [True, 2], "right": "diag"}]},
+        {"cost": 1, "pairs": [{"left": [1, 0], "right": "diag"}]},
+    ):
+        with pytest.raises(ValueError, match="^matching JSON: ") as info:
+            Matching.from_json_dict(data)
+        assert str(info.value).count("matching JSON") == 1, data
 
 
 # ---------------------------------------------------------------- stability

@@ -1,5 +1,6 @@
 """The package's public surface: each module's __all__ is the one list of its public names."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -61,3 +62,18 @@ def test_every_public_class_and_function_is_in_its_modules_all(name):
                and value.__module__ == module.__name__]
     assert [key for key in defined if key not in module.__all__] == []
     assert set(module.__all__) <= set(sizematch.__all__)
+
+
+def test_only_diagram_reads_a_diagrams_integer_rows_and_scale():
+    # a pair of diagrams is put on one unit by diagram._on_one_unit, so no
+    # other module reads the stored integer form
+    package = os.path.dirname(sizematch.__file__)
+    readers = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "diagram.py":
+            with open(os.path.join(package, name)) as handle:
+                tree = ast.parse(handle.read(), filename=name)
+            if any(isinstance(node, ast.Attribute) and node.attr in ("_rows", "_scale")
+                   for node in ast.walk(tree)):
+                readers.add(name)
+    assert readers == set()
