@@ -9,7 +9,13 @@ bit-exactly.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+
+# an int of at most this many bits has fewer than 640 digits, the least limit
+# sys.set_int_max_str_digits accepts, so it can always be written as text
+_SAFE_BITS = 3 * 640
+
 
 def as_fraction(value) -> Fraction:
     """Return ``value`` as an exact :class:`Fraction`.
@@ -59,10 +65,17 @@ def number_to_json(value):
 
 def ratio_to_json(num: int, den: int):
     """Encode the exact number num/den (``den`` > 0, any common factor) as
-    :func:`number_to_json` does."""
+    :func:`number_to_json` does.  A num or den of more decimal digits than the
+    interpreter writes as text raises ValueError."""
     common = math.gcd(num, den)
     if common != 1:
         num, den = num // common, den // common
+    if num.bit_length() > _SAFE_BITS or den.bit_length() > _SAFE_BITS:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 or absent: no limit
+        if limit and max(abs(num), den) >= 10**limit:
+            raise ValueError(
+                f"an exact number holds an integer of more than {limit} digits, more than this "
+                f"interpreter writes as text (sys.get_int_max_str_digits() is {limit})")
     if den == 1:
         return num
     # a finite float is dyadic, so no float equals p/q unless q = 2^k; then p

@@ -47,14 +47,6 @@ MIN_EPSILON = Fraction(1, 10**12)
 _MAX_GRID_NODES = 10**7
 
 
-def _per_column(columns: tuple, convert) -> tuple:
-    """``convert`` once per column object, so equal columns passed as one stay one;
-    the tuple ``columns`` holds every column, so no two of them share an id."""
-    done = {}
-    return tuple(done[id(vs)] if id(vs) in done else done.setdefault(id(vs), convert(vs))
-                 for vs in columns)
-
-
 class RectField:
     """Piecewise-linear field on the grid x_breaks x y_breaks.
 
@@ -65,10 +57,12 @@ class RectField:
     rectangle [x_breaks[0], x_breaks[-1]] x [y_breaks[0], y_breaks[-1]]).
 
     Each value is held as its (numerator, denominator) in lowest terms, the form the package
-    reads; ``values_per_column`` builds Fractions from these pairs when first read.
+    reads; ``values_per_column`` builds Fractions from these pairs when first read.  Each
+    distinct column is held once in ``_distinct``, and ``_layout[c]`` is the index there of
+    column c, so equal columns are equal layout entries.
     """
 
-    __slots__ = ("x_breaks", "y_breaks", "_columns", "_values")
+    __slots__ = ("x_breaks", "y_breaks", "_distinct", "_layout", "_values")
 
     def __init__(self, x_breaks, y_breaks, values_per_column):
         for name, given in (("x_breaks", x_breaks), ("y_breaks", y_breaks)):
@@ -78,17 +72,20 @@ class RectField:
             if any(b <= a for a, b in zip(breaks, breaks[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
             object.__setattr__(self, name, breaks)
-        columns = _per_column(tuple(values_per_column), lambda vs: tuple(_ratio(v) for v in vs))
-        if len(columns) != len(self.x_breaks) or any(len(vs) != len(self.y_breaks) for vs in columns):
+        index = {}  # each distinct column, by value, to its position in _distinct
+        layout = tuple(index.setdefault(tuple(_ratio(v) for v in vs), len(index))
+                       for vs in values_per_column)
+        if len(layout) != len(self.x_breaks) or any(len(vs) != len(self.y_breaks) for vs in index):
             raise ValueError("a field needs one column per x break and one value per y break")
-        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_distinct", tuple(index))
+        object.__setattr__(self, "_layout", layout)
         object.__setattr__(self, "_values", None)
 
     @classmethod
-    def _exact(cls, x_breaks, y_breaks, columns) -> "RectField":
-        """The field of Fraction break tuples and columns of reduced int pairs, unchecked."""
+    def _exact(cls, x_breaks, y_breaks, distinct, layout) -> "RectField":
+        """The field of Fraction breaks, distinct reduced int pair columns and a layout, unchecked."""
         field = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (x_breaks, y_breaks, columns, None)):
+        for name, value in zip(cls.__slots__, (x_breaks, y_breaks, distinct, layout, None)):
             object.__setattr__(field, name, value)
         return field
 
@@ -96,23 +93,26 @@ class RectField:
         raise AttributeError(f"cannot assign to field {name!r} of a RectField")
 
     def __reduce__(self):  # pickle and copy build the field again, not by setattr
-        return RectField._exact, (self.x_breaks, self.y_breaks, self._columns)
+        return RectField._exact, (self.x_breaks, self.y_breaks, self._distinct, self._layout)
 
     @property
     def values_per_column(self) -> Tuple[Tuple[Fraction, ...], ...]:
         if self._values is None:
-            values = _per_column(self._columns, lambda vs: tuple(Fraction(n, d) for n, d in vs))
-            object.__setattr__(self, "_values", values)
+            distinct = [tuple(Fraction(n, d) for n, d in vs) for vs in self._distinct]
+            object.__setattr__(self, "_values", tuple(distinct[i] for i in self._layout))
         return self._values
+
+    def _key(self) -> tuple:
+        # realize() may hold equal columns at two indices, so fields compare column by column
+        return self.x_breaks, self.y_breaks, tuple(self._distinct[i] for i in self._layout)
 
     def __eq__(self, other):
         if not isinstance(other, RectField):
             return NotImplemented
-        key = (other.x_breaks, other.y_breaks, other._columns)
-        return (self.x_breaks, self.y_breaks, self._columns) == key
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.x_breaks, self.y_breaks, self._columns))
+        return hash(self._key())
 
     def __repr__(self):
         return (f"RectField(x_breaks={self.x_breaks!r}, y_breaks={self.y_breaks!r}, "
@@ -128,18 +128,19 @@ class RectField:
             raise IndexError(f"column {column} is outside 0 <= column < n_columns = {self.n_columns}")
         y = as_fraction(y)
         unit = common_denominator((*self.y_breaks, y))
-        return Fraction(*_resample(self.y_breaks, self._columns[column], [on_scale(y, unit)], unit)[0])
+        vs = self._distinct[self._layout[column]]
+        return Fraction(*_resample(self.y_breaks, vs, [on_scale(y, unit)], unit)[0])
 
     def to_json_dict(self) -> dict:
         # the grid is encoded once and written per column, its ends as S and min_phi; each
-        # distinct value is encoded once, each shared column once and copied for its repeats
+        # distinct value is encoded once, each distinct column once and copied for its repeats
         ys = [number_to_json(y) for y in self.y_breaks]
-        codes = {key: ratio_to_json(*key) for key in set().union(*self._columns)}
-        encoded = _per_column(self._columns, lambda vs: [codes[key] for key in vs])
+        codes = {key: ratio_to_json(*key) for key in set().union(*self._distinct)}
+        encoded = [[codes[key] for key in vs] for vs in self._distinct]
         return {
             "x_breaks": [number_to_json(x) for x in self.x_breaks],
             "y_breaks_per_column": [ys.copy() for _ in self.x_breaks],
-            "values_per_column": [vs.copy() for vs in encoded],
+            "values_per_column": [encoded[i].copy() for i in self._layout],
             "S": ys[-1],
             "min_phi": ys[0],
         }
@@ -279,6 +280,9 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
                 f"{name}: cornerpoint abscissa {x} lies below infinity_x {diagram.infinity_x}"
             )
     _check_matching_size(d1, d2)  # before the swap, so that it names the diagram as given
+    # each copy is in one witness pair: 3k + 2 columns or more, rows min_phi < c - e < c < c + e < S
+    k = max(d1.total_multiplicity, d2.total_multiplicity)
+    _check_grid(3 * k + 2, 5 if k else 2, 1, "at least ")  # before the matching is solved
     swapped = d2.infinity_x < d1.infinity_x
     low, high = (d2, d1) if swapped else (d1, d2)
     d_match, matching = matching_distance(low, high)
@@ -329,22 +333,20 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
     fields = []
     for base_start, side in ((min_phi, "left"), (min_psi, "right")):
         b = on_scale(base_start, scale)
-        base = column(b)
-        columns = [base]
+        distinct, layout = [column(b)], [0]  # the base, at x = 0 and again at x = 1
         for st in reversed(structures):
             c, e = on_scale(st.center, scale), on_scale(st.epsilon, scale)
             point = getattr(st, side)
+            n = len(distinct)
             if point is not None:
                 px, py = on_scale(point.x, scale), on_scale(point.y, scale)
                 flank = column(b, (c - e, py), (c + e, py))
-                pit = column(b, (c - e, py), (c, px), (c + e, py))
-                columns += (flank, pit, flank)
-            elif c <= b:  # the center is not above the base: hold the base
-                columns += (column(b, (c + e, b)),) * 3
-            else:
-                columns += (column(b, (c - e, c), (c + e, c)),) * 3
-        columns.append(base)
-        fields.append(RectField._exact(tuple(x_breaks), y_grid, tuple(columns)))
+                distinct += (flank, column(b, (c - e, py), (c, px), (c + e, py)))
+                layout += (n, n + 1, n)  # flank, pit, flank
+            else:  # a plateau triple at the center, or at the base if the center is not above it
+                distinct.append(column(b, (c + e, b)) if c <= b else column(b, (c - e, c), (c + e, c)))
+                layout += (n, n, n)
+        fields.append(RectField._exact(tuple(x_breaks), y_grid, tuple(distinct), (*layout, 0)))
     field_low, field_high = fields
 
     for extracted, diagram, which in zip(_field_diagrams(fields, 1), (low, high), ("first", "second")):
@@ -386,11 +388,13 @@ def _resample(y_breaks, pairs, heights, unit: int) -> List[Tuple[int, int]]:
     return _sample(ys, values, [h * (scale // unit) for h in heights], scale)
 
 
-def _check_grid(n_columns: int, rows: int, refine: int) -> None:
-    """Refuse a grid of ``n_columns`` x ``rows`` nodes, ``refine`` per break gap, above the cap."""
+def _check_grid(n_columns: int, rows: int, refine: int, least: str = "") -> None:
+    """Refuse a grid of ``n_columns`` x ``rows`` nodes, ``refine`` per break gap, above the cap;
+    ``least`` is "at least " when the grid is only known to have at least that many nodes."""
     nodes = n_columns * rows
     if nodes > _MAX_GRID_NODES:
-        raise ValueError(f"refine {refine} would sample {nodes} grid nodes, more than {_MAX_GRID_NODES}")
+        raise ValueError(
+            f"refine {refine} would sample {least}{nodes} grid nodes, more than {_MAX_GRID_NODES}")
 
 
 def _grid_values(field: RectField, refine: int) -> Tuple[int, List[Tuple[int, int]]]:
@@ -399,15 +403,15 @@ def _grid_values(field: RectField, refine: int) -> Tuple[int, List[Tuple[int, in
         raise ValueError(f"refine must be a positive integer, got {refine!r}")
     rows = (len(field.y_breaks) - 1) * refine + 1
     _check_grid(field.n_columns, rows, refine)
-    columns = field._columns
+    columns = field._distinct
     if refine > 1:
         # the rows a + (b - a)·k/refine are ints on unit·refine; each distinct column is sampled once
         unit = common_denominator(field.y_breaks) * refine
         breaks = [on_scale(y, unit) for y in field.y_breaks]
         heights = [a + (b - a) // refine * k for a, b in zip(breaks, breaks[1:]) for k in range(refine)]
         heights.append(breaks[-1])
-        columns = _per_column(columns, lambda vs: _resample(field.y_breaks, vs, heights, unit))
-    return rows, [key for vs in columns for key in vs]
+        columns = [_resample(field.y_breaks, vs, heights, unit) for vs in columns]
+    return rows, [key for i in field._layout for key in columns[i]]
 
 
 def _field_diagrams(fields: Sequence[RectField], refine: int) -> List[Diagram]:
@@ -447,16 +451,11 @@ def max_field_gap(field_a: RectField, field_b: RectField) -> Fraction:
     if field_a.x_breaks != field_b.x_breaks or field_a.y_breaks != field_b.y_breaks:
         raise ValueError("fields do not share their grid")
     # |a - b| = |an·bd - bn·ad| / (ad·bd) is compared with the best so far by
-    # cross-multiplying, so no Fraction is formed per node; a field holds equal
-    # columns as one object, so each distinct pair of columns is scanned once
+    # cross-multiplying, so no Fraction is formed per node; each distinct pair of
+    # layout entries, a column of each field, is scanned once
     best_num, best_den = 0, 1
-    scanned = set()
-    for va, vb in zip(field_a._columns, field_b._columns):
-        pair = (id(va), id(vb))  # both fields hold their columns for the whole scan
-        if pair in scanned:
-            continue
-        scanned.add(pair)
-        for (an, ad), (bn, bd) in zip(va, vb):
+    for ia, ib in dict.fromkeys(zip(field_a._layout, field_b._layout)):
+        for (an, ad), (bn, bd) in zip(field_a._distinct[ia], field_b._distinct[ib]):
             num, den = abs(an * bd - bn * ad), ad * bd
             if num * best_den > best_num * den:
                 best_num, best_den = num, den

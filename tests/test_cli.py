@@ -814,3 +814,53 @@ def test_huge_multiplicity_is_refused_at_once(files, capsys, tmp_path, command, 
         f"error: the {name} diagram has 10000000000000000000000 points counted with "
         "multiplicity; matching takes at most 1000000\n"
     )
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_realize_refuses_the_grid_its_multiplicities_make_too_large_before_matching(
+        files, capsys, tmp_path, which):
+    # 666,667 copies are at least 666,667 structures: 2000003 columns of at least 5 rows
+    many = tmp_path / "many.json"
+    many.write_text('{"infinity_x": 0, "points": [[0, 1, 666667]]}')
+    argv = ["realize", files["d2"], files["d2"]]
+    argv[1 + which] = str(many)
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: refine 1 would sample at least 10000015 grid nodes, more than 10000000\n"
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default limit of 4300 digits for writing an int as text, restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python writes ints of any length as text")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
+
+
+def _too_many_digits(limit):
+    return (f"error: an exact number holds an integer of more than {limit} digits, more than "
+            f"this interpreter writes as text (sys.get_int_max_str_digits() is {limit})\n")
+
+
+@pytest.mark.parametrize("epsilon", ["1e-5000", "1e5000"])
+def test_stability_refuses_an_epsilon_too_long_to_write(files, capsys, digit_limit, epsilon):
+    code, out, err = run(capsys, ["stability", files["v1"], files["e1"], "--epsilon", epsilon,
+                                  "--trials", "2"])
+    assert (code, out, err) == (2, "", _too_many_digits(digit_limit))
+
+
+@pytest.mark.parametrize("command", ["dist", "realize"])
+def test_an_answer_too_long_to_write_is_refused_in_one_line(capsys, tmp_path, digit_limit, command):
+    # 1/P and 1/Q, each of 4001 digits, are read; d_match = 1/P - 1/Q has a denominator of 8001
+    paths = []
+    for name, den in (("p", 10**4000 + 7), ("q", 10**4000 + 9)):
+        path = tmp_path / f"{name}.json"
+        path.write_text('{"infinity_x": 0, "points": [["1/%d", 2, 1]]}' % den)
+        paths.append(str(path))
+    code, out, err = run(capsys, [command, *paths])
+    assert (code, out, err) == (2, "", _too_many_digits(digit_limit))

@@ -23,7 +23,7 @@ from sizematch import (
     pseudo_distance_d,
     stability_probe,
 )
-from sizematch._rational import as_fraction, number_from_json, number_to_json
+from sizematch._rational import as_fraction, number_from_json, number_to_json, ratio_to_json
 from sizematch.matching import _max_norm
 from sizematch.selftest import perturbed_values, random_diagram, random_size_pair
 
@@ -403,6 +403,25 @@ def test_number_codec_beyond_the_float_range():
     for value in (F(10**400 + 1, 2), F(1, 3 * 10**400), F(10**400)):
         assert number_from_json(json.loads(json.dumps(number_to_json(value)))) == value
     assert number_to_json(F(3, 2)) == 1.5
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python writes ints of any length as text")
+def test_number_codec_refuses_an_int_too_long_to_write():
+    # the codec checks the int limit of writing as text on the reduced num and den;
+    # an int of exactly the limit's 4300 digits is still written
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert number_to_json(10**4300 - 1) == 10**4300 - 1
+        assert number_to_json(F(-1, 10**4300 - 1)) == f"-1/{10**4300 - 1}"
+        for num, den in ((10**4300, 1), (-(10**4300), 3), (1, 10**4300), (7, 3 * 10**4300)):
+            with pytest.raises(ValueError, match=r"more than 4300 digits.*is 4300\)$"):
+                ratio_to_json(num, den)
+        sys.set_int_max_str_digits(0)  # no limit
+        assert ratio_to_json(10**4300, 1) == 10**4300
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def _number_to_json_reference(value):

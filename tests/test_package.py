@@ -77,3 +77,13 @@ def test_only_diagram_reads_a_diagrams_integer_rows_and_scale():
                    for node in ast.walk(tree)):
                 readers.add(name)
     assert readers == set()
+
+
+def test_realize_finds_equal_columns_by_index_not_by_object_identity():
+    # a field shares a column through its layout, an index into its distinct columns
+    path = os.path.join(os.path.dirname(sizematch.__file__), "realize.py")
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename="realize.py")
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "id"]
+    assert calls == []

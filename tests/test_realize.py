@@ -589,6 +589,42 @@ def test_rect_field_shares_equal_columns():
     assert json.loads(field.dumps())["values_per_column"] == [[0, 4], [1, 4], [2, 4]]
 
 
+def test_rect_field_read_back_holds_equal_columns_once():
+    # two copies of one point give equal flank and pit columns at different indices in
+    # realize(); a field read back from its JSON finds equal columns by value
+    d1, d2 = Diagram(0, [((1, 3), 2), ((F(1, 2), 2), 1)]), Diagram(0, [((F(5, 4), F(13, 4)), 1)])
+    for pair in (_pinned_pair(0), _pinned_pair(1), (d1, d2)):
+        phi, psi, params = realize(*pair)
+        again = [RectField.loads(field.dumps()) for field in (phi, psi)]
+        assert again == [phi, psi] and [hash(f) for f in again] == [hash(phi), hash(psi)]
+        assert max_field_gap(*again) == params.d_match
+        for field, read in zip((phi, psi), again):
+            assert read.dumps() == field.dumps()
+            columns = read.values_per_column
+            assert len(read._distinct) == len(set(columns)) <= len(field._distinct)
+            for i in range(read.n_columns):
+                for j in range(i):
+                    assert (columns[i] is columns[j]) == (columns[i] == columns[j])
+    assert len(again[0]._distinct) < len(phi._distinct)
+
+
+def test_realize_refuses_the_least_grid_its_multiplicities_imply_before_matching(monkeypatch):
+    # seven copies of one point against none: 7 equal structures, so 23 columns of
+    # exactly 5 rows, 115 nodes, the least grid that 7 copies can make
+    solved = []
+    solve = realize_module.matching_distance
+    monkeypatch.setattr(realize_module, "matching_distance", lambda *a: solved.append(1) or solve(*a))
+    monkeypatch.setattr(realize_module, "_MAX_GRID_NODES", 114)
+    d1, empty = Diagram(0, [((1, 3), 7)]), Diagram(0, [])
+    for pair in ((d1, empty), (empty, d1)):
+        with pytest.raises(ValueError, match=r"^refine 1 would sample at least 115 grid nodes, more than 114$"):
+            realize(*pair)
+    assert solved == []
+    monkeypatch.setattr(realize_module, "_MAX_GRID_NODES", 115)
+    phi, _, _ = realize(d1, empty)
+    assert (phi.n_columns, len(phi.y_breaks), solved) == (23, 5, [1])
+
+
 def test_rect_field_validation():
     with pytest.raises(ValueError):
         RectField(
@@ -699,15 +735,15 @@ def _break_one_node(monkeypatch, which, column, row, shift):
     made = realize_module.RectField._exact
     calls = []
 
-    def broken(x_breaks, y_breaks, columns):
+    def broken(x_breaks, y_breaks, distinct, layout):
         if len(calls) == which:
-            n, d = columns[column][row]
-            value = F(n, d) + shift
-            moved = list(columns[column])
-            moved[row] = value.as_integer_ratio()
-            columns = columns[:column] + (tuple(moved),) + columns[column + 1:]
-        calls.append(columns)
-        return made(x_breaks, y_breaks, columns)
+            # the moved column is a new distinct one, and only its own layout slot points at it
+            moved = list(distinct[layout[column]])
+            moved[row] = (F(*moved[row]) + shift).as_integer_ratio()
+            distinct += (tuple(moved),)
+            layout = layout[:column] + (len(distinct) - 1,) + layout[column + 1:]
+        calls.append(layout)
+        return made(x_breaks, y_breaks, distinct, layout)
 
     monkeypatch.setattr(realize_module.RectField, "_exact", staticmethod(broken))
 
@@ -794,6 +830,13 @@ def test_rect_field_refuses_assignment_but_copies_and_pickles():
     for again in (copy.copy(phi), copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):
         assert again == phi and repr(again) == WORKED_PHI_REPR
         assert again.values_per_column[0] is again.values_per_column[-1]
+
+
+def test_rect_field_copies_keep_the_layout():
+    phi, _, _ = realize(*_pinned_pair(0))
+    assert len(set(phi._layout)) == len(phi._distinct) < phi.n_columns
+    for again in (copy.copy(phi), copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):
+        assert (again._layout, again._distinct) == (phi._layout, phi._distinct)
 
 
 def test_realize_near_copy_80_points_budget():
