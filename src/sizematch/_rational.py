@@ -9,12 +9,17 @@ bit-exactly.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 
 # an int of at most this many bits has fewer than 640 digits, the least limit
 # sys.set_int_max_str_digits accepts, so it can always be written as text
 _SAFE_BITS = 3 * 640
+_TOO_LONG = ("an exact number holds an integer of more than {0} digits, more than this "
+             "interpreter {1} text (sys.get_int_max_str_digits() is {0})")
+# the text int() reads as a base 10 int at any length; its white space leaves out \x1c-\x1f
+_INT_LITERAL = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*")
 
 
 def as_fraction(value) -> Fraction:
@@ -73,9 +78,7 @@ def ratio_to_json(num: int, den: int):
     if num.bit_length() > _SAFE_BITS or den.bit_length() > _SAFE_BITS:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 or absent: no limit
         if limit and max(abs(num), den) >= 10**limit:
-            raise ValueError(
-                f"an exact number holds an integer of more than {limit} digits, more than this "
-                f"interpreter writes as text (sys.get_int_max_str_digits() is {limit})")
+            raise ValueError(_TOO_LONG.format(limit, "writes as"))
     if den == 1:
         return num
     # a finite float is dyadic, so no float equals p/q unless q = 2^k; then p
@@ -86,14 +89,22 @@ def ratio_to_json(num: int, den: int):
     return f"{num}/{den}"
 
 
+def int_from_text(text: str) -> int:
+    """``int(text)`` of a base 10 int literal, which only its length can make ``int`` refuse."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(_TOO_LONG.format(sys.get_int_max_str_digits(), "reads from")) from None
+
+
 def number_from_json(value) -> Fraction:
     """Decode a number written by :func:`number_to_json`."""
     if isinstance(value, str):
         num, sep, den = value.partition("/")
-        if not sep:
+        if not (sep and _INT_LITERAL.fullmatch(num) and _INT_LITERAL.fullmatch(den)):
             raise ValueError(f"malformed rational literal {value!r}")
         try:
-            return Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed rational literal {value!r}") from exc
+            return Fraction(int_from_text(num), int_from_text(den))
+        except ZeroDivisionError:
+            raise ValueError(f"malformed rational literal {value!r}") from None
     return as_fraction(value)

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from operator import is_
 from typing import List, Optional
 
-from ._rational import number_to_json
+from ._rational import int_from_text, number_to_json
 from .core import ModelViolationError, ParseError, SizePair, load_size_pair
 from .diagram import Diagram, extract_diagram
 from .matching import DIAGONAL, matching_distance, pseudo_distance_d, stability_probe
@@ -44,7 +44,7 @@ def _load_pair(vertex_path: str, edge_path: str) -> SizePair:
 def _load_diagram(path: str) -> Diagram:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is skipped
-            return Diagram.from_json_dict(json.load(fh))
+            return Diagram.from_json_dict(json.load(fh, parse_int=int_from_text))
     # the decoder raises RecursionError, a RuntimeError, on deep nesting
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None

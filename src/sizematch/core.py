@@ -203,28 +203,8 @@ class SizePair:
         # a self-loop or a second edge between two vertices repeats a neighbour
         if not known or sum(map(len, map(set, adj))) != 2 * m:
             _edge_fault(position, edges if ends is None else zip(ends[0::2], ends[1::2]))
-        self._store(ids, values, position, adj, m)
-
-    @classmethod
-    def _from_adjacency(cls, ids, values, adj, n_edges: int) -> "SizePair":
-        """A size pair on adjacency lists of positions, as a grid builder makes them.
-
-        The vertices get the checks of ``_build`` and the graph its
-        connectivity check.  The edge checks are skipped: a graph built on
-        positions has no unknown end, and its builder makes no self-loop and
-        no edge twice.  ``adj`` is kept as given.
-        """
-        sp = cls.__new__(cls)
-        sp._store(ids, values, _vertex_position(ids, values), adj, n_edges)
-        return sp
-
-    def _store(self, ids, values, position, adj, n_edges: int) -> None:
-        """Keep the checked columns; raise DisconnectedGraphError unless ``adj`` is connected."""
-        self._ids = ids
-        self._values = values
-        self._position = position
-        self._adj = adj
-        self._n_edges = n_edges
+        self._ids, self._values, self._position = ids, values, position
+        self._adj, self._n_edges = adj, m
         self._vertex_ids = self._edges = self._neighbors = None
         count = _component_count(adj)
         if count != 1:

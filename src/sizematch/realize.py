@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from ._rational import as_fraction, common_denominator, number_from_json, number_to_json
-from ._rational import on_scale, ratio_to_json
+from ._rational import _SAFE_BITS, on_scale, ratio_to_json
 from .core import ModelViolationError, SizePair
 from .diagram import Diagram, ExtendedPoint, _on_one_unit, _ratio, _ratio_diagram
 from .matching import DIAGONAL, Matching, _check_matching_size, matching_distance
@@ -303,8 +303,9 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
             kind, anchor = "direct", left
         center = (anchor.x + anchor.y) / 2
         epsilon = min(anchor.persistence / 4, center - min_phi, S - center) / 2
-        if epsilon < MIN_EPSILON:
-            raise ValueError(f"structure half-width {epsilon} underflows the minimum {MIN_EPSILON}")
+        if epsilon < MIN_EPSILON:  # a half-width that may be too long to write as text is left out
+            shown = f" {epsilon}" if epsilon.denominator.bit_length() <= _SAFE_BITS else ""
+            raise ValueError(f"structure half-width{shown} underflows the minimum {MIN_EPSILON}")
         structures.append(
             StructureParams(kind=kind, left=left, right=right, center=center, epsilon=epsilon))
         y_breaks.update((center - epsilon, center, center + epsilon))
@@ -434,11 +435,18 @@ def discretize(field: RectField, refine: int = 1) -> SizePair:
     """
     rows, values = _grid_values(field, refine)
     # ids[p] names position p = ci·rows + ri
-    ids = [f"c{ci}r{ri}" for ci in range(field.n_columns) for ri in range(rows)]
-    n_edges = field.n_columns * (rows - 1) + (field.n_columns - 1) * rows
+    names = [f"r{ri}" for ri in range(rows)]
+    ids = [column + name for column in (f"c{ci}" for ci in range(field.n_columns)) for name in names]
+    # edge i joins a[i] and b[i], column edges first: a vertex lists below, above, left, right
+    a, b = ids[:], ids[:]
+    del a[rows - 1::rows], b[::rows]
+    a, b = a + ids[:-rows], b + ids[rows:]
+    ends = [None] * (2 * len(a))
+    ends[::2], ends[1::2] = a, b
     fraction = {key: Fraction(*key) for key in set(values)}
-    values = [fraction[key] for key in values]
-    return SizePair._from_adjacency(ids, values, _grid_adjacency(field.n_columns, rows), n_edges)
+    sp = SizePair.__new__(SizePair)
+    sp._build(ids, list(map(fraction.__getitem__, values)), ends)
+    return sp
 
 
 def max_field_gap(field_a: RectField, field_b: RectField) -> Fraction:

@@ -833,7 +833,7 @@ def test_realize_refuses_the_grid_its_multiplicities_make_too_large_before_match
 
 @pytest.fixture
 def digit_limit():
-    """Python's default limit of 4300 digits for writing an int as text, restored after."""
+    """Python's default limit of 4300 digits for converting between an int and text, restored after."""
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this Python writes ints of any length as text")
     before = sys.get_int_max_str_digits()
@@ -864,3 +864,32 @@ def test_an_answer_too_long_to_write_is_refused_in_one_line(capsys, tmp_path, di
         paths.append(str(path))
     code, out, err = run(capsys, [command, *paths])
     assert (code, out, err) == (2, "", _too_many_digits(digit_limit))
+
+
+@pytest.mark.parametrize("number, prefix", [("1" + "0" * 4400, ""),
+                                            ('"1/1%s"' % ("0" * 4400), "diagram JSON: ")],
+                         ids=["int", "ratio"])
+def test_a_diagram_number_too_long_to_read_is_refused_in_one_line(capsys, tmp_path, digit_limit,
+                                                                  number, prefix):
+    # 10^4400 has 4401 digits: the one line names the file and the limit, and not the literal
+    long = tmp_path / "long.json"
+    long.write_text('{"infinity_x": 0, "points": [[0, %s, 1]]}' % number)
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"infinity_x": 0, "points": []}')
+    code, out, err = run(capsys, ["dist", str(long), str(empty)])
+    assert (code, out) == (2, "")
+    assert err == (f"error: {long}: {prefix}an exact number holds an integer of more than "
+                   f"{digit_limit} digits, more than this interpreter reads from text "
+                   f"(sys.get_int_max_str_digits() is {digit_limit})\n")
+
+
+def test_realize_half_width_too_long_to_write_exits_2_in_one_line(capsys, tmp_path, digit_limit):
+    # P = 10^4000 + 7: the half-width, below 1/P^2, has a denominator of about 8000 digits
+    p = 10**4000 + 7
+    thin = tmp_path / "thin.json"
+    thin.write_text('{"infinity_x": 0, "points": [["1/%d", "1/%d", 1]]}' % (p, p - 2))
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"infinity_x": 0, "points": []}')
+    code, out, err = run(capsys, ["realize", str(thin), str(empty)])
+    assert (code, out, err) == (
+        2, "", "error: structure half-width underflows the minimum 1/1000000000000\n")

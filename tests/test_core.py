@@ -115,28 +115,6 @@ def test_rejects_self_loop():
         SizePair([("a", 1), ("b", 2)], [("a", "a"), ("a", "b")])
 
 
-@pytest.mark.parametrize(
-    "vertices, adj",
-    [
-        ([("a", 0), ("b", 1), ("a", 2)], [[1], [0, 2], [1]]),
-        ([("a", 0), ("b", float("nan"))], [[1], [0]]),
-        ([("a", 0), ("b", True)], [[1], [0]]),
-        ([("a", 0), ("b", 1), ("c", 2), ("d", 3)], [[1], [0], [3], [2]]),
-        ([], []),
-    ],
-    ids=["duplicate-id", "nan", "bool", "disconnected", "empty"],
-)
-def test_size_pair_from_adjacency_raises_what_the_constructor_raises(vertices, adj):
-    edges = [(vertices[p][0], vertices[q][0]) for p, ns in enumerate(adj) for q in ns if p < q]
-    with pytest.raises(ModelViolationError) as want:
-        SizePair(vertices, edges)
-    ids, values = [vid for vid, _ in vertices], [value for _, value in vertices]
-    with pytest.raises(ModelViolationError) as got:
-        SizePair._from_adjacency(ids, values, adj, len(edges))
-    assert type(got.value) is type(want.value)
-    assert str(got.value) == str(want.value)
-
-
 def test_rejects_duplicate_edge():
     with pytest.raises(ModelViolationError):
         SizePair([("a", 1), ("b", 2)], [("a", "b"), ("b", "a")])

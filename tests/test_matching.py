@@ -23,7 +23,8 @@ from sizematch import (
     pseudo_distance_d,
     stability_probe,
 )
-from sizematch._rational import as_fraction, number_from_json, number_to_json, ratio_to_json
+from sizematch._rational import as_fraction, int_from_text, number_from_json, number_to_json
+from sizematch._rational import ratio_to_json
 from sizematch.matching import _max_norm
 from sizematch.selftest import perturbed_values, random_diagram, random_size_pair
 
@@ -420,6 +421,32 @@ def test_number_codec_refuses_an_int_too_long_to_write():
                 ratio_to_json(num, den)
         sys.set_int_max_str_digits(0)  # no limit
         assert ratio_to_json(10**4300, 1) == 10**4300
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python reads ints of any length from text")
+def test_number_codec_refuses_an_int_too_long_to_read():
+    # an int of exactly the limit's 4300 digits is still read; a longer one, in an int
+    # literal or either side of a ratio, is refused by a message that names the limit
+    refused = r"^an exact number .* reads from text .*is 4300\)$"
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert int_from_text("9" * 4300) == 10**4300 - 1
+        assert number_from_json("-1/" + "9" * 4300) == F(-1, 10**4300 - 1)
+        for text in ("1" * 4301, " -" + "1" * 4301):
+            with pytest.raises(ValueError, match=refused):
+                int_from_text(text)
+        for text in ("1/" + "1" * 4301, "+" + "1" * 4301 + "/3"):
+            with pytest.raises(ValueError, match=refused):
+                number_from_json(text)
+        # a literal that is not a decimal int stays malformed, however long
+        with pytest.raises(ValueError, match="^malformed rational literal"):
+            number_from_json("1/" + "1" * 4301 + "x")
+        sys.set_int_max_str_digits(0)  # no limit
+        assert number_from_json("1/" + "1" * 4301) == F(1, int("1" * 4301))
     finally:
         sys.set_int_max_str_digits(before)
 

@@ -17,12 +17,15 @@ from sizematch import (
     RectField,
     SizePair,
     discretize,
+    evaluate_diagram,
     extract_diagram,
     matching_distance,
     max_field_gap,
     multiplicity_grid,
     realize,
+    reduced_size_function,
 )
+from sizematch.core import _quarter_gap_grid
 from sizematch.selftest import random_diagram
 
 from test_matching import HUGE
@@ -727,6 +730,38 @@ def test_grid_sweep_equals_the_extraction_of_the_discretized_field_seeded():
                 assert diagram == want, f"trial {trial}, refine {refine}"
         fields += 2
     assert fields >= 200
+
+
+def _size_function_mismatch(field, diagram):
+    """The first (x, y) of the quarter-gap grid of the discretized field's values where the
+    field's reduced size function, by direct search, differs from the diagram's; else None."""
+    sp = discretize(field, 1)
+    grid = _quarter_gap_grid(sp.critical_values)
+    for i, x in enumerate(grid):
+        for y in grid[i + 1:]:
+            if reduced_size_function(sp, x, y) != evaluate_diagram(diagram, x, y):
+                return x, y
+    return None
+
+
+def test_realized_fields_have_the_prescribed_size_functions_seeded():
+    # an oracle that shares no code with the grid sweep: the direct search of core
+    # against the representation formula of the prescribed diagram
+    rng = random.Random(92)
+    pairs = [(random_diagram(rng, max_points=2), random_diagram(rng, max_points=2))
+             for _ in range(12)]
+    assert any(d.points for pair in pairs for d in pair)
+    for trial, pair in enumerate(pairs):
+        for field, diagram in zip(realize(*pair)[:2], pair):
+            assert _size_function_mismatch(field, diagram) is None, f"trial {trial}"
+    # the worked example's pit bottom (1 at column 2, y = 2) moved down by 1/64 is caught
+    d1, d2 = worked_pair()
+    phi = realize(d1, d2)[0]
+    columns = [list(vs) for vs in phi.values_per_column]
+    columns[2][2] -= F(1, 64)
+    broken = RectField(phi.x_breaks, phi.y_breaks, columns)
+    assert _size_function_mismatch(phi, d1) is None
+    assert _size_function_mismatch(broken, d1) is not None
 
 
 def _break_one_node(monkeypatch, which, column, row, shift):
