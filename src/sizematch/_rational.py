@@ -18,6 +18,8 @@ from fractions import Fraction
 _SAFE_BITS = 3 * 640
 _TOO_LONG = ("an exact number holds an integer of more than {0} digits, more than this "
              "interpreter {1} text (sys.get_int_max_str_digits() is {0})")
+# a malformed literal of more characters than this is named by its first _HEAD_CHARS
+_ECHO_CHARS, _HEAD_CHARS = 64, 20
 # the text int() reads as a base 10 int at any length; its white space leaves out \x1c-\x1f
 _INT_LITERAL = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*")
 
@@ -97,14 +99,23 @@ def int_from_text(text: str) -> int:
         raise ValueError(_TOO_LONG.format(sys.get_int_max_str_digits(), "reads from")) from None
 
 
+def _malformed(literal: str) -> ValueError:
+    """The error for a malformed ``"p/q"`` literal: a long one is named by its
+    length and first characters, so that the message stays one short line."""
+    if len(literal) <= _ECHO_CHARS:
+        return ValueError(f"malformed rational literal {literal!r}")
+    return ValueError(f"malformed rational literal of {len(literal)} characters, "
+                      f"starting {literal[:_HEAD_CHARS]!r}")
+
+
 def number_from_json(value) -> Fraction:
     """Decode a number written by :func:`number_to_json`."""
     if isinstance(value, str):
         num, sep, den = value.partition("/")
         if not (sep and _INT_LITERAL.fullmatch(num) and _INT_LITERAL.fullmatch(den)):
-            raise ValueError(f"malformed rational literal {value!r}")
+            raise _malformed(value)
         try:
             return Fraction(int_from_text(num), int_from_text(den))
         except ZeroDivisionError:
-            raise ValueError(f"malformed rational literal {value!r}") from None
+            raise _malformed(value) from None
     return as_fraction(value)

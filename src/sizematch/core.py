@@ -307,6 +307,22 @@ def _stripped_lines(text) -> List[str]:
     return list(map(str.strip, text))
 
 
+def _content_lines(text) -> Tuple[List[str], bool]:
+    """``(lines, bare)``: the non-blank stripped lines of ``text``, and whether
+    ``text`` is a ``str`` that holds no white space but line breaks.
+
+    Bare text is split by one ``text.split()``, and neither its lines nor
+    the fields between their commas need stripping.
+    """
+    # a space or a tab, as in padded files, rules out the split() below before it is made
+    if isinstance(text, str) and " " not in text and "\t" not in text:
+        lines = text.split()
+        # split() drops every white space character: here, only the line breaks
+        if sum(map(len, lines)) == len(text) - text.count("\n") - text.count("\r"):
+            return lines, True
+    return list(filter(None, _stripped_lines(text))), False
+
+
 def _vertex_line_fault(lines: List[str]) -> None:
     """Raise the ParseError of the first malformed vertex line, if there is one."""
     for number, line in enumerate(lines, start=1):
@@ -330,34 +346,47 @@ def _edge_line_fault(lines: List[str]) -> None:
             raise ParseError(f"edge line {number}: expected 'u,v', got {line!r}", number)
 
 
+def _one_comma_each(lines: List[str]) -> Optional[List[str]]:
+    """The fields of ``lines``, two per line in order, if every line holds exactly one comma."""
+    fields = ",".join(lines).split(",") if lines else []
+    # as many commas as lines, and one in every line: exactly one in each
+    if len(fields) == 2 * len(lines) and all(map(contains, lines, repeat(","))):
+        return fields
+    return None
+
+
 def _vertex_columns(text) -> Tuple[List[str], List[float]]:
     """The ids and values of the vertex lines of ``text``."""
-    lines = _stripped_lines(text)
-    parts = list(map(str.rpartition, filter(None, lines), repeat(",")))
-    ids, seps, value_texts = zip(*parts) if parts else ((), (), ())
-    del parts
-    if "" in seps:
-        _vertex_line_fault(lines)
+    if not isinstance(text, str):
+        text = _stripped_lines(text)  # an iterable is read once; the fault walk reads this again
+    lines, bare = _content_lines(text)
+    fields = _one_comma_each(lines)
+    if fields is not None:
+        ids, value_texts = fields[0::2], fields[1::2]
+    else:  # a line without a comma, or an id that holds one
+        ids, seps, value_texts = zip(*map(str.rpartition, lines, repeat(",")))
+        if "" in seps:
+            _vertex_line_fault(_stripped_lines(text))
+        ids = list(ids)
+    del lines, fields
     try:
         values = list(map(float, value_texts))
     except ValueError:
-        _vertex_line_fault(lines)
+        _vertex_line_fault(_stripped_lines(text))
         raise
-    return list(map(str.strip, ids)), values
+    return ids if bare else list(map(str.strip, ids)), values
 
 
 def _edge_ends(text) -> List[str]:
     """The ends of the edge lines of ``text``, two per line, in order."""
-    lines = _stripped_lines(text)
-    edge_lines = list(filter(None, lines))
-    if not edge_lines:
-        return []
-    ends = ",".join(edge_lines).split(",")
-    # as many commas as lines, and one in every line: exactly one in each
-    if len(ends) != 2 * len(edge_lines) or not all(map(contains, edge_lines, repeat(","))):
-        _edge_line_fault(lines)
-    del lines, edge_lines
-    return list(map(str.strip, ends))
+    if not isinstance(text, str):
+        text = _stripped_lines(text)  # an iterable is read once; the fault walk reads this again
+    lines, bare = _content_lines(text)
+    ends = _one_comma_each(lines)
+    if ends is None:
+        _edge_line_fault(_stripped_lines(text))
+    del lines
+    return ends if bare else list(map(str.strip, ends))
 
 
 def parse_size_pair(vertex_text, edge_text) -> SizePair:
@@ -456,8 +485,9 @@ def reduced_size_function(sp: SizePair, x, y) -> int:
 class _UnionFind:
     """Union-find over the positions 0..n-1; each class is rooted at its smallest position.
 
-    Callers number vertices in the order they sweep them, so the root of a
-    class is its oldest vertex.
+    :func:`size_function_on_grid` numbers vertices in the order it sweeps
+    them, so the root of a class is its oldest vertex.  Extraction keeps its
+    own inlined copy, so this oracle shares no code with the sweep it checks.
     """
 
     __slots__ = ("parent",)
@@ -474,19 +504,14 @@ class _UnionFind:
     def union(self, p: int, q: int) -> Optional[int]:
         """Merge the classes of p and q; return the root that stopped being one.
 
-        Returns None when p and q already share a class.  The two finds are
-        inlined, with path halving, since extraction calls this once per edge.
+        Returns None when p and q already share a class.
         """
-        parent = self.parent
-        while parent[p] != p:
-            parent[p] = p = parent[parent[p]]
-        while parent[q] != q:
-            parent[q] = q = parent[parent[q]]
+        p, q = self.find(p), self.find(q)
         if p == q:
             return None
         if q < p:
             p, q = q, p
-        parent[q] = p
+        self.parent[q] = p
         return q
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ._rational import as_fraction, number_from_json, number_to_json, ratio_to_json
-from .core import SizePair, _UnionFind, _min_gap, reduced_size_function, size_function_on_grid
+from ._rational import as_fraction, int_from_text, number_from_json, number_to_json, ratio_to_json
+from .core import SizePair, _min_gap, reduced_size_function, size_function_on_grid
 
 __all__ = [
     "ExtendedPoint",
@@ -218,7 +218,7 @@ class Diagram:
 
     @classmethod
     def loads(cls, text: str) -> "Diagram":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(json.loads(text, parse_int=int_from_text))
 
 
 def _on_one_unit(d1: Diagram, d2: Diagram) -> Tuple[int, List[tuple], List[tuple]]:
@@ -235,20 +235,17 @@ def _on_one_unit(d1: Diagram, d2: Diagram) -> Tuple[int, List[tuple], List[tuple
 
 
 def extract_diagram(sp: SizePair) -> Diagram:
-    """Cornerpoint diagram of a size pair, by one elder-rule sweep on integer ranks.
+    """Cornerpoint diagram of a size pair, by one elder-rule sweep.
 
-    The distinct values are sorted once and each gets an int rank (a list
-    that holds a Fraction is ranked on ``as_integer_ratio()`` pairs, so no
-    Fraction is hashed); :func:`_sweep` reads the ranks and the size pair's
-    adjacency.  Ranks become values again only for the pairs emitted.
+    Int and float values go to :func:`_sweep` as they are, since Python
+    compares them exactly.  A list that holds a Fraction is swept on int
+    ranks of its ``as_integer_ratio()`` pairs (so no Fraction is hashed),
+    which become values again only for the pairs emitted.
     """
     values, adj = sp._values, sp._adj
     if not set(map(type, values)) <= {int, float}:
         return _ratio_diagram([value.as_integer_ratio() for value in values], adj)
-    levels = sorted(dict.fromkeys(values))  # in first-seen order, which sorts faster than a set
-    rank_of = {value: r for r, value in enumerate(levels)}
-    pairs = _sweep([rank_of[value] for value in values], adj)
-    return Diagram(levels[0], [((levels[b], levels[d]), m) for (b, d), m in pairs.items()])
+    return Diagram(min(values), _sweep(values, adj).items())
 
 
 def _ratio_diagram(keys: Sequence[Tuple[int, int]], adj) -> Diagram:
@@ -272,11 +269,12 @@ def _ratio_levels(keys: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return levels
 
 
-def _sweep(rank: Sequence[int], adj) -> Dict[Tuple[int, int], int]:
-    """The (birth rank, death rank) -> multiplicity pairs of the graph ``adj``
-    whose vertex p has the int rank[p]; the class of rank 0 lives on.
+def _sweep(level: Sequence, adj) -> Dict[tuple, int]:
+    """The (birth, death) -> multiplicity pairs of the graph ``adj`` whose
+    vertex p has the value level[p]; the class of the least value lives on.
 
-    The positions are visited stable-sorted by rank.  An edge appears at
+    The values need only be totally ordered: ints and floats, or int ranks.
+    The positions are visited stable-sorted by value.  An edge appears at
     the later of its endpoints.  The root of a class is its earliest
     vertex.  When vertex p joins, the classes of its earlier neighbours
     merge: every one of their roots but the oldest dies at p's level and
@@ -285,22 +283,29 @@ def _sweep(rank: Sequence[int], adj) -> Dict[Tuple[int, int], int]:
     only decides which pairs have zero persistence, and those are
     discarded, so the multiset of pairs does not depend on it.
     """
-    n = len(rank)
-    order = sorted(range(n), key=rank.__getitem__)
+    n = len(level)
+    order = sorted(range(n), key=level.__getitem__)
     swept = [0] * n  # swept[v]: the index at which the sweep visits vertex v
     for p, v in enumerate(order):
         swept[v] = p
-    ranks = [rank[v] for v in order]
-    uf = _UnionFind(n)
-    pairs: Dict[Tuple[int, int], int] = {}
+    levels = list(map(level.__getitem__, order))
+    parent = list(range(n))  # union-find on sweep indices, each class rooted at its least
+    pairs: Dict[tuple, int] = {}
     for p, v in enumerate(order):
-        level = ranks[p]
+        here = levels[p]
+        root = p  # the root of p's class
         for u in adj[v]:
             q = swept[u]
             if q < p:
-                dead = uf.union(p, q)
-                if dead is not None and ranks[dead] < level:
-                    key = (ranks[dead], level)
+                while parent[q] != q:
+                    parent[q] = q = parent[parent[q]]  # path halving
+                if q == root:
+                    continue
+                if q < root:
+                    root, q = q, root
+                parent[q] = root  # q, the younger root, dies here
+                if levels[q] < here:
+                    key = (levels[q], here)
                     pairs[key] = pairs.get(key, 0) + 1
     return pairs
 

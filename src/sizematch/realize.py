@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from ._rational import as_fraction, common_denominator, number_from_json, number_to_json
-from ._rational import _SAFE_BITS, on_scale, ratio_to_json
+from ._rational import _SAFE_BITS, int_from_text, on_scale, ratio_to_json
 from .core import ModelViolationError, SizePair
 from .diagram import Diagram, ExtendedPoint, _on_one_unit, _ratio, _ratio_diagram
 from .matching import DIAGONAL, Matching, _check_matching_size, matching_distance
@@ -174,7 +174,7 @@ class RectField:
 
     @classmethod
     def loads(cls, text: str) -> "RectField":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(json.loads(text, parse_int=int_from_text))
 
 
 @dataclass(frozen=True)

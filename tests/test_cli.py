@@ -184,6 +184,16 @@ def test_dist_rejects_a_malformed_rational_literal(files, capsys, tmp_path):
     assert err == f"error: {bad}: diagram JSON: malformed rational literal '1/0'\n"
 
 
+def test_dist_names_a_long_malformed_rational_literal_by_its_start(files, capsys, tmp_path):
+    bad = tmp_path / "long.json"
+    bad.write_text('{"infinity_x": 0, "points": [[0, "1/%s", 1]]}' % ("2x" * 500000))
+    code, out, err = run(capsys, ["dist", str(bad), files["d2"]])
+    assert (code, out) == (2, "")
+    assert err == (f"error: {bad}: diagram JSON: malformed rational literal of 1000002 "
+                   "characters, starting '1/2x2x2x2x2x2x2x2x2x'\n")
+    assert len(err.encode()) < 300
+
+
 def test_output_flag_writes_file(files, capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, ["dist", files["d1"], files["d2"], "--output", str(target)])

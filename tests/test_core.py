@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -535,7 +536,7 @@ def test_cli_reads_a_unicode_line_separator_inside_an_id(tmp_path, capsys):
 
 def _oracle_lines(text):
     if isinstance(text, str):
-        lines = text.splitlines()
+        lines = re.split(r"\r\n|\r|\n", text)  # not splitlines(): NON_BREAKS stay in a line
     else:
         lines = [line.rstrip("\n") for line in text]
     for number, raw in enumerate(lines, start=1):
@@ -645,14 +646,23 @@ def _outcome(build):
 VALUE_TEXTS = ["1", "-2.5", "0", "3e2", " 7 ", "nan", "inf", "-inf", "1e400", "1_0", "x", "", "0x1", "1e-400"]
 
 
-def _messy_files(rng):
-    """Seeded vertex and edge lines that mix every kind of fault with clean input."""
+def _messy_files(rng, pads=True):
+    """Seeded vertex and edge lines that mix every kind of fault with clean input.
+
+    With ``pads`` off, no white space is put around fields, into names or on
+    blank lines; then a name may hold a NON_BREAKS character or U+00A0
+    instead, and a bad value text may still bring white space in.
+    """
     n = rng.randint(1, 9)
     # an id with a comma parses as a vertex but cannot appear in an edge line
-    names = [("a,b" if rng.random() < 0.03 else rng.choice(["v", "w", "node "])) + str(i) for i in range(n)]
+    stems = ["v", "w", "node "] if pads else ["v", "w", "node"]
+    names = [("a,b" if rng.random() < 0.03 else rng.choice(stems)) + str(i) for i in range(n)]
+    if not pads and rng.random() < 0.05:
+        i = rng.randrange(n)
+        names[i] = names[i][0] + rng.choice(NON_BREAKS + ["\xa0"]) + names[i][1:]
     if rng.random() < 0.1 and n > 1:
         names[rng.randrange(n)] = names[0]  # duplicate id
-    pad = lambda: rng.choice(["", "", " ", "\t", "  "])
+    pad = lambda: rng.choice(["", "", " ", "\t", "  "]) if pads else ""
     vertex_lines = []
     for name in names:
         if rng.random() < 0.03:
@@ -677,7 +687,7 @@ def _messy_files(rng):
             edge_lines[rng.randrange(len(edge_lines))] = rng.choice(["a", "a,b,c", ",", "x,,"])
     for lines in (vertex_lines, edge_lines):
         for _ in range(rng.randint(0, 3)):
-            lines.insert(rng.randint(0, len(lines)), rng.choice(["", "  ", "\t"]))
+            lines.insert(rng.randint(0, len(lines)), rng.choice(["", "  ", "\t"]) if pads else "")
     return vertex_lines, edge_lines
 
 
@@ -706,6 +716,43 @@ def test_parse_matches_the_per_line_parser():
     # the cases reach every outcome, clean graphs among them
     assert set(kinds) == {"ok", "ParseError", "ModelViolationError", "DisconnectedGraphError"}
     assert min(kinds.values()) >= 100
+
+
+def _outcome_kind(outcome):
+    """"ok", the side of a ParseError ("vertex line" or "edge line"), or the error's type name."""
+    if not isinstance(outcome[0], type):
+        return "ok"
+    if outcome[0] is ParseError:
+        return outcome[1].split(" line ")[0] + " line"
+    return outcome[0].__name__
+
+
+def test_whitespace_free_parse_matches_the_per_line_parser():
+    # text with no white space but its line breaks takes the parser's split() path
+    rng = random.Random(1211)
+    spaced = re.compile(r"[^\S\r\n]")  # white space other than a line break
+    kinds = {"vertex": {}, "edge": {}}
+    comma_ids = separator_ids = 0
+    for _ in range(4000):
+        vertex_lines, edge_lines = _messy_files(rng, pads=False)
+        texts = []
+        for lines in (vertex_lines, edge_lines):
+            text = "".join(line + rng.choice(["\n", "\r\n", "\r"]) for line in lines)
+            texts.append(text if rng.random() < 0.7 else text.rstrip("\r\n"))
+        expected = _outcome(lambda: _oracle_parse(*texts))
+        assert _outcome(lambda: parse_size_pair(*texts)) == expected, texts
+        for side, text in zip(kinds, texts):
+            if not spaced.search(text):
+                kind = _outcome_kind(expected)
+                kinds[side][kind] = kinds[side].get(kind, 0) + 1
+        if not spaced.search(texts[0]) and any(line.count(",") > 1 for line in vertex_lines):
+            comma_ids += 1
+        separator_ids += any(char in texts[0] for char in NON_BREAKS + ["\xa0"])
+    everything = {"ok", "vertex line", "edge line", "ModelViolationError", "DisconnectedGraphError"}
+    for side in kinds:
+        assert set(kinds[side]) == everything, kinds
+        assert sum(kinds[side].values()) >= 500, kinds
+    assert comma_ids >= 100 and separator_ids >= 100
 
 
 class _Float(float):
@@ -788,7 +835,29 @@ def _elder_rule(values, edges):
     return min(values.values()), pairs
 
 
-def test_load_and_extract_a_40k_vertex_graph(tmp_path):
+def test_extraction_on_mixed_int_and_float_values_seeded():
+    # ints and floats are swept as they are: equal values of either type, and the two
+    # zeros, must tie, and an int beyond the float precision must keep its place
+    rng = random.Random(1212)
+    choices = [0, 0.0, -0.0, 1, 1.0, -1, -1.0, 0.5, 2, 2.5, -3, 2**53, float(2**53), 2**53 + 1]
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        values = {f"v{i}": rng.choice(choices) for i in range(n)}
+        edges = [(f"v{rng.randrange(i)}", f"v{i}") for i in range(1, n)]
+        for _ in range(rng.randint(0, n) if n > 1 else 0):
+            u, v = (f"v{i}" for i in rng.sample(range(n), 2))
+            if {u, v} not in [set(e) for e in edges]:
+                edges.append((u, v))
+        diagram = extract_diagram(SizePair(values, edges))
+        infinity_x, pairs = _elder_rule(values, edges)
+        assert diagram.infinity_x == F(infinity_x)
+        assert {(p.x, p.y): m for p, m in diagram.points} == {
+            (F(b), F(d)): m for (b, d), m in pairs.items()
+        }, (values, edges)
+
+
+@pytest.mark.parametrize("padded", [True, False], ids=["padded", "whitespace-free"])
+def test_load_and_extract_a_40k_vertex_graph(tmp_path, padded):
     rng = random.Random(1210)
     side = 200
     values = {f"p{i}": rng.randint(0, 4096) / 64 for i in range(side * side)}
@@ -802,7 +871,8 @@ def test_load_and_extract_a_40k_vertex_graph(tmp_path):
     rng.shuffle(vertex_items)
     vertex_path, edge_path = tmp_path / "v.csv", tmp_path / "e.csv"
     vertex_path.write_text("".join(f"{v},{value!r}\n" for v, value in vertex_items))
-    edge_path.write_text("".join(f" {u} , {v}\n" for u, v in edges))
+    edge_line = " {} , {}\n" if padded else "{},{}\n"
+    edge_path.write_text("".join(edge_line.format(u, v) for u, v in edges))
     start = time.perf_counter()
     diagram = extract_diagram(load_size_pair(vertex_path, edge_path))
     elapsed = time.perf_counter() - start

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -25,6 +26,7 @@ from sizematch import (
 from sizematch._rational import number_to_json
 from sizematch.core import _quarter_gap_grid
 from sizematch.diagram import _on_one_unit
+from sizematch.realize import RectField
 from sizematch.selftest import random_diagram, random_size_pair
 
 from test_core import path_fixture
@@ -560,6 +562,25 @@ def test_diagram_json_round_trip_beyond_float():
         "infinity_x": "-1/3",
         "points": [[0, 10**400, 2], ["1/3", 1, 1]],
     }
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python reads ints of any length from text")
+@pytest.mark.parametrize("kind", [Diagram, RectField], ids=["Diagram", "RectField"])
+def test_loads_refuses_an_int_too_long_to_read_in_one_message(kind):
+    # the int literal is refused while the JSON is read, before its shape is looked at
+    text = '{"infinity_x": 0, "points": [[0, 1' + "0" * 4400 + ", 1]]}"
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError) as info:
+            kind.loads(text)
+    finally:
+        sys.set_int_max_str_digits(before)
+    message = str(info.value)
+    assert message == ("an exact number holds an integer of more than 4300 digits, more than "
+                       "this interpreter reads from text (sys.get_int_max_str_digits() is 4300)")
+    assert info.value.__cause__ is None and info.value.__suppress_context__
 
 
 def test_diagram_json_integral_values_print_as_integers():
