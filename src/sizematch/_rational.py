@@ -18,7 +18,7 @@ from fractions import Fraction
 _SAFE_BITS = 3 * 640
 _TOO_LONG = ("an exact number holds an integer of more than {0} digits, more than this "
              "interpreter {1} text (sys.get_int_max_str_digits() is {0})")
-# a malformed literal of more characters than this is named by its first _HEAD_CHARS
+# quoted input of more characters than this is named by its length and first _HEAD_CHARS
 _ECHO_CHARS, _HEAD_CHARS = 64, 20
 # the text int() reads as a base 10 int at any length; its white space leaves out \x1c-\x1f
 _INT_LITERAL = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*")
@@ -99,13 +99,23 @@ def int_from_text(text: str) -> int:
         raise ValueError(_TOO_LONG.format(sys.get_int_max_str_digits(), "reads from")) from None
 
 
+def quoted(value) -> str:
+    """``value`` as an error message shows it, kept to one short line.
+
+    A str shows as its repr, anything else as its str (a Fraction as p/q).
+    A str, or the str of anything else, of more than 64 characters is named
+    by its length and its first 20 characters.
+    """
+    is_text = isinstance(value, str)
+    text = value if is_text else str(value)
+    if len(text) <= _ECHO_CHARS:
+        return repr(value) if is_text else text
+    return f"of {len(text)} characters, starting {text[:_HEAD_CHARS]!r}"
+
+
 def _malformed(literal: str) -> ValueError:
-    """The error for a malformed ``"p/q"`` literal: a long one is named by its
-    length and first characters, so that the message stays one short line."""
-    if len(literal) <= _ECHO_CHARS:
-        return ValueError(f"malformed rational literal {literal!r}")
-    return ValueError(f"malformed rational literal of {len(literal)} characters, "
-                      f"starting {literal[:_HEAD_CHARS]!r}")
+    """The error for a malformed ``"p/q"`` literal."""
+    return ValueError(f"malformed rational literal {quoted(literal)}")
 
 
 def number_from_json(value) -> Fraction:

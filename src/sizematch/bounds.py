@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ._rational import as_fraction, number_to_json
 from .core import SizePair
@@ -254,41 +254,39 @@ def exact_graph_pseudo_distance(sp1: SizePair, sp2: SizePair, cap: int = 9) -> F
         )
     if sp2.n_vertices != n or sp2.n_edges != sp1.n_edges:
         raise NotIsomorphicError("graphs differ in vertex or edge count")
-    degrees1 = sorted(sp1.degree(v) for v in sp1.vertex_ids)
-    degrees2 = sorted(sp2.degree(v) for v in sp2.vertex_ids)
-    if degrees1 != degrees2:
+    adj1, adj2 = sp1._adj, sp2._adj
+    degree = list(map(len, adj1))
+    if sorted(degree) != sorted(map(len, adj2)):
         raise NotIsomorphicError("graphs have different degree sequences")
 
     # BFS order: after the root every vertex has a previously mapped neighbor,
-    # whose image's neighbours are the only possible images.  vertex_ids and
-    # neighbors() are in str order, which min and sorted keep among equal degrees.
-    start = min(sp1.vertex_ids, key=lambda v: -sp1.degree(v))
-    order: List = [start]
+    # whose image's neighbours are the only possible images.  Equal degrees
+    # are taken in position order.
+    start = degree.index(max(degree))
+    order = [start]
     seen = {start}
     for v in order:  # the list is the BFS queue: it grows while it is read
-        for u in sorted(sp1.neighbors(v), key=lambda w: -sp1.degree(w)):
+        for u in sorted(adj1[v], key=lambda w: (-degree[w], w)):
             if u not in seen:
                 seen.add(u)
                 order.append(u)
-    values1 = {v: as_fraction(sp1.value(v)) for v in sp1.vertex_ids}
-    values2 = {w: as_fraction(sp2.value(w)) for w in sp2.vertex_ids}
+    values1, values2 = ([as_fraction(x) for x in sp._values] for sp in (sp1, sp2))
 
     best: Optional[Fraction] = None
-    mapping: Dict = {}
-    used = set()
+    image: List[Optional[int]] = [None] * n  # image[v]: the position v is mapped to
+    used = [False] * n  # used[w]: w is the image of a mapped vertex
 
     def candidates(v, running: Fraction):
-        """Images w of v, in str order, that keep the mapping consistent and
-        the running maximum below the best found so far (read at each step).
+        """Images w of v that keep the mapping consistent and the running
+        maximum below the best found so far (read at each step).
         Consistent: w's used neighbours are exactly the images of v's mapped
         neighbours, which stay mapped while the generator lives."""
-        images = [mapping[u] for u in sp1.neighbors(v) if u in mapping]
+        images = [image[u] for u in adj1[v] if image[u] is not None]
         expected = set(images)
-        degree = sp1.degree(v)
-        for w in sp2.neighbors(images[0]) if images else sp2.vertex_ids:  # str order
-            if w in used or sp2.degree(w) != degree:
+        for w in adj2[images[0]] if images else range(n):
+            if used[w] or len(adj2[w]) != degree[v]:
                 continue
-            if {x for x in sp2.neighbors(w) if x in used} != expected:
+            if {x for x in adj2[w] if used[x]} != expected:
                 continue
             gap = abs(values1[v] - values2[w])
             next_running = running if running >= gap else gap
@@ -305,14 +303,15 @@ def exact_graph_pseudo_distance(sp1: SizePair, sp2: SizePair, cap: int = 9) -> F
         if step is None:
             frames.pop()
             if i:
-                used.discard(mapping.pop(order[i - 1]))
+                used[image[order[i - 1]]] = False
+                image[order[i - 1]] = None
             continue
         w, running = step
         if i + 1 == n:
             best = running
             continue
-        mapping[order[i]] = w
-        used.add(w)
+        image[order[i]] = w
+        used[w] = True
         frames.append(candidates(order[i + 1], running))
     if best is None:
         raise NotIsomorphicError("graphs are not isomorphic")

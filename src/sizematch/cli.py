@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from operator import is_
 from typing import List, Optional
 
-from ._rational import int_from_text, number_to_json
+from ._rational import int_from_text, number_to_json, quoted
 from .core import ModelViolationError, ParseError, SizePair, load_size_pair
 from .diagram import Diagram, extract_diagram
 from .matching import DIAGONAL, matching_distance, pseudo_distance_d, stability_probe
@@ -61,7 +61,7 @@ def _resolve_seed(explicit: Optional[int]) -> int:
     try:
         return int(env)
     except ValueError:
-        raise ValueError(f"SIZEMATCH_SEED must be an integer, got {env!r}") from None
+        raise ValueError(f"SIZEMATCH_SEED must be an integer, got {quoted(env)}") from None
 
 
 def _check_at_least(option: str, value: int, least: int) -> None:
@@ -280,7 +280,7 @@ def _cmd_stability(args) -> int:
     try:
         epsilon = Fraction(args.epsilon)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"--epsilon: expected a number, got {args.epsilon!r}") from None
+        raise ValueError(f"--epsilon: expected a number, got {quoted(args.epsilon)}") from None
     if epsilon < 0:
         raise ValueError("--epsilon must be nonnegative")
     rng = random.Random(f"{_resolve_seed(args.seed)}:stability-cli")

@@ -17,7 +17,7 @@ from itertools import repeat
 from operator import contains
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ._rational import as_fraction
+from ._rational import as_fraction, quoted
 
 __all__ = [
     "ParseError",
@@ -60,10 +60,10 @@ class DisconnectedGraphError(ModelViolationError):
 def _check_value(value, owner) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         raise ModelViolationError(
-            f"value of vertex {owner!r} must be a real number, got {type(value).__name__}"
+            f"value of vertex {quoted(owner)} must be a real number, got {type(value).__name__}"
         )
     if isinstance(value, float) and not math.isfinite(value):
-        raise ModelViolationError(f"value of vertex {owner!r} must be finite, got {value!r}")
+        raise ModelViolationError(f"value of vertex {quoted(owner)} must be finite, got {value!r}")
 
 
 def _vertex_fault(ids, values) -> None:
@@ -74,7 +74,7 @@ def _vertex_fault(ids, values) -> None:
     seen = set()
     for vid, value in zip(ids, values):
         if vid in seen:
-            raise ModelViolationError(f"duplicate vertex id {vid!r}")
+            raise ModelViolationError(f"duplicate vertex id {quoted(vid)}")
         _check_value(value, vid)
         seen.add(vid)
 
@@ -113,15 +113,17 @@ def _edge_fault(position: Dict[Hashable, int], edges) -> None:
         u, v = edge
         p = position.get(u)
         if p is None:
-            raise ModelViolationError(f"edge ({u!r}, {v!r}) references unknown vertex {u!r}")
+            raise ModelViolationError(
+                f"edge ({quoted(u)}, {quoted(v)}) references unknown vertex {quoted(u)}")
         q = position.get(v)
         if q is None:
-            raise ModelViolationError(f"edge ({u!r}, {v!r}) references unknown vertex {v!r}")
+            raise ModelViolationError(
+                f"edge ({quoted(u)}, {quoted(v)}) references unknown vertex {quoted(v)}")
         if p == q:
-            raise ModelViolationError(f"self-loop at vertex {u!r}")
+            raise ModelViolationError(f"self-loop at vertex {quoted(u)}")
         key = p * n + q if p < q else q * n + p
         if key in seen:
-            raise ModelViolationError(f"duplicate edge ({u!r}, {v!r})")
+            raise ModelViolationError(f"duplicate edge ({quoted(u)}, {quoted(v)})")
         seen.add(key)
 
 
@@ -330,12 +332,13 @@ def _vertex_line_fault(lines: List[str]) -> None:
             continue
         _, sep, value_text = line.rpartition(",")
         if not sep:
-            raise ParseError(f"vertex line {number}: expected 'id,value', got {line!r}", number)
+            raise ParseError(
+                f"vertex line {number}: expected 'id,value', got {quoted(line)}", number)
         try:
             float(value_text)
         except ValueError:
             raise ParseError(
-                f"vertex line {number}: could not parse value {value_text.strip()!r}", number
+                f"vertex line {number}: could not parse value {quoted(value_text.strip())}", number
             ) from None
 
 
@@ -343,7 +346,7 @@ def _edge_line_fault(lines: List[str]) -> None:
     """Raise the ParseError of the first edge line without exactly one comma, if there is one."""
     for number, line in enumerate(lines, start=1):
         if line and line.count(",") != 1:
-            raise ParseError(f"edge line {number}: expected 'u,v', got {line!r}", number)
+            raise ParseError(f"edge line {number}: expected 'u,v', got {quoted(line)}", number)
 
 
 def _one_comma_each(lines: List[str]) -> Optional[List[str]]:

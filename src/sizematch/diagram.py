@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ._rational import as_fraction, int_from_text, number_from_json, number_to_json, ratio_to_json
+from ._rational import as_fraction, int_from_text, number_from_json, number_to_json, quoted
+from ._rational import ratio_to_json
 from .core import SizePair, _min_gap, reduced_size_function, size_function_on_grid
 
 __all__ = [
@@ -46,7 +47,8 @@ class ExtendedPoint:
         if not (isinstance(self.y, float) and math.isinf(self.y) and self.y > 0):
             object.__setattr__(self, "y", as_fraction(self.y))
         if not self.y > self.x:
-            raise ValueError(f"point must lie strictly above the diagonal, got ({self.x}, {self.y})")
+            raise ValueError("point must lie strictly above the diagonal, "
+                             f"got ({quoted(self.x)}, {quoted(self.y)})")
 
     @classmethod
     def _exact(cls, x: Fraction, y: Fraction) -> "ExtendedPoint":
@@ -94,11 +96,11 @@ def _read_entry(entry):
     try:
         raw, mult = entry
     except (TypeError, ValueError):
-        raise ValueError(f"cannot interpret diagram point entry {entry!r}") from None
+        raise ValueError(f"cannot interpret diagram point entry {quoted(entry)}") from None
     if not isinstance(raw, (ExtendedPoint, tuple, list)):
         raw, mult = (raw, mult), 1
     elif isinstance(mult, bool) or not isinstance(mult, int) or mult <= 0:
-        raise ValueError(f"multiplicity must be a positive integer, got {mult!r}")
+        raise ValueError(f"multiplicity must be a positive integer, got {quoted(mult)}")
     x, y = (raw.x, raw.y) if isinstance(raw, ExtendedPoint) else (raw[0], raw[1])
     x_ratio = _ratio(x)
     if isinstance(y, float) and y == math.inf:
@@ -106,7 +108,8 @@ def _read_entry(entry):
     y_ratio = _ratio(y)
     if y_ratio[0] * x_ratio[1] <= x_ratio[0] * y_ratio[1]:  # denominators are positive
         x, y = Fraction(*x_ratio), Fraction(*y_ratio)
-        raise ValueError(f"point must lie strictly above the diagonal, got ({x}, {y})")
+        raise ValueError(
+            f"point must lie strictly above the diagonal, got ({quoted(x)}, {quoted(y)})")
     return x_ratio, y_ratio, mult
 
 
@@ -202,7 +205,8 @@ class Diagram:
             raise ValueError("diagram JSON: 'points' must be a list")
         for row in raw_points:
             if not isinstance(row, (list, tuple)) or len(row) != 3:
-                raise ValueError(f"diagram JSON: bad point row {row!r}, expected [x, y, mult]")
+                raise ValueError(
+                    f"diagram JSON: bad point row {quoted(row)}, expected [x, y, mult]")
         try:
             # every number is checked before any multiplicity or diagonal test;
             # ints and finite floats go on as they are, to be read as int ratios

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple, Union
 
-from ._rational import as_fraction, number_from_json, number_to_json
+from ._rational import as_fraction, number_from_json, number_to_json, quoted
 from .core import SizePair
 from .diagram import Diagram, ExtendedPoint, _on_one_unit, extract_diagram
 
@@ -119,13 +119,13 @@ class Matching:
                 return ExtendedPoint.at_infinity(abscissa)
             if isinstance(side, (list, tuple)) and len(side) == 2:
                 return ExtendedPoint(number_from_json(side[0]), number_from_json(side[1]))
-            raise ValueError(f"bad pair side {side!r}")
+            raise ValueError(f"bad pair side {quoted(side)}")
 
         try:
             pairs = []
             for row in rows:
                 if not isinstance(row, dict) or "left" not in row or "right" not in row:
-                    raise ValueError(f"bad pair row {row!r}")
+                    raise ValueError(f"bad pair row {quoted(row)}")
                 pairs.append((decode(row["left"], infinity_left, "left"),
                               decode(row["right"], infinity_right, "right")))
             return cls(pairs=tuple(pairs), cost=number_from_json(data["cost"]))

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from ._rational import as_fraction, common_denominator, number_from_json, number_to_json
-from ._rational import _SAFE_BITS, int_from_text, on_scale, ratio_to_json
+from ._rational import _SAFE_BITS, int_from_text, on_scale, quoted, ratio_to_json
 from .core import ModelViolationError, SizePair
 from .diagram import Diagram, ExtendedPoint, _on_one_unit, _ratio, _ratio_diagram
 from .matching import DIAGONAL, Matching, _check_matching_size, matching_distance
@@ -277,7 +277,8 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
         x = diagram.points[0][0].x if diagram.points else diagram.infinity_x
         if x < diagram.infinity_x:
             raise ModelViolationError(
-                f"{name}: cornerpoint abscissa {x} lies below infinity_x {diagram.infinity_x}"
+                f"{name}: cornerpoint abscissa {quoted(x)} lies below infinity_x "
+                f"{quoted(diagram.infinity_x)}"
             )
     _check_matching_size(d1, d2)  # before the swap, so that it names the diagram as given
     # each copy is in one witness pair: 3k + 2 columns or more, rows min_phi < c - e < c < c + e < S

@@ -502,6 +502,16 @@ def _double_edge_swap(rng, sp):
     return sp
 
 
+def _shuffled_copy(rng, ids, edges):
+    """The graph ``edges`` on positions, with ids[p] at position p and fresh values,
+    its vertices and edges given in shuffled order."""
+    vertices = [(vid, F(rng.randint(0, 16), 4)) for vid in ids]
+    rng.shuffle(vertices)
+    edges = [(ids[a], ids[b]) for a, b in edges]
+    rng.shuffle(edges)
+    return SizePair(vertices, edges)
+
+
 def test_exact_distance_against_networkx_isomorphisms():
     nx = pytest.importorskip("networkx", exc_type=ImportError)
     from networkx.algorithms.isomorphism import GraphMatcher
@@ -541,6 +551,25 @@ def test_exact_distance_against_networkx_isomorphisms():
             with pytest.raises(NotIsomorphicError):
                 exact_graph_pseudo_distance(sp1, sp2)
     assert min(outcomes.values()) > 0, outcomes
+    # stars, leafy trees and complete bipartite graphs K_{m,n}, on ids whose str
+    # order differs from their input order: ints from 1 to 12, and a mix of
+    # str and int such as "10" and 9
+    for trial in range(120):
+        n = rng.randint(2, 7)
+        shape = trial % 3
+        if shape == 0:
+            edges = [(0, k) for k in range(1, n)]
+        elif shape == 1:
+            spine = max(1, n // 3)
+            edges = [(k, k - 1) for k in range(1, spine)]
+            edges += [(k, rng.randrange(spine)) for k in range(spine, n)]
+        else:
+            m = rng.randint(1, n - 1)
+            edges = [(a, b) for a in range(m) for b in range(m, n)]
+        pool = list(range(1, 13)) if trial % 2 else [k if k % 2 else str(k) for k in range(5, 17)]
+        sp1, sp2 = (_shuffled_copy(rng, rng.sample(pool, n), edges) for _ in range(2))
+        expected = oracle(sp1, sp2)
+        assert expected is not None and exact_graph_pseudo_distance(sp1, sp2) == expected, trial
 
 
 def test_matching_distance_lower_bounds_exact():

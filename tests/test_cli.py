@@ -194,6 +194,33 @@ def test_dist_names_a_long_malformed_rational_literal_by_its_start(files, capsys
     assert len(err.encode()) < 300
 
 
+LONG = "x" * 10**6
+EMPTY_DIAGRAM = '{"infinity_x": 0, "points": []}'
+# each input quotes a token of 10^6 characters in its error: (command, file texts, exit code)
+LONG_INPUTS = {
+    "point row": ("dist", ['{"infinity_x": 0, "points": [["%s", 1]]}' % LONG, EMPTY_DIAGRAM], 2),
+    "multiplicity": ("dist", ['{"infinity_x": 0, "points": [[0, 1, "%s"]]}' % LONG,
+                              EMPTY_DIAGRAM], 2),
+    "vertex line": ("diagram", [f"a,0\n{LONG}\n", "a,b\n"], 2),
+    "value": ("diagram", [f"a,0\nb,{LONG}\n", "a,b\n"], 2),
+    "duplicate id": ("diagram", [f"{LONG},0\n{LONG},1\n", "a,b\n"], 3),
+    "unknown end": ("diagram", ["a,0\nb,1\n", f"a,{LONG}\n"], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_INPUTS))
+def test_an_error_quotes_a_long_input_by_its_length_and_start(capsys, tmp_path, case):
+    command, texts, expected = LONG_INPUTS[case]
+    paths = []
+    for k, text in enumerate(texts):
+        paths.append(tmp_path / f"in{k}.{'json' if command == 'dist' else 'csv'}")
+        paths[-1].write_text(text)
+    code, out, err = run(capsys, [command, *map(str, paths)])
+    assert (code, out) == (expected, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 300, err[:300]
+    assert "characters, starting " in err
+
+
 def test_output_flag_writes_file(files, capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, ["dist", files["d1"], files["d2"], "--output", str(target)])
@@ -266,6 +293,34 @@ def test_bound_cap_flag(files, capsys):
     data = json.loads(out)
     assert data["exact_pseudo_distance"] is None
     assert "cap" in data["note"]
+
+
+def test_bound_builds_no_id_view(capsys, tmp_path, monkeypatch):
+    # a 9-vertex tree and a relabelled copy with moved values: ids 2..10, whose
+    # str order differs from input order, so the exact search must run on positions
+    edges = [(2, 3), (3, 4), (3, 5), (5, 6), (2, 7), (7, 8), (7, 9), (9, 10)]
+    values = {v: 37 * v % 11 / 4 for v in range(2, 11)}
+    relabel = {v: 12 - v for v in range(2, 11)}
+    texts = [
+        "".join(f"{v},{x}\n" for v, x in values.items()),
+        "".join(f"{u},{v}\n" for u, v in edges),
+        "".join(f"{relabel[v]},{x + (v % 3) / 8}\n" for v, x in values.items()),
+        "".join(f"{relabel[u]},{relabel[v]}\n" for u, v in edges),
+    ]
+    paths = []
+    for k, text in enumerate(texts):
+        paths.append(str(tmp_path / f"{k}.csv"))
+        with open(paths[-1], "w") as fh:
+            fh.write(text)
+    code, expected, _ = run(capsys, ["bound", *paths])
+    assert code == 0 and json.loads(expected)["exact_pseudo_distance"] == 0.25
+
+    def refuse(*args):
+        raise AssertionError("bound read an id view")
+
+    for name in ("_build_views", "degree", "value"):
+        monkeypatch.setattr(sizematch.SizePair, name, refuse)
+    assert run(capsys, ["bound", *paths]) == (0, expected, "")
 
 
 def test_bound_beyond_the_float_range(capsys, tmp_path):

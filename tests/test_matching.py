@@ -522,6 +522,19 @@ def test_matching_json_rejects_bad_shapes():
         assert str(info.value).count("matching JSON") == 1, data
 
 
+def test_matching_json_quotes_a_long_row_or_side_by_its_length_and_start():
+    side = "s" * 10**6
+    for data, message in (
+        ({"cost": 0, "pairs": [{"left": side, "right": "diag"}]},
+         f"bad pair side of {len(side)} characters, starting {side[:20]!r}"),
+        ({"cost": 0, "pairs": [side]},
+         f"bad pair row of {len(side)} characters, starting {side[:20]!r}"),
+    ):
+        with pytest.raises(ValueError) as info:
+            Matching.from_json_dict(data)
+        assert str(info.value) == f"matching JSON: {message}"
+
+
 # ---------------------------------------------------------------- stability
 
 

@@ -79,6 +79,21 @@ def test_only_diagram_reads_a_diagrams_integer_rows_and_scale():
     assert readers == set()
 
 
+def test_only_core_diagram_and_bounds_read_a_size_pairs_adjacency_lists():
+    # extraction and the exact search run on the stored vertex positions;
+    # every other module goes through the id API of SizePair
+    package = os.path.dirname(sizematch.__file__)
+    readers = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as handle:
+                tree = ast.parse(handle.read(), filename=name)
+            if any(isinstance(node, ast.Attribute) and node.attr == "_adj"
+                   for node in ast.walk(tree)):
+                readers.add(name)
+    assert readers == {"core.py", "diagram.py", "bounds.py"}
+
+
 def test_realize_finds_equal_columns_by_index_not_by_object_identity():
     # a field shares a column through its layout, an index into its distinct columns
     path = os.path.join(os.path.dirname(sizematch.__file__), "realize.py")
