@@ -12,6 +12,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from typing import Tuple
 
 # an int of at most this many bits has fewer than 640 digits, the least limit
 # sys.set_int_max_str_digits accepts, so it can always be written as text
@@ -43,6 +44,16 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"expected a real number, got {type(value).__name__}")
 
 
+def _ratio(value) -> Tuple[int, int]:
+    """``value`` as (numerator, denominator) in lowest terms, with the errors of as_fraction."""
+    kind = type(value)
+    if kind is int:
+        return value, 1
+    if kind is Fraction or kind is float and math.isfinite(value):
+        return value.as_integer_ratio()
+    return as_fraction(value).as_integer_ratio()
+
+
 def common_denominator(values) -> int:
     """The lcm of the denominators of the Fractions ``values`` (1 for none).
 
@@ -66,8 +77,7 @@ def number_to_json(value):
     range, becomes the string ``"p/q"`` so that parsing the output
     reproduces the value bit-exactly.
     """
-    num, den = as_fraction(value).as_integer_ratio()
-    return ratio_to_json(num, den)
+    return ratio_to_json(*_ratio(value))
 
 
 def ratio_to_json(num: int, den: int):

@@ -16,13 +16,14 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import is_
 from typing import List, Optional
 
-from ._rational import int_from_text, number_to_json, quoted
+from ._rational import _TOO_LONG, int_from_text, number_to_json, quoted
 from .core import ModelViolationError, ParseError, SizePair, load_size_pair
 from .diagram import Diagram, extract_diagram
 from .matching import DIAGONAL, matching_distance, pseudo_distance_d, stability_probe
@@ -31,6 +32,10 @@ from .realize import _field_diagrams, realize
 from .selftest import perturbed_values, run_selftest
 
 __all__ = ["main"]
+
+# a decimal literal with an exponent, in a form that Fraction reads
+_EXPONENT_LITERAL = re.compile(
+    r"\s*([-+]?)(?=\d|\.\d)(\d*(?:_\d+)*)(?:\.(\d+(?:_\d+)*)?)?[eE]([-+]?\d+(?:_\d+)*)\s*")
 
 
 def _load_pair(vertex_path: str, edge_path: str) -> SizePair:
@@ -274,15 +279,45 @@ def _cmd_realize(args) -> int:
     return 0
 
 
+def _read_epsilon(literal: str) -> Fraction:
+    """The nonnegative Fraction that ``--epsilon`` names.
+
+    A decimal literal with an exponent is first read by its mantissa digits
+    and its exponent net of the digits after the point, so that no power of
+    ten is built only to be refused: a zero mantissa is 0, a negative one is
+    refused, and so is one whose exponent alone makes the reduced numerator
+    or denominator longer than the interpreter writes as text (the answer
+    would be refused at output).  Any other literal is read by Fraction.
+    """
+    match = _EXPONENT_LITERAL.fullmatch(literal)
+    try:
+        if match:  # the reads Fraction makes before its power, which refuse a part too long
+            sign, whole, fraction, exp = match.groups(default="")
+            places = len(fraction.replace("_", ""))  # the mantissa is high·10^places + low
+            high, low, shift = int(whole or "0"), int(fraction or "0"), int(exp) - places
+        else:
+            epsilon = Fraction(literal)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--epsilon: expected a number, got {quoted(literal)}") from None
+    if not match:
+        if epsilon < 0:
+            raise ValueError("--epsilon must be nonnegative")
+        return epsilon
+    if not (high or low):
+        return Fraction(0)
+    if sign == "-":
+        raise ValueError("--epsilon must be nonnegative")
+    digits = len(str(high)) + places if high else len(str(low))  # of the mantissa
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 or absent: no limit
+    if limit and (shift >= limit or -shift - digits >= limit):
+        raise ValueError(_TOO_LONG.format(limit, "writes as"))
+    return Fraction(literal)
+
+
 def _cmd_stability(args) -> int:
     _check_at_least("--trials", args.trials, 1)
     sp = _load_pair(args.vertices, args.edges)
-    try:
-        epsilon = Fraction(args.epsilon)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"--epsilon: expected a number, got {quoted(args.epsilon)}") from None
-    if epsilon < 0:
-        raise ValueError("--epsilon must be nonnegative")
+    epsilon = _read_epsilon(args.epsilon)
     rng = random.Random(f"{_resolve_seed(args.seed)}:stability-cli")
     worst = Fraction(0)
     for trial in range(args.trials):

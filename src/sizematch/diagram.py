@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ._rational import as_fraction, int_from_text, number_from_json, number_to_json, quoted
-from ._rational import ratio_to_json
+from ._rational import _ratio, ratio_to_json
 from .core import SizePair, _min_gap, reduced_size_function, size_function_on_grid
 
 __all__ = [
@@ -76,16 +75,6 @@ class ExtendedPoint:
         return f"ExtendedPoint({self.x}, {y})"
 
 
-def _ratio(value) -> Tuple[int, int]:
-    """``value`` as (numerator, denominator) in lowest terms, with the errors of as_fraction."""
-    kind = type(value)
-    if kind is int:
-        return value, 1
-    if kind is Fraction or kind is float and math.isfinite(value):
-        return value.as_integer_ratio()
-    return as_fraction(value).as_integer_ratio()
-
-
 def _read_entry(entry):
     """(x's ratio, y's ratio, multiplicity) of one entry, each ratio an int pair.
 
@@ -126,8 +115,8 @@ class Diagram:
 
     ``_scale`` is the lcm of the denominators of infinity_x and of every
     coordinate, and ``_rows`` holds (x*_scale, y*_scale, m) per distinct
-    point, sorted: the one stored form, read by ``_on_one_unit``, ``==``
-    and ``hash``.  Coordinates are read as int ratios (a float by
+    point, sorted: the one stored form, read by ``_on_one_unit``, the
+    evaluator, ``==`` and ``hash``.  Coordinates are read as int ratios (a float by
     ``as_integer_ratio``), and ``points`` is built from the rows when first read.
     """
 
@@ -314,38 +303,39 @@ def _sweep(level: Sequence, adj) -> Dict[tuple, int]:
     return pairs
 
 
+def _floor(value, scale: int):
+    """floor(value * scale), ``value`` read as an int ratio; a float ±inf as it is."""
+    if isinstance(value, float) and math.isinf(value):
+        return value
+    num, den = _ratio(value)
+    return num * scale // den
+
+
+def _count(diagram: Diagram, fx, fy) -> int:
+    """l(x, y) from fx = _floor(x, scale) and fy = _floor(y, scale), on the diagram's scale.
+
+    A row (X, Y, m) is of ints, so px <= x iff X <= fx and py > y iff Y > fy
+    (an int compares exactly with a float ±inf).
+    """
+    at_infinity = _floor(diagram._infinity_x, diagram._scale) <= fx
+    return at_infinity + sum(m for x, y, m in diagram._rows if x <= fx and y > fy)
+
+
 def evaluate_diagram(diagram: Diagram, x, y) -> int:
     """Value of the represented size function at (x, y), x < y."""
     if not x < y:
         raise ValueError(f"evaluation requires x < y, got x={x!r}, y={y!r}")
-    total = 1 if diagram.infinity_x <= x else 0
-    for point, mult in diagram.points:
-        if point.x <= x and point.y > y:
-            total += mult
-    return total
+    return _count(diagram, _floor(x, diagram._scale), _floor(y, diagram._scale))
 
 
 def evaluate_diagram_on_grid(diagram: Diagram, xs: Sequence, ys: Sequence) -> Dict[Tuple, int]:
-    """Representation sums on a grid: ``{(x, y): value}`` for x < y.
+    """Representation sums on a grid: ``{(x, y): value}`` for x < y, by descending y.
 
-    Same values as :func:`evaluate_diagram`, computed with one descending
-    sweep over y.
+    Same values as :func:`evaluate_diagram`, each coordinate's floor taken once.
     """
-    xs_sorted = sorted({as_fraction(x) for x in xs})
-    ys_sorted = sorted({as_fraction(y) for y in ys})
-    expanded = sorted(diagram.expanded(), key=lambda p: p.y, reverse=True)
-    result: Dict[Tuple, int] = {}
-    alive_xs: List[Fraction] = []
-    index = 0
-    for y in reversed(ys_sorted):
-        while index < len(expanded) and expanded[index].y > y:
-            insort(alive_xs, expanded[index].x)
-            index += 1
-        for x in xs_sorted:
-            if x < y:
-                base = 1 if diagram.infinity_x <= x else 0
-                result[(x, y)] = base + bisect_right(alive_xs, x)
-    return result
+    xs, ys = ([(c, _floor(c, diagram._scale)) for c in sorted({as_fraction(c) for c in cs})]
+              for cs in (xs, ys))
+    return {(x, y): _count(diagram, fx, fy) for y, fy in reversed(ys) for x, fx in xs if x < y}
 
 
 def multiplicity(sp: SizePair, x, y) -> int:

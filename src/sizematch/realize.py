@@ -26,9 +26,9 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from ._rational import as_fraction, common_denominator, number_from_json, number_to_json
-from ._rational import _SAFE_BITS, int_from_text, on_scale, quoted, ratio_to_json
+from ._rational import _SAFE_BITS, _ratio, int_from_text, on_scale, quoted, ratio_to_json
 from .core import ModelViolationError, SizePair
-from .diagram import Diagram, ExtendedPoint, _on_one_unit, _ratio, _ratio_diagram
+from .diagram import Diagram, ExtendedPoint, _on_one_unit, _ratio_diagram
 from .matching import DIAGONAL, Matching, _check_matching_size, matching_distance
 
 __all__ = [
@@ -235,27 +235,24 @@ def _sample(
     is linear between the points (ys[i], vs[i]), in one walk.
 
     Heights and values are ints on one ``scale``: the int y stands for the
-    rational y / scale.  A height between ys[i] and ys[i + 1] gets the value
+    rational y / scale.  A height in [ys[i], ys[i + 1]) gets the value
     (vs[i]·Δy + Δv·(y − ys[i])) / (scale·Δy), with Δy and Δv the rises of
-    that piece, as its (numerator, denominator) in lowest terms.  ``ys`` is
-    strictly increasing; a height outside [ys[0], ys[-1]] raises ValueError.
+    that piece, as its (numerator, denominator) in lowest terms; the top
+    height is read on the last piece.  ``ys`` is strictly increasing; a
+    height outside [ys[0], ys[-1]] raises ValueError.
     """
     for y in (grid[0], grid[-1]):
         if not ys[0] <= y <= ys[-1]:
             low, high = Fraction(ys[0], scale), Fraction(ys[-1], scale)
             raise ValueError(f"y={Fraction(y, scale)} outside the field range [{low}, {high}]")
-    last = len(ys) - 1
-    i = bisect_right(ys, grid[0], 0, last) - 1
+    last = len(ys) - 2  # the index of the last piece
+    i = bisect_right(ys, grid[0], 0, last + 1) - 1
     out = []
     for y in grid:
         while i < last and ys[i + 1] <= y:
             i += 1
-        rise = y - ys[i]
-        if rise:
-            span = ys[i + 1] - ys[i]
-            num, den = vs[i] * span + (vs[i + 1] - vs[i]) * rise, scale * span
-        else:
-            num, den = vs[i], scale
+        span = ys[i + 1] - ys[i]
+        num, den = vs[i] * span + (vs[i + 1] - vs[i]) * (y - ys[i]), scale * span
         common = math.gcd(num, den)
         out.append((num // common, den // common))
     return out

@@ -919,6 +919,20 @@ def test_stability_refuses_an_epsilon_too_long_to_write(files, capsys, digit_lim
     assert (code, out, err) == (2, "", _too_many_digits(digit_limit))
 
 
+@pytest.mark.parametrize("epsilon, code, message", [
+    ("1e20000000", 2, None), ("-1e20000000", 2, "error: --epsilon must be nonnegative\n"),
+    ("0e20000000", 0, ""), ("1e-20000000", 2, None), ("\uff11e20000000", 2, None)])
+def test_stability_reads_an_exponent_literal_without_building_its_power(files, capsys, digit_limit,
+                                                                        epsilon, code, message):
+    # Fraction builds 10^20000000 first, which takes tens of seconds; \uff11 is a full-width 1
+    start = time.perf_counter()
+    got, out, err = run(capsys, ["stability", files["v1"], files["e1"], f"--epsilon={epsilon}",
+                                 "--trials", "1"])
+    assert time.perf_counter() - start < 2
+    assert (got, err) == (code, _too_many_digits(digit_limit) if message is None else message)
+    assert (json.loads(out)["epsilon"] if code == 0 else out) == (0 if code == 0 else "")
+
+
 @pytest.mark.parametrize("command", ["dist", "realize"])
 def test_an_answer_too_long_to_write_is_refused_in_one_line(capsys, tmp_path, digit_limit, command):
     # 1/P and 1/Q, each of 4001 digits, are read; d_match = 1/P - 1/Q has a denominator of 8001

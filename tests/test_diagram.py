@@ -344,6 +344,15 @@ def test_evaluate_diagram_fig_layout():
     assert evaluate_diagram(d, 10, 11) == 1
 
 
+def _evaluate_reference(d, x, y):
+    """The representation formula transcribed over ``d.points``, compared exactly."""
+    total = 1 if d.infinity_x <= x else 0
+    for point, mult in d.points:
+        if point.x <= x and point.y > y:
+            total += mult
+    return total
+
+
 def test_evaluate_matches_grid_evaluator():
     rng = random.Random(54)
     for _ in range(30):
@@ -361,7 +370,57 @@ def test_evaluate_matches_grid_evaluator():
         for x in coords:
             for y in coords:
                 if x < y:
-                    assert table[(x, y)] == evaluate_diagram(d, x, y)
+                    assert table[(x, y)] == evaluate_diagram(d, x, y) == _evaluate_reference(d, x, y)
+
+
+def test_both_evaluators_equal_the_formula_between_scale_steps_seeded():
+    rng = random.Random(55)
+    for trial in range(150):
+        den = rng.choice((1, 3, 5, 7, 64, 63))
+        inf_x = F(rng.randint(-64, 64), den)
+        pts = []
+        for _ in range(rng.randint(0, 6)):
+            x = inf_x + F(rng.randint(0, 96), den)
+            pts.append(((x, x + F(rng.randint(1, 96), den)), rng.randint(1, 3)))
+        d = Diagram(inf_x, pts)
+        breaks = {inf_x} | {c for (point, _) in pts for c in point}
+        between = {b + F(rng.choice((-1, 1)), rng.choice((3, 7, 128))) for b in breaks}
+        coords = sorted(breaks | between | {F(rng.randint(-300, 300), 21) for _ in range(6)})
+        table = evaluate_diagram_on_grid(d, coords, coords)
+        assert len(table) == sum(x < y for x in coords for y in coords)
+        for (x, y), value in table.items():
+            assert value == _evaluate_reference(d, x, y), f"trial {trial}"
+        floats = [float(c) for c in coords] + [rng.uniform(-8, 8) for _ in range(4)]
+        for x, y in ([(c, e) for c in coords for e in (-math.inf, math.inf)]
+                     + [(-math.inf, c) for c in floats]
+                     + [(rng.choice(floats), rng.choice(coords)) for _ in range(20)]
+                     + [(rng.choice(coords), rng.choice(floats)) for _ in range(20)]):
+            if x < y:
+                assert evaluate_diagram(d, x, y) == _evaluate_reference(d, x, y), (trial, x, y)
+        assert evaluate_diagram_on_grid(d, floats, floats) == {
+            (F(x), F(y)): _evaluate_reference(d, x, y) for x in floats for y in floats if x < y}
+
+
+def test_both_evaluators_refuse_a_bool():
+    d = Diagram(0, [((1, 2), 1)])
+    for x, y in ((False, True), (0, True), (False, 1)):
+        with pytest.raises(TypeError, match="bool"):
+            evaluate_diagram(d, x, y)
+        with pytest.raises(TypeError, match="bool"):
+            evaluate_diagram_on_grid(d, [x], [y])
+
+
+def test_the_evaluators_read_neither_points_nor_copies(monkeypatch):
+    d = Diagram(0, [((F(1, 2), 2), 1), ((1, 3), 2)])
+
+    def refuse(*_):
+        raise AssertionError("an evaluator read the points")
+
+    monkeypatch.setattr(Diagram, "points", property(refuse))
+    monkeypatch.setattr(Diagram, "expanded", refuse)
+    assert evaluate_diagram(d, 1, 2) == 3
+    assert evaluate_diagram(d, F(-1, 2), math.inf) == 0
+    assert evaluate_diagram_on_grid(d, [0, 1], [2, 3]) == {(0, 3): 1, (1, 3): 1, (0, 2): 1, (1, 2): 3}
 
 
 # ------------------------------------------------------------ Diagram type

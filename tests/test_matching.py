@@ -474,7 +474,9 @@ def test_number_to_json_equals_its_fraction_reference():
              F(sys.float_info.max), F(sys.float_info.max) + F(1, 2), F(2**1024),
              F(2**1024 + 1, 2), F(1, 2**1100), F(1, 3), F(-7, 3), F(10**400),
              F(-(10**400) - 1, 2), F(-1, 2**1074), 10**400, -(2**64), 0,
-             sys.float_info.max, 5e-324, -0.0, 0.1, F(0)]
+             sys.float_info.max, 5e-324, -0.0, 0.1, F(0),
+             2**53 + 1, -(2**53) - 1, 2**64 + 3, 3 * 5e-324, -1e-310, 2.225073858507201e-308,
+             -2.2250738585072014e-308, 2.0**-1073]
     rng = random.Random(8)
     values = list(edges)
     for _ in range(3000):

@@ -377,6 +377,26 @@ def test_value_at_equals_the_interpolation_formula_seeded():
                 assert field.value_at(column, float(y) if y.denominator == 1 else y) == expected
 
 
+def test_sample_equals_the_fraction_interpolation_at_every_knot_seeded():
+    rng = random.Random(86)
+    for trial in range(400):
+        scale = rng.choice((1, 2, 3, 7, 12, 64, 1000))
+        n = rng.randint(2, 6)
+        ys = sorted(rng.sample(range(-60, 60), n))
+        vs = [rng.randint(-90, 90) for _ in range(n)]
+        inside = {rng.randint(ys[0], ys[-1]) for _ in range(rng.randint(0, 8))}
+        knots = set(ys) if rng.random() < 0.7 else set(rng.sample(ys, rng.randint(1, n)))
+        grid = sorted(inside | knots | {ys[-1]})
+        for y, pair in zip(grid, realize_module._sample(ys, vs, grid, scale)):
+            i = max(k for k in range(n - 1) if ys[k] <= y)
+            slope = F(vs[i + 1] - vs[i], ys[i + 1] - ys[i])
+            expected = (vs[i] + slope * (y - ys[i])) / scale
+            assert pair == (expected.numerator, expected.denominator), (trial, y)
+        for outside in (ys[0] - 1, ys[-1] + 1):
+            with pytest.raises(ValueError, match="outside the field range"):
+                realize_module._sample(ys, vs, sorted({outside, ys[0]}), scale)
+
+
 # equal values given as int, float and Fraction, values no float holds, and
 # distinct values closer than 2^-64 around 0 and 1
 MIXED_VALUES = [0, 0.0, F(0), 1, 1.0, F(1), 0.5, F(1, 2), F(1, 3), F(2, 3), 2, 2.0, F(7, 3),
