@@ -25,6 +25,16 @@ _ECHO_CHARS, _HEAD_CHARS = 64, 20
 _INT_LITERAL = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*")
 
 
+def _digit_limit() -> int:
+    """The most digits the interpreter reads or writes as an int's text; 0 (no limit) if absent."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long(limit: int, reads_or_writes: str) -> ValueError:
+    """The error for an int of more than ``limit`` digits, too long to read or write as text."""
+    return ValueError(_TOO_LONG.format(limit, reads_or_writes))
+
+
 def as_fraction(value) -> Fraction:
     """Return ``value`` as an exact :class:`Fraction`.
 
@@ -88,9 +98,9 @@ def ratio_to_json(num: int, den: int):
     if common != 1:
         num, den = num // common, den // common
     if num.bit_length() > _SAFE_BITS or den.bit_length() > _SAFE_BITS:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 or absent: no limit
+        limit = _digit_limit()
         if limit and max(abs(num), den) >= 10**limit:
-            raise ValueError(_TOO_LONG.format(limit, "writes as"))
+            raise _too_long(limit, "writes as")
     if den == 1:
         return num
     # a finite float is dyadic, so no float equals p/q unless q = 2^k; then p
@@ -106,7 +116,7 @@ def int_from_text(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(_TOO_LONG.format(sys.get_int_max_str_digits(), "reads from")) from None
+        raise _too_long(_digit_limit(), "reads from") from None
 
 
 def quoted(value) -> str:

@@ -97,7 +97,7 @@ def earlier_bound(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Optional[EarlierW
     on its first entries once ``ax + best``, which never decreases, passes
     the unit.  All of it runs on the ints of ``_on_one_unit``: ``unit`` is
     twice the lcm of the two diagrams' integer scales, so widths halve
-    exactly, and their rows are multiplied up to it.
+    exactly, and their rows and abscissas at infinity are multiplied up to it.
 
     Every positive threshold and width is at least the minimal gap ``gap``
     between breaks of both diagrams, so s >= gap/2, and the witness
@@ -105,8 +105,7 @@ def earlier_bound(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Optional[EarlierW
     strictly admissible and separating; it is re-checked by direct
     evaluation.  On an empty admissible set the result is (0, None).
     """
-    unit, units1, units2 = _on_one_unit(d1, d2)
-    infinity1, infinity2 = (int(d.infinity_x * unit) for d in (d1, d2))
+    unit, units1, units2, infinity1, infinity2 = _on_one_unit(d1, d2)
     breaks = sorted({infinity1, infinity2, *(c for u in units1 + units2 for c in u[:2])})
     cut = 2 * breaks[-1] - breaks[0] + unit
     units1 = sorted(units1 + [(infinity1, cut, 1)])

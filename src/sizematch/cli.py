@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from operator import is_
 from typing import List, Optional
 
-from ._rational import _TOO_LONG, int_from_text, number_to_json, quoted
+from ._rational import _digit_limit, _too_long, number_to_json, quoted
 from .core import ModelViolationError, ParseError, SizePair, load_size_pair
 from .diagram import Diagram, extract_diagram
 from .matching import DIAGONAL, matching_distance, pseudo_distance_d, stability_probe
@@ -49,7 +49,7 @@ def _load_pair(vertex_path: str, edge_path: str) -> SizePair:
 def _load_diagram(path: str) -> Diagram:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is skipped
-            return Diagram.from_json_dict(json.load(fh, parse_int=int_from_text))
+            return Diagram.loads(fh.read())
     # the decoder raises RecursionError, a RuntimeError, on deep nesting
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
@@ -166,10 +166,6 @@ def _dumps(data) -> str:
     return "".join(out)
 
 
-def _print_json(data: dict) -> None:
-    print(_dumps(data))
-
-
 # ----------------------------------------------------------------- commands
 
 
@@ -177,7 +173,7 @@ def _cmd_diagram(args) -> int:
     sp = _load_pair(args.vertices, args.edges)
     diagram = extract_diagram(sp)
     if args.format == "json":
-        _print_json(diagram.to_json_dict())
+        print(_dumps(diagram.to_json_dict()))
     else:
         print(f"# infinity_x {float(diagram.infinity_x)}")
         print("x,y,multiplicity")
@@ -213,13 +209,12 @@ def _cmd_dist(args) -> int:
         report = {"value": number_to_json(value)}
         if args.witness:
             report["witness"] = matching.to_json_dict()
-        _print_json(report)
+        print(_dumps(report))
     else:
-        rows = _matching_rows(matching) if args.witness else []  # an overflow prints nothing
         print(f"# value {float(value)}")
         if args.witness:
             print("kind,left_x,left_y,right_x,right_y,cost")
-            for row in rows:
+            for row in _matching_rows(matching):
                 print(",".join(str(cell) for cell in row))
     return 0
 
@@ -230,14 +225,12 @@ def _cmd_bound(args) -> int:
     sp2 = _load_pair(args.vertices2, args.edges2)
     report = bound_report(sp1, sp2, cap=args.cap)
     if args.format == "json":
-        _print_json(report.to_json_dict())
+        print(_dumps(report.to_json_dict()))
     else:
-        earlier, d_match = float(report.earlier), float(report.d_match)  # an overflow prints nothing
-        exact = "" if report.exact is None else float(report.exact)
         print("name,value")
-        print(f"earlier_bound,{earlier}")
-        print(f"d_match,{d_match}")
-        print(f"exact_pseudo_distance,{exact}")
+        print(f"earlier_bound,{float(report.earlier)}")
+        print(f"d_match,{float(report.d_match)}")
+        print(f"exact_pseudo_distance,{'' if report.exact is None else float(report.exact)}")
         if report.note:
             print(f"# note: {report.note}")
     return 0
@@ -253,25 +246,22 @@ def _cmd_realize(args) -> int:
     got = _field_diagrams((phi, psi), args.refine) if args.refine > 1 else (d1, d2)
     round_phi, round_psi = got[0] == d1, got[1] == d2
     if args.format == "json":
-        _print_json(
-            {
-                "phi": phi.to_json_dict(),
-                "psi": psi.to_json_dict(),
-                "params": params.to_json_dict(),
-                "max_gap": number_to_json(gap),
-                "d_match": number_to_json(params.d_match),
-                "gap_equals_distance": gap == params.d_match,
-                "round_trip": {"refine": args.refine, "phi": round_phi, "psi": round_psi},
-            }
-        )
+        print(_dumps({
+            "phi": phi.to_json_dict(),
+            "psi": psi.to_json_dict(),
+            "params": params.to_json_dict(),
+            "max_gap": number_to_json(gap),
+            "d_match": number_to_json(params.d_match),
+            "gap_equals_distance": gap == params.d_match,
+            "round_trip": {"refine": args.refine, "phi": round_phi, "psi": round_psi},
+        }))
     else:
-        # every number is converted first: an overflow prints nothing
+        print(f"# d_match {float(params.d_match)} max_gap {float(gap)}")
+        print("column_x,y,phi,psi")
         ys = [float(y) for y in phi.y_breaks]
-        lines = [f"# d_match {float(params.d_match)} max_gap {float(gap)}", "column_x,y,phi,psi"]
         for x, vs_phi, vs_psi in zip(phi.x_breaks, phi.values_per_column, psi.values_per_column):
             x = float(x)
-            lines.extend(f"{x},{y},{float(a)},{float(b)}" for y, a, b in zip(ys, vs_phi, vs_psi))
-        print("\n".join(lines))
+            print("\n".join(f"{x},{y},{float(a)},{float(b)}" for y, a, b in zip(ys, vs_phi, vs_psi)))
     if not (round_phi and round_psi):
         print(f"error: realization failed its round-trip check at refine {args.refine}",
               file=sys.stderr)
@@ -308,9 +298,9 @@ def _read_epsilon(literal: str) -> Fraction:
     if sign == "-":
         raise ValueError("--epsilon must be nonnegative")
     digits = len(str(high)) + places if high else len(str(low))  # of the mantissa
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 or absent: no limit
+    limit = _digit_limit()
     if limit and (shift >= limit or -shift - digits >= limit):
-        raise ValueError(_TOO_LONG.format(limit, "writes as"))
+        raise _too_long(limit, "writes as")
     return Fraction(literal)
 
 
@@ -334,14 +324,12 @@ def _cmd_stability(args) -> int:
             )
             return 1
         worst = max(worst, value)
-    _print_json(
-        {
-            "trials": args.trials,
-            "epsilon": number_to_json(epsilon),
-            "max_d_match": number_to_json(worst),
-            "holds": True,
-        }
-    )
+    print(_dumps({
+        "trials": args.trials,
+        "epsilon": number_to_json(epsilon),
+        "max_d_match": number_to_json(worst),
+        "holds": True,
+    }))
     return 0
 
 
@@ -367,15 +355,11 @@ def _cmd_selftest(args) -> int:
 
 
 def _add_format(parser) -> None:
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
+    parser.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
 
 def _add_output(parser) -> None:
-    parser.add_argument(
-        "--output", metavar="PATH", default=None, help="write the report here instead of stdout"
-    )
+    parser.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
 
 
 @functools.lru_cache(maxsize=None)
@@ -443,15 +427,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.output is None:
-            return args.func(args)
-        # the file is opened only once the command has returned: a failing
-        # command leaves it as it was, and a command may read it as input
+        # the report is written out only once the command has returned: a failing
+        # command writes nothing anywhere, and --output may name the command's own input
         report = io.StringIO()
         with contextlib.redirect_stdout(report):
             code = args.func(args)
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report.getvalue())
+        if args.output is None:
+            sys.stdout.write(report.getvalue())
+        else:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(report.getvalue())
         return code
     # ModelViolationError (DisconnectedGraphError is one) subclasses
     # ValueError, so it is caught first; ParseError, also a ValueError,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ._rational import as_fraction, int_from_text, number_from_json, number_to_json, quoted
-from ._rational import _ratio, ratio_to_json
+from ._rational import _ratio, on_scale, ratio_to_json
 from .core import SizePair, _min_gap, reduced_size_function, size_function_on_grid
 
 __all__ = [
@@ -214,17 +214,18 @@ class Diagram:
         return cls.from_json_dict(json.loads(text, parse_int=int_from_text))
 
 
-def _on_one_unit(d1: Diagram, d2: Diagram) -> Tuple[int, List[tuple], List[tuple]]:
-    """Both diagrams' rows on one int unit: ``(unit, rows1, rows2)``.
+def _on_one_unit(d1: Diagram, d2: Diagram) -> Tuple[int, List[tuple], List[tuple], int, int]:
+    """Both diagrams on one int unit: ``(unit, rows1, rows2, infinity1, infinity2)``.
 
-    ``unit`` is twice the lcm of the two integer scales, and each row
-    (X, Y, m) holds (x*unit, y*unit, m), in the diagram's (x, y) order.
-    Every coordinate is even, so a half persistence (Y - X) // 2 is exact.
+    ``unit`` is twice the lcm of the two integer scales, each row (X, Y, m)
+    holds (x*unit, y*unit, m), in the diagram's (x, y) order, and infinity1
+    and infinity2 are the two infinity_x times unit.  Every coordinate is
+    even, so a half persistence (Y - X) // 2 is exact.
     """
     unit = 2 * math.lcm(d1._scale, d2._scale)
     rows1, rows2 = ([(x * f, y * f, m) for x, y, m in d._rows]
                     for d, f in ((d1, unit // d1._scale), (d2, unit // d2._scale)))
-    return unit, rows1, rows2
+    return unit, rows1, rows2, on_scale(d1._infinity_x, unit), on_scale(d2._infinity_x, unit)
 
 
 def extract_diagram(sp: SizePair) -> Diagram:

@@ -215,9 +215,9 @@ def matching_distance(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Matching]:
     infeasible one, which stays valid at every larger threshold.
 
     Every cost is an int on the unit of ``_on_one_unit`` (twice the lcm of
-    the two diagrams' integer scales): a half persistence is (Y - X) // 2
-    and a max-norm max(|dX|, |dY|), both exact, so no Fraction is formed
-    per pair.  Multiplying by the positive unit keeps the order of the
+    the two diagrams' integer scales): a half persistence (Y - X) // 2, a
+    max-norm max(|dX|, |dY|) and the infinity gap are exact, so no Fraction
+    is formed per pair.  Multiplying by the positive unit keeps the order of the
     thresholds and never merges two of them.  Direct edges strictly beaten
     by the route through the diagonal are dropped: a matching that used one
     can be rewired through two diagonal slots at no extra bottleneck cost,
@@ -239,7 +239,7 @@ def matching_distance(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Matching]:
     multiplicity is refused with ValueError before anything is expanded.
     """
     _check_matching_size(d1, d2)
-    unit, rows1, rows2 = _on_one_unit(d1, d2)
+    unit, rows1, rows2, infinity1, infinity2 = _on_one_unit(d1, d2)
     # one (X, Y) per copy of a point; side 0 is the first diagram
     left, right = ([(x, y) for x, y, m in rows for _ in range(m)] for rows in (rows1, rows2))
     # half[s]: half persistences of side s; adj[s]: each point's kept edges
@@ -336,7 +336,7 @@ def matching_distance(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Matching]:
     for i, j in enumerate(found[0]):
         if j == -1:
             rematch(found, 0, i, thresholds[lo], -1)
-    value = max(Fraction(thresholds[lo], unit), abs(d1.infinity_x - d2.infinity_x))
+    value = Fraction(max(thresholds[lo], abs(infinity1 - infinity2)), unit)
 
     points2 = d2.expanded()
     pairs: List[Tuple[object, object]] = [

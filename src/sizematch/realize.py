@@ -269,45 +269,56 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
     is always (field for d1, field for d2) and ``params.swapped`` records
     the orientation.
     """
-    for name, diagram in (("d1", d1), ("d2", d2)):
-        # the points are sorted by x: if any lies below infinity_x, the first one does
-        x = diagram.points[0][0].x if diagram.points else diagram.infinity_x
-        if x < diagram.infinity_x:
+    unit, rows1, rows2, infinity1, infinity2 = _on_one_unit(d1, d2)
+    for name, diagram, rows, infinity in (("d1", d1, rows1, infinity1), ("d2", d2, rows2, infinity2)):
+        # the rows are sorted by X: if any lies below infinity_x, the first one does
+        if rows and rows[0][0] < infinity:
             raise ModelViolationError(
-                f"{name}: cornerpoint abscissa {quoted(x)} lies below infinity_x "
-                f"{quoted(diagram.infinity_x)}"
+                f"{name}: cornerpoint abscissa {quoted(Fraction(rows[0][0], unit))} lies below "
+                f"infinity_x {quoted(diagram.infinity_x)}"
             )
     _check_matching_size(d1, d2)  # before the swap, so that it names the diagram as given
     # each copy is in one witness pair: 3k + 2 columns or more, rows min_phi < c - e < c < c + e < S
     k = max(d1.total_multiplicity, d2.total_multiplicity)
     _check_grid(3 * k + 2, 5 if k else 2, 1, "at least ")  # before the matching is solved
-    swapped = d2.infinity_x < d1.infinity_x
+    swapped = infinity2 < infinity1
     low, high = (d2, d1) if swapped else (d1, d2)
     d_match, matching = matching_distance(low, high)
-    min_phi, min_psi = low.infinity_x, high.infinity_x
 
-    S = max(low.infinity_x, high.infinity_x, *(p.y for d in (low, high) for p, _ in d.points)) + 1
+    # every height and value below is an int on U = 4·unit.  A coordinate, base value or S is a
+    # multiple of 8 there, so a center c = (X + Y)/2 is a multiple of 4, each of (Y - X)/4,
+    # c - b_phi and S - c is even, and so the half-width e, c - e and c + e are ints
+    scale = 4 * unit
+    b_phi, b_psi = (4 * infinity2, 4 * infinity1) if swapped else (4 * infinity1, 4 * infinity2)
+    top = 4 * max(infinity1, infinity2, *(y for _, y, _ in rows1 + rows2)) + scale  # S
 
     structures: List[StructureParams] = []
-    y_breaks = {min_phi, S}
+    shapes = []  # shapes[i]: (c, e, (phi's point, psi's point)) of structure i, ints on scale
+    heights = {b_phi, top}
     for left, right in matching.pairs:
         if left is DIAGONAL:
-            kind, anchor, left = "right", right, None
+            kind, left = "right", None
         elif right is DIAGONAL:
-            kind, anchor, right = "left", left, None
+            kind, right = "left", None
         elif left.is_at_infinity:
             continue
         else:
-            kind, anchor = "direct", left
-        center = (anchor.x + anchor.y) / 2
-        epsilon = min(anchor.persistence / 4, center - min_phi, S - center) / 2
+            kind = "direct"
+        points = [None if p is None else (on_scale(p.x, scale), on_scale(p.y, scale))
+                  for p in (left, right)]
+        x, y = points[0] or points[1]  # the anchor: left, or right if left is the diagonal
+        c = (x + y) // 2
+        e = min((y - x) // 4, c - b_phi, top - c) // 2
+        epsilon = Fraction(e, scale)
         if epsilon < MIN_EPSILON:  # a half-width that may be too long to write as text is left out
             shown = f" {epsilon}" if epsilon.denominator.bit_length() <= _SAFE_BITS else ""
             raise ValueError(f"structure half-width{shown} underflows the minimum {MIN_EPSILON}")
-        structures.append(
-            StructureParams(kind=kind, left=left, right=right, center=center, epsilon=epsilon))
-        y_breaks.update((center - epsilon, center, center + epsilon))
-    y_grid = tuple(sorted(y_breaks))
+        structures.append(StructureParams(
+            kind=kind, left=left, right=right, center=Fraction(c, scale), epsilon=epsilon))
+        shapes.append((c, e, points))
+        heights.update((c - e, c, c + e))
+    grid = sorted(heights)
+    y_grid = tuple(Fraction(h, scale) for h in grid)
 
     # column layout: the base at x = 0 and x = 1; structure i (1-based) owns
     # 1/(3i+1) < 1/(3i) < 1/(3i-1), where a field that holds the structure's
@@ -316,29 +327,20 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
     for i in range(len(structures), 0, -1):
         x_breaks += (Fraction(1, 3 * i + 1), Fraction(1, 3 * i), Fraction(1, 3 * i - 1))
     x_breaks.append(Fraction(1))
-    _check_grid(len(x_breaks), len(y_grid), 1)  # the self-check's grid, before a field is sampled
-
-    # every knot height and value below is min_phi, min_psi, S, a diagram
-    # coordinate or c, c ± e of y_grid, so all of them are ints on one scale
-    scale = math.lcm(_on_one_unit(low, high)[0], common_denominator(y_grid))
-    grid = [on_scale(y, scale) for y in y_grid]
-    bottom, top = grid[0], grid[-1]
+    _check_grid(len(x_breaks), len(grid), 1)  # the self-check's grid, before a field is sampled
 
     def column(base_start, *knots):
         """One column sampled on y_grid: base_start at min_phi, knots, S at S (ints on scale)."""
-        ys, vs = zip((bottom, base_start), *knots, (top, top))
+        ys, vs = zip((b_phi, base_start), *knots, (top, top))
         return tuple(_sample(ys, vs, grid, scale))
 
     fields = []
-    for base_start, side in ((min_phi, "left"), (min_psi, "right")):
-        b = on_scale(base_start, scale)
+    for b, side in ((b_phi, 0), (b_psi, 1)):
         distinct, layout = [column(b)], [0]  # the base, at x = 0 and again at x = 1
-        for st in reversed(structures):
-            c, e = on_scale(st.center, scale), on_scale(st.epsilon, scale)
-            point = getattr(st, side)
+        for c, e, points in reversed(shapes):
             n = len(distinct)
-            if point is not None:
-                px, py = on_scale(point.x, scale), on_scale(point.y, scale)
+            if points[side] is not None:
+                px, py = points[side]
                 flank = column(b, (c - e, py), (c + e, py))
                 distinct += (flank, column(b, (c - e, py), (c, px), (c + e, py)))
                 layout += (n, n + 1, n)  # flank, pit, flank
@@ -356,8 +358,9 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
         raise RuntimeError(
             f"internal error: realized field gap {gap} differs from the matching distance {d_match}")
 
-    params = RealizationParams(S=S, min_phi=min_phi, min_psi=min_psi, swapped=swapped,
-                               d_match=d_match, structures=tuple(structures), matching=matching)
+    params = RealizationParams(S=Fraction(top, scale), min_phi=low.infinity_x,
+                               min_psi=high.infinity_x, swapped=swapped, d_match=d_match,
+                               structures=tuple(structures), matching=matching)
     if swapped:
         return field_high, field_low, params
     return field_low, field_high, params

@@ -16,6 +16,9 @@ import sizematch
 from sizematch import Diagram
 from sizematch._rational import number_from_json
 from sizematch.cli import _dumps, main
+from sizematch.selftest import SuiteResult
+
+cli_module = importlib.import_module("sizematch.cli")
 
 
 PATH_V = "a,0\nb,2\nc,1\nd,3\ne,0\n"
@@ -245,6 +248,18 @@ def test_output_file_is_kept_when_the_command_fails(files, capsys, tmp_path, cas
     assert expected[0] == code_expected
     assert run(capsys, argv + ["--output", str(target)]) == expected
     assert target.read_bytes() == b"earlier report\n"
+
+
+def test_a_command_that_raises_after_printing_writes_nothing(capsys, monkeypatch, tmp_path):
+    # the first result prints; the second one's seconds cannot be formatted with ".2f"
+    results = [SuiteResult("first", "pass", 1, 0.25), SuiteResult("second", "pass", 1, "soon")]
+    monkeypatch.setattr(cli_module, "run_selftest", lambda **kwargs: (results, True))
+    target = tmp_path / "out.txt"
+    for extra in ([], ["--output", str(target)]):
+        code, out, err = run(capsys, ["selftest", *extra])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_output_may_name_the_commands_own_input(files, capsys):

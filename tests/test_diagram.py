@@ -505,8 +505,10 @@ def test_on_one_unit_puts_both_diagrams_on_twice_the_lcm_of_their_scales():
         ))
     pairs.append((Diagram(0), Diagram(F(1, 5))))
     for d1, d2 in pairs:
-        unit, rows1, rows2 = _on_one_unit(d1, d2)
+        unit, rows1, rows2, infinity1, infinity2 = _on_one_unit(d1, d2)
         assert unit == 2 * math.lcm(d1._scale, d2._scale)
+        assert type(infinity1) is type(infinity2) is int and (infinity1, infinity2) == (
+            d1.infinity_x * unit, d2.infinity_x * unit)
         for d, rows in ((d1, rows1), (d2, rows2)):
             expected = [(p.x * unit, p.y * unit, m) for p, m in d.points]
             assert all(x.denominator == y.denominator == 1 for x, y, _ in expected)

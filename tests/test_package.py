@@ -102,3 +102,13 @@ def test_realize_finds_equal_columns_by_index_not_by_object_identity():
     calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "id"]
     assert calls == []
+
+
+def test_realize_reads_no_diagrams_points():
+    # realize() reads a diagram pair through diagram._on_one_unit and the matching witness
+    path = os.path.join(os.path.dirname(sizematch.__file__), "realize.py")
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename="realize.py")
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "points"]
+    assert reads == []

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from sizematch import (
+    DIAGONAL,
     Diagram,
     ModelViolationError,
     RectField,
@@ -175,6 +176,47 @@ def test_realize_float_inputs_round_trip():
     assert extract_diagram(discretize(psi, 1)) == d2
     value, _ = matching_distance(d1, d2)
     assert max_field_gap(phi, psi) == params.d_match == value
+
+
+def _localized_thirds_to_64ths(rng, infinity_x):
+    """A diagram at infinity_x of 0-4 points of multiplicity 1-3, none left of infinity_x, each
+    coordinate a step on a denominator among 3, 5, 7, 9, 21 and 64 from the one before."""
+    den = lambda: rng.choice((3, 5, 7, 9, 21, 64))
+    points = []
+    for _ in range(rng.randint(0, 4)):
+        x = infinity_x + F(rng.randint(0, 12), den())
+        points.append(((x, x + F(rng.randint(1, 12), den())), rng.randint(1, 3)))
+    return Diagram(infinity_x, points)
+
+
+def test_realize_structures_equal_their_fraction_formulas_seeded():
+    # realize() builds on ints; here each structure is recomputed from its witness anchor in Fractions
+    rng = random.Random(30)
+    swapped = 0
+    for trial in range(240):
+        first = F(rng.randint(-6, 6), rng.choice((3, 7, 64)))
+        second = first + F(rng.randint(-4, 4), rng.choice((5, 9, 21)))
+        d1, d2 = _localized_thirds_to_64ths(rng, first), _localized_thirds_to_64ths(rng, second)
+        phi, psi, params = realize(d1, d2)
+        assert params.swapped == (second < first)
+        swapped += params.swapped
+        min_phi = min(first, second)
+        S = max(first, second, *(p.y for d in (d1, d2) for p, _ in d.points)) + 1
+        assert type(params.S) is F and params.S == S, f"trial {trial}"
+        breaks = {min_phi, S}
+        pairs = [(l, r) for l, r in params.matching.pairs if l is DIAGONAL or not l.is_at_infinity]
+        assert len(params.structures) == len(pairs), f"trial {trial}"
+        for st, (left, right) in zip(params.structures, pairs):
+            kind = "right" if left is DIAGONAL else "left" if right is DIAGONAL else "direct"
+            assert (st.kind, st.left or DIAGONAL, st.right or DIAGONAL) == (kind, left, right)
+            anchor = right if left is DIAGONAL else left
+            c = (anchor.x + anchor.y) / 2
+            e = min(anchor.persistence / 4, c - min_phi, S - c) / 2
+            assert type(st.center) is type(st.epsilon) is F, f"trial {trial}"
+            assert (st.center, st.epsilon) == (c, e), f"trial {trial}"
+            breaks |= {c - e, c, c + e}
+        assert phi.y_breaks == psi.y_breaks == tuple(sorted(breaks)), f"trial {trial}"
+    assert 0 < swapped < 240
 
 
 # ------------------------------------------------------------------- layout
