@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple, Union
@@ -95,10 +96,8 @@ class Matching:
                 return "inf"
             return [number_to_json(side.x), number_to_json(side.y)]
 
-        return {
-            "cost": number_to_json(self.cost),
-            "pairs": [{"left": encode(l), "right": encode(r)} for l, r in self.pairs],
-        }
+        return {"cost": number_to_json(self.cost),
+                "pairs": [{"left": encode(l), "right": encode(r)} for l, r in self.pairs]}
 
     @classmethod
     def from_json_dict(cls, data: dict, infinity_left=None, infinity_right=None) -> "Matching":
@@ -143,11 +142,8 @@ class Matching:
         multiplicity, no diagonal-diagonal pairs, every pair's ground
         distance is finite and <= cost, and the max equals cost.
         """
-        infinity_pairs = [
-            (l, r)
-            for l, r in self.pairs
-            if not (l is DIAGONAL) and not (r is DIAGONAL) and l.is_at_infinity
-        ]
+        infinity_pairs = [(l, r) for l, r in self.pairs
+                          if l is not DIAGONAL and r is not DIAGONAL and l.is_at_infinity]
         if len(infinity_pairs) != 1:
             raise ValueError("matching must contain exactly one pair of points at infinity")
         l_inf, r_inf = infinity_pairs[0]
@@ -199,10 +195,8 @@ def _check_matching_size(d1: Diagram, d2: Diagram) -> None:
     for name, diagram in (("first", d1), ("second", d2)):
         total = diagram.total_multiplicity
         if total > _MAX_MATCHED_POINTS:
-            raise ValueError(
-                f"the {name} diagram has {total} points counted with multiplicity; "
-                f"matching takes at most {_MAX_MATCHED_POINTS}"
-            )
+            raise ValueError(f"the {name} diagram has {total} points counted with multiplicity; "
+                             f"matching takes at most {_MAX_MATCHED_POINTS}")
 
 
 def matching_distance(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Matching]:
@@ -211,39 +205,38 @@ def matching_distance(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Matching]:
     The optimal value is located by a binary search over the finite
     candidate set {0} | {half persistences} | {usable pairwise max-norms},
     then combined with the mandatory |infinity_x1 - infinity_x2| term.
-    Each feasibility test starts from the matching left by the last
-    infeasible one, which stays valid at every larger threshold.
-
     Every cost is an int on the unit of ``_on_one_unit`` (twice the lcm of
     the two diagrams' integer scales): a half persistence (Y - X) // 2, a
     max-norm max(|dX|, |dY|) and the infinity gap are exact, so no Fraction
     is formed per pair.  Multiplying by the positive unit keeps the order of the
-    thresholds and never merges two of them.  Direct edges strictly beaten
-    by the route through the diagonal are dropped: a matching that used one
-    can be rewired through two diagonal slots at no extra bottleneck cost,
-    so the thresholds are unchanged while witnesses keep only pairs whose
-    ground distance is their max-norm.  realize() relies on that shape.
-    The second diagram's rows are sorted by X, so each point of the first
-    one tests only the window |dX| <= max(h, G) found by bisection (h its
-    half persistence, G the largest on the other side): a kept edge has
-    |dX| <= norm <= max(h, g).  The edges kept are those of all pairs.
+    thresholds and never merges two of them.
 
-    The witness is read off the final matching, extended by augmenting
-    paths to the maximum number of direct pairs at the optimal threshold;
-    every other point goes to the diagonal.  It is deterministic, lists the
-    first diagram's points in (x, y) order and then the second diagram's
-    diagonal pairs, and for identical diagrams it is the identity; it is
-    not in general the lexicographically smallest optimal pairing.
+    The witness depends only on the two diagrams' rows and the value: the
+    search keeps no matching, and ``_witness`` builds one afresh at the
+    optimal threshold.  It lists the pair at infinity, then each point of the
+    first diagram in (x, y) order with its partners in (x, y) order and the
+    diagonal last, then the second diagram's diagonal pairs.  For identical
+    diagrams it is the identity.
 
     A diagram of more than ``_MAX_MATCHED_POINTS`` points counted with
     multiplicity is refused with ValueError before anything is expanded.
     """
     _check_matching_size(d1, d2)
-    unit, rows1, rows2, infinity1, infinity2 = _on_one_unit(d1, d2)
-    # one (X, Y) per copy of a point; side 0 is the first diagram
+    value, links = _solve(*_on_one_unit(d1, d2))
+    return value, _expand(d1, d2, value, links)[0]
+
+
+def _graph(rows1, rows2):
+    """``(half, adj, thresholds)`` on one node per copy of a row, side 0 for rows1: each copy's
+    half persistence, its kept edges as (norm, partner) sorted, and every candidate value sorted.
+
+    A direct edge strictly beaten by the route through the diagonal is dropped: a matching that
+    used it can be rewired through two diagonal slots at no extra cost, so the thresholds stay
+    and a witness's direct pairs cost their max-norm, which realize() relies on.  Each copy of
+    rows1 tests only the copies of rows2 (sorted by X) in the window |dX| <= max(h, G) found by
+    bisection, G the largest half on that side: the edges kept are those of all pairs.
+    """
     left, right = ([(x, y) for x, y, m in rows for _ in range(m)] for rows in (rows1, rows2))
-    # half[s]: half persistences of side s; adj[s]: each point's kept edges
-    # as (norm, partner) rows sorted by norm
     half = tuple([(y - x) // 2 for x, y in side] for side in (left, right))
     adj = tuple([[] for _ in side] for side in (left, right))
     partners = [(j, u, v, g) for j, ((u, v), g) in enumerate(zip(right, half[1]))]
@@ -262,89 +255,109 @@ def matching_distance(d1: Diagram, d2: Diagram) -> Tuple[Fraction, Matching]:
                 row.append((norm, j))
                 adj[1][j].append((norm, i))
                 norms.add(norm)
-    thresholds = sorted({0, *half[0], *half[1], *norms})
-    for side in adj:
-        for row in side:
-            row.sort()
+    for row in (*adj[0], *adj[1]):
+        row.sort()
+    return half, adj, sorted({0, *half[0], *half[1], *norms})
 
-    # a matching is a pair of partner lists mate[s] (-1: free)
-    def rematch(mate, s: int, root: int, t: int, drop: int) -> bool:
-        """Match ``root`` of side s along an alternating path of edges of cost <= t.
 
-        The path ends at a free point of the other side (augmentation) or at
-        a matched point of side s whose half persistence is <= ``drop``;
-        that point loses its partner (swap).  Every other matched point stays
-        matched.  Explicit-stack depth-first search; False if no path exists.
-        """
-        edges, mine, theirs, halves = adj[s], mate[s], mate[1 - s], half[s]
-        seen = set()
-        path, picks, pos = [root], [], [0]
-        while path:
-            row, k = edges[path[-1]], pos[-1]
-            if k == len(row) or row[k][0] > t:
-                path.pop()
-                pos.pop()
-                if picks:
-                    picks.pop()
-                continue
-            pos[-1] = k + 1
-            y = row[k][1]
-            if y in seen:
-                continue
-            seen.add(y)
-            picks.append(y)
-            w = theirs[y]
-            if w != -1 and halves[w] > drop:
-                path.append(w)
-                pos.append(0)
-                continue
-            if w != -1:
-                mine[w] = -1
-            for x, y in zip(path, picks):
-                mine[x], theirs[y] = y, x
-            return True
-        return False
+def _rematch(graph, mate, s: int, root: int, t: int, drop: int, seen: set) -> bool:
+    """Match ``root`` of side s along an alternating path of edges of cost <= t.
 
-    def cover(mate, t: int) -> bool:
-        """Feasibility of the threshold t, extending ``mate`` in place.
-
-        A point whose half persistence exceeds the threshold cannot go to
-        the diagonal; call it a must point.  The threshold is feasible iff
-        some matching of edges of cost <= t covers every must point on both
-        sides (the remaining points go to the diagonal, Mendelsohn-Dulmage).
-        Uncovered must points are covered one at a time; covered ones never
-        lose their partner, so the first search that fails proves the
-        threshold infeasible.
-        """
-        for s in (0, 1):
-            for x, h in enumerate(half[s]):
-                if h > t and mate[s][x] == -1 and not rematch(mate, s, x, t, t):
-                    return False
+    ``mate`` holds partner lists mate[s] (-1: free).  The path ends at a free point of the other
+    side (augmentation) or at a matched point of side s whose half persistence is <= ``drop``, which
+    loses its partner (swap); every other matched point keeps one.  An explicit-stack depth-first
+    search that skips, and adds to ``seen``, the other side's points it reaches; False if none.
+    """
+    edges, mine, theirs, halves = graph[1][s], mate[s], mate[1 - s], graph[0][s]
+    path, picks, pos = [root], [], [0]
+    while path:
+        row, k = edges[path[-1]], pos[-1]
+        if k == len(row) or row[k][0] > t:
+            del path[-1], pos[-1], picks[-1:]  # picks is one shorter than path
+            continue
+        pos[-1] = k + 1
+        y = row[k][1]
+        if y in seen:
+            continue
+        seen.add(y)
+        picks.append(y)
+        w = theirs[y]
+        if w != -1 and halves[w] > drop:
+            path.append(w)
+            pos.append(0)
+            continue
+        if w != -1:
+            mine[w] = -1
+        for x, y in zip(path, picks):
+            mine[x], theirs[y] = y, x
         return True
+    return False
 
-    start, found = [[-1] * len(side) for side in half], None
+
+def _cover(graph, mate, t: int) -> bool:
+    """Feasibility of the threshold t, extending ``mate`` in place.
+
+    A point whose half persistence exceeds the threshold cannot go to the diagonal; call it a must
+    point.  The threshold is feasible iff some matching of edges of cost <= t covers every must
+    point on both sides (the remaining points go to the diagonal, Mendelsohn-Dulmage).  Uncovered
+    must points are covered one at a time, side 0 first, in row order; covered ones never lose
+    their partner, so the first search that fails proves the threshold infeasible.
+    """
+    for s in (0, 1):
+        for x, h in enumerate(graph[0][s]):
+            if h > t and mate[s][x] == -1 and not _rematch(graph, mate, s, x, t, t, set()):
+                return False
+    return True
+
+
+def _solve(unit: int, rows1, rows2, infinity1: int, infinity2: int):
+    """``(value, links)`` of the ints of ``_on_one_unit``: the matching distance, by a binary search
+    whose tests start from the matching the last infeasible one left, and ``_witness`` there."""
+    graph = _graph(rows1, rows2)
+    thresholds, start = graph[2], [[-1] * len(side) for side in graph[0]]
     lo, hi = 0, len(thresholds) - 1
-    while lo < hi:
+    while lo < hi:  # the largest threshold is feasible: no point is a must point there
         mid = (lo + hi) // 2
         mate = [list(side) for side in start]
-        if cover(mate, thresholds[mid]):
-            hi, found = mid, mate
+        if _cover(graph, mate, thresholds[mid]):
+            hi = mid
         else:
-            lo, start = mid + 1, mate
-    if found is None:  # lo is the largest threshold: no point is a must point
-        found = start
-    for i, j in enumerate(found[0]):
-        if j == -1:
-            rematch(found, 0, i, thresholds[lo], -1)
+            lo, start = mid + 1, mate  # still a matching at every larger threshold
     value = Fraction(max(thresholds[lo], abs(infinity1 - infinity2)), unit)
+    return value, _witness(rows1, rows2, thresholds[lo], graph)
 
-    points2 = d2.expanded()
-    pairs: List[Tuple[object, object]] = [
-        (ExtendedPoint.at_infinity(d1.infinity_x), ExtendedPoint.at_infinity(d2.infinity_x))
-    ]
-    pairs.extend((p, DIAGONAL if j == -1 else points2[j]) for p, j in zip(d1.expanded(), found[0]))
-    pairs.extend((DIAGONAL, q) for q, i in zip(points2, found[1]) if i == -1)
-    return value, Matching(pairs=tuple(pairs), cost=value)
+
+def _witness(rows1, rows2, t: int, graph=None) -> List[Tuple[Tuple[int, int], int]]:
+    """An optimal matching at the feasible threshold t as the sorted ((i, j), count) of its pairs
+    of row i of rows1 and row j of rows2, the diagonal being the index one past the last row.
+
+    From the empty matching on the edges of norm <= t of ``graph`` (``_graph(rows1, rows2)`` if
+    not given), in (norm, partner) order, it covers the must points and then extends to the most
+    direct pairs by augmenting paths, which keep every covered point covered."""
+    graph = graph or _graph(rows1, rows2)
+    mate, dead = [[-1] * len(side) for side in graph[0]], set()
+    _cover(graph, mate, t)  # covers every must point, as t is feasible
+    for i in [i for i, j in enumerate(mate[0]) if j == -1]:  # a path matches no free copy but i
+        if _rematch(graph, mate, 0, i, t, -1, dead):  # a failed search moves no partner, so
+            dead.clear()  # what it reached reaches no free point until a search succeeds
+    owner1, owner2 = ([i for i, (_, _, m) in enumerate(rows) for _ in range(m)] + [len(rows)]
+                      for rows in (rows1, rows2))  # each copy's row; at -1 (free), the diagonal
+    links = Counter(zip(owner1, map(owner2.__getitem__, mate[0])))
+    links.update((owner1[-1], owner2[b]) for b, a in enumerate(mate[1]) if a == -1)
+    return sorted(links.items())
+
+
+def _expand(d1: Diagram, d2: Diagram, value: Fraction, links) -> Tuple[Matching, List[tuple]]:
+    """The per-copy Matching of the row-level ``links`` of (d1, d2), in their order after the pair
+    at infinity, and each pair's (row i, row j), None for the diagonal and both for that pair."""
+    sides = [[p for p, _ in d.points] + [DIAGONAL] for d in (d1, d2)]
+    index = [[*range(len(side) - 1), None] for side in sides]  # a row, or None for the diagonal
+    pairs = [(ExtendedPoint.at_infinity(d1.infinity_x), ExtendedPoint.at_infinity(d2.infinity_x))]
+    rows = [(None, None)]
+    for (i, j), count in links:
+        pairs += [(sides[0][i], sides[1][j])] * count
+        rows += [(index[0][i], index[1][j])] * count
+    return Matching(pairs=tuple(pairs), cost=value), rows
 
 
 def brute_force_matching_distance(d1: Diagram, d2: Diagram, cap: int = 8) -> Fraction:
@@ -358,13 +371,10 @@ def brute_force_matching_distance(d1: Diagram, d2: Diagram, cap: int = 8) -> Fra
     sizes = (d1.total_multiplicity, d2.total_multiplicity)
     if max(sizes) > cap:
         raise ValueError(
-            f"brute force is capped at {cap} points per side, got {sizes[0]} and {sizes[1]}"
-        )
-    left = d1.expanded()
-    right = d2.expanded()
+            f"brute force is capped at {cap} points per side, got {sizes[0]} and {sizes[1]}")
+    left, right = d1.expanded(), d2.expanded()
     infinity_gap = abs(d1.infinity_x - d2.infinity_x)
-    half_left = [p.persistence / 2 for p in left]
-    half_right = [q.persistence / 2 for q in right]
+    half_left, half_right = ([p.persistence / 2 for p in side] for side in (left, right))
     best = [math.inf]
 
     def descend(i: int, used: int, running):
@@ -410,15 +420,11 @@ def stability_probe(sp: SizePair, perturbed_values, epsilon) -> Tuple[Fraction, 
     )
     if worst > epsilon:
         raise ValueError(f"perturbation sup-norm {worst} exceeds epsilon {epsilon}")
-    perturbed = SizePair(
-        [(v, perturbed_values[v]) for v in sp.vertex_ids], sp.edges
-    )
+    perturbed = SizePair([(v, perturbed_values[v]) for v in sp.vertex_ids], sp.edges)
     original_diagram = extract_diagram(sp)
     perturbed_diagram = extract_diagram(perturbed)
     value, _ = matching_distance(original_diagram, perturbed_diagram)
     minima_gap = abs(original_diagram.infinity_x - perturbed_diagram.infinity_x)
     if minima_gap > epsilon:
-        raise RuntimeError(
-            "internal error: the minima moved farther than the perturbation allows"
-        )
+        raise RuntimeError("internal error: the minima moved farther than the perturbation allows")
     return value, value <= epsilon

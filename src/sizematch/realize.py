@@ -29,7 +29,7 @@ from ._rational import as_fraction, common_denominator, number_from_json, number
 from ._rational import _SAFE_BITS, _ratio, int_from_text, on_scale, quoted, ratio_to_json
 from .core import ModelViolationError, SizePair
 from .diagram import Diagram, ExtendedPoint, _on_one_unit, _ratio_diagram
-from .matching import DIAGONAL, Matching, _check_matching_size, matching_distance
+from .matching import Matching, _check_matching_size, _expand, _solve
 
 __all__ = [
     "RectField",
@@ -275,37 +275,31 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
         if rows and rows[0][0] < infinity:
             raise ModelViolationError(
                 f"{name}: cornerpoint abscissa {quoted(Fraction(rows[0][0], unit))} lies below "
-                f"infinity_x {quoted(diagram.infinity_x)}"
-            )
+                f"infinity_x {quoted(diagram.infinity_x)}")
     _check_matching_size(d1, d2)  # before the swap, so that it names the diagram as given
     # each copy is in one witness pair: 3k + 2 columns or more, rows min_phi < c - e < c < c + e < S
     k = max(d1.total_multiplicity, d2.total_multiplicity)
     _check_grid(3 * k + 2, 5 if k else 2, 1, "at least ")  # before the matching is solved
-    swapped = infinity2 < infinity1
-    low, high = (d2, d1) if swapped else (d1, d2)
-    d_match, matching = matching_distance(low, high)
+    swapped = infinity2 < infinity1  # low, rows1 and infinity1 are then those of d2
+    sides = [(d1, rows1, infinity1), (d2, rows2, infinity2)]
+    (low, rows1, infinity1), (high, rows2, infinity2) = sides[::-1] if swapped else sides
+    d_match, links = _solve(unit, rows1, rows2, infinity1, infinity2)
+    matching, owners = _expand(low, high, d_match, links)
 
     # every height and value below is an int on U = 4·unit.  A coordinate, base value or S is a
     # multiple of 8 there, so a center c = (X + Y)/2 is a multiple of 4, each of (Y - X)/4,
     # c - b_phi and S - c is even, and so the half-width e, c - e and c + e are ints
     scale = 4 * unit
-    b_phi, b_psi = (4 * infinity2, 4 * infinity1) if swapped else (4 * infinity1, 4 * infinity2)
+    b_phi, b_psi = 4 * infinity1, 4 * infinity2
     top = 4 * max(infinity1, infinity2, *(y for _, y, _ in rows1 + rows2)) + scale  # S
 
     structures: List[StructureParams] = []
     shapes = []  # shapes[i]: (c, e, (phi's point, psi's point)) of structure i, ints on scale
     heights = {b_phi, top}
-    for left, right in matching.pairs:
-        if left is DIAGONAL:
-            kind, left = "right", None
-        elif right is DIAGONAL:
-            kind, right = "left", None
-        elif left.is_at_infinity:
-            continue
-        else:
-            kind = "direct"
-        points = [None if p is None else (on_scale(p.x, scale), on_scale(p.y, scale))
-                  for p in (left, right)]
+    for (left, right), (i, j) in zip(matching.pairs[1:], owners[1:]):  # after the pair at infinity
+        kind = "right" if i is None else "left" if j is None else "direct"
+        points = [None if r is None else (4 * rows[r][0], 4 * rows[r][1])
+                  for r, rows in ((i, rows1), (j, rows2))]
         x, y = points[0] or points[1]  # the anchor: left, or right if left is the diagonal
         c = (x + y) // 2
         e = min((y - x) // 4, c - b_phi, top - c) // 2
@@ -313,8 +307,8 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
         if epsilon < MIN_EPSILON:  # a half-width that may be too long to write as text is left out
             shown = f" {epsilon}" if epsilon.denominator.bit_length() <= _SAFE_BITS else ""
             raise ValueError(f"structure half-width{shown} underflows the minimum {MIN_EPSILON}")
-        structures.append(StructureParams(
-            kind=kind, left=left, right=right, center=Fraction(c, scale), epsilon=epsilon))
+        structures.append(StructureParams(kind, None if i is None else left,
+                                          None if j is None else right, Fraction(c, scale), epsilon))
         shapes.append((c, e, points))
         heights.update((c - e, c, c + e))
     grid = sorted(heights)

@@ -25,7 +25,8 @@ from sizematch import (
 )
 from sizematch._rational import as_fraction, int_from_text, number_from_json, number_to_json
 from sizematch._rational import ratio_to_json
-from sizematch.matching import _max_norm
+from sizematch.diagram import _on_one_unit
+from sizematch.matching import _expand, _max_norm, _witness
 from sizematch.selftest import perturbed_values, random_diagram, random_size_pair
 
 from test_core import path_fixture
@@ -168,9 +169,11 @@ def test_huge_multiplicities_are_refused_before_anything_is_expanded():
 def test_witness_is_deterministic_and_identity_at_zero():
     d1 = Diagram(0, [((0, 4), 1), ((1, 3), 1)])
     d2 = Diagram(0, [((0, 4), 1), ((1, 3), 1)])
+    # d1 reordered and respelled
+    respelled = Diagram.from_json_dict({"infinity_x": 0.0, "points": [["1/1", 3.0, 1], [F(0), "8/2", 1]]})
     _, m1 = matching_distance(d1, d2)
     _, m2 = matching_distance(d1, d2)
-    assert m1 == m2
+    assert m1 == m2 == matching_distance(respelled, d2)[1]
     # identical diagrams at distance 0: the witness must be the identity
     pairs = {(l, r) for l, r in m1.pairs if not (l is not DIAGONAL and l.is_at_infinity)}
     assert pairs == {
@@ -580,14 +583,14 @@ def test_stability_fuzz_seeded():
 # ------------------------------------------------------------ integer scale
 
 # sha256 of the value and witness JSON of every pair of _scale_cases(group),
-# written by the earlier solver that compared Fraction max-norms directly;
-# the solver on one integer scale per pair must reproduce them byte for byte
+# written when the witness became a function of the two diagrams' rows and the
+# value alone (the values are those of the earlier solver on Fraction max-norms)
 SCALE_PINS = {
-    "thirds_and_sevenths": "4f554c0e779d9c646afec2335b095b350634829eff5caec7094ceed4f761622a",
-    "dyadic": "eb04e4da96c2a9895893f27d2889e67fa67b05ce7a61469bc98497befc1a00b0",
-    "integral": "4dee33a416371853a83d3738c464f4eeae1b96caea6afd99404d2aa3a8a6fab5",
-    "mixed_denominators": "b0451780c8502ac2c1cd4bd63e497065eebfb1c37c796e074e2e5bd865154551",
-    "beyond_float_range": "6d0cb6ecad83afa69850cf1a39b6c6fc8cee5e29295b7b7cd9005abbabf02be5",
+    "thirds_and_sevenths": "a47895369cf3ac20939eb2af6fdf904e88c308726f85d8be436cced575d4cfcf",
+    "dyadic": "a65967874de90706d4e8a57307b380f5fd7183edcc8dbe13b0044fee7eaab455",
+    "integral": "fac35c45c8b120bccc1684ab0fdd3043cb1d7067789becdef5fec6ed31850ad9",
+    "mixed_denominators": "cad08045ec930c0fc8f6a16260cce865b607a2cbddaa32d6954ace997d412b4d",
+    "beyond_float_range": "abd0420da790988e7f472c71f49373b4e4fae6baa704149aaaf248c89ddf76b2",
     "empty": "ea8f85a538a02e3aa2ab6a898d9283aa6c0af3ffa4e5f4b4ecb415408103dd13",
 }
 
@@ -675,6 +678,40 @@ def test_integer_scale_cases_cover_their_shapes():
     assert {3, 7, 64} <= denominators
     assert all(max(p.y for d in pair for p, _ in d.points) > HUGE
                for pair in _scale_cases("beyond_float_range"))
+
+
+def _respelled(rng, d):
+    """The diagram d read from JSON rows that are reordered, split into several rows of one
+    point and respelled: each number as "p/q", as "2p/2q", as a Fraction or as a float that holds it."""
+    def spell(v):
+        n, q = v.numerator, v.denominator
+        return rng.choice([f"{n}/{q}", f"{2 * n}/{2 * q}", v] + [float(v)] * (float(v) == v))
+
+    rows = [[spell(p.x), spell(p.y), part] for p, mult in d.points for part in _split(rng, mult)]
+    rng.shuffle(rows)
+    return Diagram.from_json_dict({"infinity_x": spell(d.infinity_x), "points": rows})
+
+
+def test_witness_is_a_function_of_the_rows_and_the_value():
+    # the witness is _witness built afresh at the least feasible threshold T, which is the
+    # largest cost of its pairs but the pair at infinity; reordered, split or respelled
+    # entries give the same rows and so the same witness bytes
+    rng = random.Random(72)
+    makers = [lambda: (random_diagram(rng, 8, 3), random_diagram(rng, 8, 3)),
+              lambda: _rational_pair(rng, [3, 7, 21]),
+              lambda: _rational_pair(rng, [1, 2, 64, 1024])]
+    for trial in range(1200):
+        d1, d2 = makers[trial % len(makers)]()
+        value, m = matching_distance(d1, d2)
+        unit, rows1, rows2, _, _ = _on_one_unit(d1, d2)
+        t = max((pseudo_distance_d(l, r) for l, r in m.pairs
+                 if l is DIAGONAL or not l.is_at_infinity), default=0) * unit
+        assert t.denominator == 1
+        assert _expand(d1, d2, value, _witness(rows1, rows2, int(t)))[0] == m, f"trial {trial}"
+        again = _respelled(rng, d1)
+        assert again == d1
+        value_again, m_again = matching_distance(again, d2)
+        assert (value_again, m_again.dumps()) == (value, m.dumps()), f"trial {trial}"
 
 
 def test_solver_agrees_with_brute_force_at_the_cap_on_non_dyadic_rationals():

@@ -112,3 +112,17 @@ def test_realize_reads_no_diagrams_points():
     reads = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "points"]
     assert reads == []
+
+
+def test_realize_puts_the_pair_on_one_unit_once_and_solves_it_there():
+    # realize() builds every structure from the int rows of one _on_one_unit call and the
+    # row-level witness solved on them: no second unit, no matching_distance, no on_scale
+    path = os.path.join(os.path.dirname(sizematch.__file__), "realize.py")
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename="realize.py")
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "realize")
+    called = [getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(body) if isinstance(node, ast.Call)]
+    assert called.count("_on_one_unit") == called.count("_check_matching_size") == 1
+    assert "matching_distance" not in called and "on_scale" not in called

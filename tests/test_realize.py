@@ -677,8 +677,8 @@ def test_realize_refuses_the_least_grid_its_multiplicities_imply_before_matching
     # seven copies of one point against none: 7 equal structures, so 23 columns of
     # exactly 5 rows, 115 nodes, the least grid that 7 copies can make
     solved = []
-    solve = realize_module.matching_distance
-    monkeypatch.setattr(realize_module, "matching_distance", lambda *a: solved.append(1) or solve(*a))
+    solve = realize_module._solve
+    monkeypatch.setattr(realize_module, "_solve", lambda *a: solved.append(1) or solve(*a))
     monkeypatch.setattr(realize_module, "_MAX_GRID_NODES", 114)
     d1, empty = Diagram(0, [((1, 3), 7)]), Diagram(0, [])
     for pair in ((d1, empty), (empty, d1)):
