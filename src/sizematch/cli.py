@@ -20,7 +20,6 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import is_
 from typing import List, Optional
 
 from ._rational import _digit_limit, _too_long, number_to_json, quoted
@@ -28,7 +27,7 @@ from .core import ModelViolationError, ParseError, SizePair, load_size_pair
 from .diagram import Diagram, extract_diagram
 from .matching import DIAGONAL, matching_distance, pseudo_distance_d, stability_probe
 from .bounds import bound_report
-from .realize import _field_diagrams, realize
+from .realize import _field_diagrams, max_field_gap, realize
 from .selftest import perturbed_values, run_selftest
 
 __all__ = ["main"]
@@ -120,32 +119,12 @@ def _write_json(value, out: List[str], pad: str) -> None:
         comma = "," + inner
         try:  # the common case, a list of scalars, in one join
             out += ("[", inner, comma.join([_SCALAR_JSON[type(v)](v) for v in value]))
-        except KeyError:
-            # a list of rows: a row of scalars is joined here, and a row that
-            # holds the very objects of the row before it (a copy of it, or the
-            # same list again) reuses that join, since equal objects of
-            # different types (1, 1.0, True) are written differently
-            deeper = inner + "  "
-            join = ("," + deeper).join
-            close = inner + "]"
+        except KeyError:  # a list that holds rows or objects: each item on its own
             sep = "[" + inner
-            last = None  # the row that text was joined from, if it is the item before
             for item in value:
                 out.append(sep)
                 sep = comma
-                if (type(item) is list or type(item) is tuple) and item:
-                    if last is None or len(item) != len(last) or not all(map(is_, item, last)):
-                        try:
-                            text = join([_SCALAR_JSON[type(v)](v) for v in item])
-                        except KeyError:
-                            last = None
-                            _write_json(item, out, inner)
-                            continue
-                        last = item
-                    out += ("[", deeper, text, close)
-                else:
-                    last = None
-                    _write_json(item, out, inner)
+                _write_json(item, out, inner)
         out.append(pad + "]")
     else:  # a subclass of a scalar type is written as json writes its base
         for kind, encode in _SCALAR_JSON.items():
@@ -240,9 +219,10 @@ def _cmd_realize(args) -> int:
     _check_at_least("--refine", args.refine, 1)
     d1 = _load_diagram(args.diagram1)
     d2 = _load_diagram(args.diagram2)
-    # realize() checks refine 1 and the gap itself (RuntimeError: exit 1); a finer grid is checked here
+    # realize() checks refine 1 and the gap itself (RuntimeError: exit 1); both are checked
+    # again here on the fields it returns, and a finer grid only here
     phi, psi, params = realize(d1, d2)
-    gap = params.d_match
+    gap = max_field_gap(phi, psi)
     got = _field_diagrams((phi, psi), args.refine) if args.refine > 1 else (d1, d2)
     round_phi, round_psi = got[0] == d1, got[1] == d2
     if args.format == "json":
@@ -262,6 +242,10 @@ def _cmd_realize(args) -> int:
         for x, vs_phi, vs_psi in zip(phi.x_breaks, phi.values_per_column, psi.values_per_column):
             x = float(x)
             print("\n".join(f"{x},{y},{float(a)},{float(b)}" for y, a, b in zip(ys, vs_phi, vs_psi)))
+    if gap != params.d_match:
+        print(f"error: realized field gap {quoted(gap)} differs from the matching distance "
+              f"{quoted(params.d_match)}", file=sys.stderr)
+        return 1
     if not (round_phi and round_psi):
         print(f"error: realization failed its round-trip check at refine {args.refine}",
               file=sys.stderr)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -56,36 +55,57 @@ class RectField:
     package ever needs values off the columns, but the model is the full
     rectangle [x_breaks[0], x_breaks[-1]] x [y_breaks[0], y_breaks[-1]]).
 
-    Each value is held as its (numerator, denominator) in lowest terms, the form the package
-    reads; ``values_per_column`` builds Fractions from these pairs when first read.  Each
-    distinct column is held once in ``_distinct``, and ``_layout[c]`` is the index there of
-    column c, so equal columns are equal layout entries.
+    A column is held as its knots ``(row, (numerator, denominator))``, its value in lowest
+    terms at ``y_breaks[row]``: one at each end of the grid and one at each break where the
+    slope changes, so equal columns have equal knots.  Each distinct column is held once in
+    ``_distinct``, and ``_layout[c]`` is the index there of column c, so equal columns are
+    equal layout entries.  ``values_per_column`` samples the knots when first read.
     """
 
     __slots__ = ("x_breaks", "y_breaks", "_distinct", "_layout", "_values")
 
-    def __init__(self, x_breaks, y_breaks, values_per_column):
-        for name, given in (("x_breaks", x_breaks), ("y_breaks", y_breaks)):
-            breaks = tuple(as_fraction(b) for b in given)
-            if len(breaks) < 2:
-                raise ValueError(f"{name} needs at least two entries")
-            if any(b <= a for a, b in zip(breaks, breaks[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
-            object.__setattr__(self, name, breaks)
-        index = {}  # each distinct column, by value, to its position in _distinct
-        layout = tuple(index.setdefault(tuple(_ratio(v) for v in vs), len(index))
-                       for vs in values_per_column)
-        if len(layout) != len(self.x_breaks) or any(len(vs) != len(self.y_breaks) for vs in index):
-            raise ValueError("a field needs one column per x break and one value per y break")
-        object.__setattr__(self, "_distinct", tuple(index))
-        object.__setattr__(self, "_layout", layout)
-        object.__setattr__(self, "_values", None)
+    def __new__(cls, x_breaks, y_breaks, values_per_column):
+        index = {}  # each distinct column, by value, to its position in the columns
+        layout = [index.setdefault(tuple(_ratio(v) for v in vs), len(index))
+                  for vs in values_per_column]
+        return cls._from_knots(x_breaks, y_breaks, [enumerate(vs) for vs in index], layout)
 
     @classmethod
-    def _exact(cls, x_breaks, y_breaks, distinct, layout) -> "RectField":
-        """The field of Fraction breaks, distinct reduced int pair columns and a layout, unchecked."""
+    def _from_knots(cls, x_breaks, y_breaks, columns, layout) -> "RectField":
+        """The field whose column c is ``columns[layout[c]]``, each column given by its knots
+        (row, (n, d)), the value n/d (d > 0) at ``y_breaks[row]``, at ascending rows from the
+        first y break to the last; a knot collinear with its neighbours is dropped."""
         field = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (x_breaks, y_breaks, distinct, layout, None)):
+        for name, given in (("x_breaks", x_breaks), ("y_breaks", y_breaks)):
+            breaks = tuple(as_fraction(b) for b in given)
+            unit = common_denominator(breaks)
+            ys = [on_scale(b, unit) for b in breaks]  # on one int scale; the y breaks come last
+            if len(ys) < 2 or any(b <= a for a, b in zip(ys, ys[1:])):
+                raise ValueError(f"{name} must be two or more strictly increasing numbers")
+            object.__setattr__(field, name, breaks)
+        distinct, fault = [], "the knots of each column must ascend from the first y break to the last"
+        for knots in columns:
+            kept = []
+            for r, (n, d) in knots:
+                common = math.gcd(n, d)
+                n, d = n // common, d // common
+                if kept and r <= kept[-1][0] or r >= len(ys):
+                    raise ValueError(fault)
+                if len(kept) > 1:  # is (n1/d1 - n0/d0)·(y - y0) == (n/d - n0/d0)·(y1 - y0)?
+                    (r0, (n0, d0)), (r1, (n1, d1)) = kept[-2:]
+                    if ((n1 * d0 - n0 * d1) * d * (ys[r] - ys[r0])
+                            == (n * d0 - n0 * d) * d1 * (ys[r1] - ys[r0])):
+                        kept.pop()
+                kept.append((r, (n, d)))
+            if [r for r, _ in kept[:1] + kept[-1:]] != [0, len(ys) - 1]:
+                raise ValueError(fault)
+            distinct.append(tuple(kept))
+        layout = tuple(layout)
+        if len(layout) != len(field.x_breaks) or any(
+                type(i) is not int or not 0 <= i < len(distinct) for i in layout):
+            raise ValueError(f"the layout {quoted(list(layout))} does not give one of the "
+                             f"{len(distinct)} columns for each of {len(field.x_breaks)} x breaks")
+        for name, value in (("_distinct", tuple(distinct)), ("_layout", layout), ("_values", None)):
             object.__setattr__(field, name, value)
         return field
 
@@ -93,12 +113,12 @@ class RectField:
         raise AttributeError(f"cannot assign to field {name!r} of a RectField")
 
     def __reduce__(self):  # pickle and copy build the field again, not by setattr
-        return RectField._exact, (self.x_breaks, self.y_breaks, self._distinct, self._layout)
+        return RectField._from_knots, (self.x_breaks, self.y_breaks, self._distinct, self._layout)
 
     @property
     def values_per_column(self) -> Tuple[Tuple[Fraction, ...], ...]:
         if self._values is None:
-            distinct = [tuple(Fraction(n, d) for n, d in vs) for vs in self._distinct]
+            distinct = [tuple(Fraction(n, d) for n, d in vs) for vs in _grid_values(self, 1)[1]]
             object.__setattr__(self, "_values", tuple(distinct[i] for i in self._layout))
         return self._values
 
@@ -126,23 +146,20 @@ class RectField:
         """Exact value on a column 0 <= column < n_columns at height y (linear between breaks)."""
         if not 0 <= column < self.n_columns:
             raise IndexError(f"column {column} is outside 0 <= column < n_columns = {self.n_columns}")
-        y = as_fraction(y)
-        unit = common_denominator((*self.y_breaks, y))
-        vs = self._distinct[self._layout[column]]
-        return Fraction(*_resample(self.y_breaks, vs, [on_scale(y, unit)], unit)[0])
+        columns = [self._distinct[self._layout[column]]]
+        scale, ys, (knots,) = _on_scale((*self.y_breaks, as_fraction(y)), columns)  # y is ys[-1]
+        return Fraction(*_sample(*zip(*knots), ys[-1:], scale)[0])
 
     def to_json_dict(self) -> dict:
-        # the grid is encoded once and written per column, its ends as S and min_phi; each
-        # distinct value is encoded once, each distinct column once and copied for its repeats
+        # equal columns are written once, in the order the layout first uses them
+        index = {}
+        layout = [index.setdefault(self._distinct[i], len(index)) for i in self._layout]
         ys = [number_to_json(y) for y in self.y_breaks]
-        codes = {key: ratio_to_json(*key) for key in set().union(*self._distinct)}
-        encoded = [[codes[key] for key in vs] for vs in self._distinct]
         return {
             "x_breaks": [number_to_json(x) for x in self.x_breaks],
-            "y_breaks_per_column": [ys.copy() for _ in self.x_breaks],
-            "values_per_column": [encoded[i].copy() for i in self._layout],
-            "S": ys[-1],
-            "min_phi": ys[0],
+            "y_breaks": ys,
+            "layout": layout,
+            "columns": [[[ys[r], ratio_to_json(n, d)] for r, (n, d) in knots] for knots in index],
         }
 
     @classmethod
@@ -150,22 +167,17 @@ class RectField:
         if not isinstance(data, dict):
             raise ValueError("field JSON: expected an object")
         try:
-            x_breaks = tuple(number_from_json(x) for x in data["x_breaks"])
-            grids = [tuple(number_from_json(y) for y in ys) for ys in data["y_breaks_per_column"]]
-            values = tuple(
-                tuple(number_from_json(v) for v in vs) for vs in data["values_per_column"]
-            )
-            ends = (number_from_json(data["min_phi"]), number_from_json(data["S"]))
-            if len(grids) != len(x_breaks):
-                raise ValueError(f"{len(grids)} y grids for {len(x_breaks)} columns")
-            if any(ys != grids[0] for ys in grids):
-                raise ValueError("the columns do not share one y grid")
-            field = cls(x_breaks, grids[0] if grids else (), values)
-            if ends != (field.y_breaks[0], field.y_breaks[-1]):
-                raise ValueError("min_phi and S must be the ends of the y grid")
-            return field
+            xs, ys, layout, columns = (data[k] for k in ("x_breaks", "y_breaks", "layout", "columns"))
         except KeyError as exc:
             raise ValueError(f"field JSON: missing key {exc}") from exc
+        try:
+            y_breaks = [number_from_json(y) for y in ys]
+            row = {y: r for r, y in enumerate(y_breaks)}  # a knot's y that is not a break: KeyError
+            columns = [[(row[number_from_json(y)], number_from_json(value).as_integer_ratio())
+                        for y, value in knots] for knots in columns]
+            return cls._from_knots(map(number_from_json, xs), y_breaks, columns, layout)
+        except KeyError as exc:
+            raise ValueError(f"field JSON: knot y {quoted(exc.args[0])} is not a y break") from exc
         except (TypeError, ValueError) as exc:
             raise ValueError(f"field JSON: {exc}") from exc
 
@@ -246,8 +258,7 @@ def _sample(
             low, high = Fraction(ys[0], scale), Fraction(ys[-1], scale)
             raise ValueError(f"y={Fraction(y, scale)} outside the field range [{low}, {high}]")
     last = len(ys) - 2  # the index of the last piece
-    i = bisect_right(ys, grid[0], 0, last + 1) - 1
-    out = []
+    i, out = 0, []
     for y in grid:
         while i < last and ys[i + 1] <= y:
             i += 1
@@ -256,6 +267,16 @@ def _sample(
         common = math.gcd(num, den)
         out.append((num // common, den // common))
     return out
+
+
+def _on_scale(y_breaks, columns, refine: int = 1):
+    """(scale, y breaks, columns) on one int scale, the lcm of every knot value's denominator
+    and of ``refine`` times every break's: each of the ``columns`` of knots (row, (n, d))
+    becomes its knots (y_breaks[row], n/d) as ints on that scale."""
+    unit = common_denominator(y_breaks) * refine
+    scale = math.lcm(unit, *(d for knots in columns for _, (_, d) in knots))
+    ys = [on_scale(y, scale) for y in y_breaks]
+    return scale, ys, [[(ys[r], n * (scale // d)) for r, (n, d) in knots] for knots in columns]
 
 
 def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, RealizationParams]:
@@ -312,7 +333,8 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
         shapes.append((c, e, points))
         heights.update((c - e, c, c + e))
     grid = sorted(heights)
-    y_grid = tuple(Fraction(h, scale) for h in grid)
+    row = {h: r for r, h in enumerate(grid)}
+    y_grid = [Fraction(h, scale) for h in grid]
 
     # column layout: the base at x = 0 and x = 1; structure i (1-based) owns
     # 1/(3i+1) < 1/(3i) < 1/(3i-1), where a field that holds the structure's
@@ -321,12 +343,10 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
     for i in range(len(structures), 0, -1):
         x_breaks += (Fraction(1, 3 * i + 1), Fraction(1, 3 * i), Fraction(1, 3 * i - 1))
     x_breaks.append(Fraction(1))
-    _check_grid(len(x_breaks), len(grid), 1)  # the self-check's grid, before a field is sampled
 
     def column(base_start, *knots):
-        """One column sampled on y_grid: base_start at min_phi, knots, S at S (ints on scale)."""
-        ys, vs = zip((b_phi, base_start), *knots, (top, top))
-        return tuple(_sample(ys, vs, grid, scale))
+        """One column's knots: base_start at min_phi, knots, S at S (heights and values on scale)."""
+        return [(row[h], (v, scale)) for h, v in ((b_phi, base_start), *knots, (top, top))]
 
     fields = []
     for b, side in ((b_phi, 0), (b_psi, 1)):
@@ -341,7 +361,7 @@ def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, Realization
             else:  # a plateau triple at the center, or at the base if the center is not above it
                 distinct.append(column(b, (c + e, b)) if c <= b else column(b, (c - e, c), (c + e, c)))
                 layout += (n, n, n)
-        fields.append(RectField._exact(tuple(x_breaks), y_grid, tuple(distinct), (*layout, 0)))
+        fields.append(RectField._from_knots(x_breaks, y_grid, distinct, (*layout, 0)))
     field_low, field_high = fields
 
     for extracted, diagram, which in zip(_field_diagrams(fields, 1), (low, high), ("first", "second")):
@@ -375,15 +395,6 @@ def _grid_adjacency(n_columns: int, rows: int) -> List[List[int]]:
     return adj
 
 
-def _resample(y_breaks, pairs, heights, unit: int) -> List[Tuple[int, int]]:
-    """The reduced value pairs at the ascending ``heights`` (ints on ``unit``, a multiple of every
-    break's denominator) of the column that is ``pairs[i]`` at ``y_breaks[i]`` and linear between."""
-    scale = math.lcm(unit, *(d for _, d in pairs))
-    ys = [on_scale(b, scale) for b in y_breaks]
-    values = [n * (scale // d) for n, d in pairs]
-    return _sample(ys, values, [h * (scale // unit) for h in heights], scale)
-
-
 def _check_grid(n_columns: int, rows: int, refine: int, least: str = "") -> None:
     """Refuse a grid of ``n_columns`` x ``rows`` nodes, ``refine`` per break gap, above the cap;
     ``least`` is "at least " when the grid is only known to have at least that many nodes."""
@@ -393,30 +404,27 @@ def _check_grid(n_columns: int, rows: int, refine: int, least: str = "") -> None
             f"refine {refine} would sample {least}{nodes} grid nodes, more than {_MAX_GRID_NODES}")
 
 
-def _grid_values(field: RectField, refine: int) -> Tuple[int, List[Tuple[int, int]]]:
-    """(rows, node value pairs by position p = ci·rows + ri) of ``discretize(field, refine)``."""
+def _grid_values(field: RectField, refine: int) -> Tuple[int, List[List[Tuple[int, int]]]]:
+    """(rows, each distinct column's reduced value pairs on them) of ``discretize(field, refine)``:
+    the rows are a + (b - a)·k/refine for each break a, the next break b and 0 <= k < refine,
+    then the top break."""
     if isinstance(refine, bool) or not isinstance(refine, int) or refine < 1:
         raise ValueError(f"refine must be a positive integer, got {refine!r}")
     rows = (len(field.y_breaks) - 1) * refine + 1
     _check_grid(field.n_columns, rows, refine)
-    columns = field._distinct
-    if refine > 1:
-        # the rows a + (b - a)·k/refine are ints on unit·refine; each distinct column is sampled once
-        unit = common_denominator(field.y_breaks) * refine
-        breaks = [on_scale(y, unit) for y in field.y_breaks]
-        heights = [a + (b - a) // refine * k for a, b in zip(breaks, breaks[1:]) for k in range(refine)]
-        heights.append(breaks[-1])
-        columns = [_resample(field.y_breaks, vs, heights, unit) for vs in columns]
-    return rows, [key for i in field._layout for key in columns[i]]
+    scale, ys, columns = _on_scale(field.y_breaks, field._distinct, refine)
+    heights = [a + (b - a) // refine * k for a, b in zip(ys, ys[1:]) for k in range(refine)]
+    heights.append(ys[-1])
+    return rows, [_sample(*zip(*knots), heights, scale) for knots in columns]
 
 
 def _field_diagrams(fields: Sequence[RectField], refine: int) -> List[Diagram]:
     """``extract_diagram(discretize(field, refine))`` of each field; the fields share one grid."""
     diagrams, adj = [], None
     for field in fields:  # one field's values at a time
-        rows, values = _grid_values(field, refine)
+        rows, columns = _grid_values(field, refine)
         adj = adj or _grid_adjacency(field.n_columns, rows)
-        diagrams.append(_ratio_diagram(values, adj))
+        diagrams.append(_ratio_diagram([key for i in field._layout for key in columns[i]], adj))
     return diagrams
 
 
@@ -428,7 +436,7 @@ def discretize(field: RectField, refine: int = 1) -> SizePair:
     Values are sampled exactly.  A grid of more than 10^7 nodes is refused
     with ValueError before anything is sampled.
     """
-    rows, values = _grid_values(field, refine)
+    rows, columns = _grid_values(field, refine)
     # ids[p] names position p = ci·rows + ri
     names = [f"r{ri}" for ri in range(rows)]
     ids = [column + name for column in (f"c{ci}" for ci in range(field.n_columns)) for name in names]
@@ -438,28 +446,36 @@ def discretize(field: RectField, refine: int = 1) -> SizePair:
     a, b = a + ids[:-rows], b + ids[rows:]
     ends = [None] * (2 * len(a))
     ends[::2], ends[1::2] = a, b
-    fraction = {key: Fraction(*key) for key in set(values)}
+    fraction = {key: Fraction(*key) for column in columns for key in column}
     sp = SizePair.__new__(SizePair)
-    sp._build(ids, list(map(fraction.__getitem__, values)), ends)
+    sp._build(ids, [fraction[key] for i in field._layout for key in columns[i]], ends)
     return sp
 
 
 def max_field_gap(field_a: RectField, field_b: RectField) -> Fraction:
     """Exact max of |a - b| over the shared grid nodes.
 
-    The fields must share their x and y breaks.  Both are linear between
-    the nodes of a column, so the node maximum is the maximum over the
-    whole column.
+    The fields must share their x and y breaks.  Between the knot rows of
+    two columns their difference is linear, so its maximum over the nodes,
+    and over the whole column, is its maximum on those rows.
     """
     if field_a.x_breaks != field_b.x_breaks or field_a.y_breaks != field_b.y_breaks:
         raise ValueError("fields do not share their grid")
-    # |a - b| = |an·bd - bn·ad| / (ad·bd) is compared with the best so far by
-    # cross-multiplying, so no Fraction is formed per node; each distinct pair of
-    # layout entries, a column of each field, is scanned once
+    # each distinct pair of layout entries, a column of each field, is scanned once: at a knot
+    # (y, v) of one column on the other's piece (y0, v0)-(y1, v1), scale·|a - b| is
+    # |(v - v0)·(y1 - y0) - (v1 - v0)·(y - y0)| / (y1 - y0), compared by cross-multiplying
+    scale, _, columns = _on_scale(field_a.y_breaks, field_a._distinct + field_b._distinct)
+    shift = len(field_a._distinct)
     best_num, best_den = 0, 1
     for ia, ib in dict.fromkeys(zip(field_a._layout, field_b._layout)):
-        for (an, ad), (bn, bd) in zip(field_a._distinct[ia], field_b._distinct[ib]):
-            num, den = abs(an * bd - bn * ad), ad * bd
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
-    return Fraction(best_num, best_den)
+        a, b = columns[ia], columns[shift + ib]
+        for knots, other in ((a, b), (b, a)):
+            j = 0
+            for y, v in knots:
+                while other[j + 1][0] < y:
+                    j += 1
+                (y0, v0), (y1, v1) = other[j], other[j + 1]
+                num, den = abs((v - v0) * (y1 - y0) - (v1 - v0) * (y - y0)), y1 - y0
+                if num * best_den > best_num * den:
+                    best_num, best_den = num, den
+    return Fraction(best_num, best_den * scale)

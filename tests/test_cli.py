@@ -430,6 +430,28 @@ def test_realize_refined_round_trip_failure_exits_1(files, capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_realize_gap_that_differs_from_d_match_exits_1(files, capsys, monkeypatch):
+    # the command measures the gap on the fields realize() hands it: a psi whose base
+    # column is moved d_match + 1 down is caught there, with its report still written
+    realize = cli_module.realize
+
+    def moved(d1, d2):
+        phi, psi, params = realize(d1, d2)
+        columns = list(psi.values_per_column)
+        columns[0] = [v - params.d_match - 1 for v in columns[0]]
+        return phi, sizematch.RectField(psi.x_breaks, psi.y_breaks, columns), params
+
+    monkeypatch.setattr(cli_module, "realize", moved)
+    code, out, err = run(capsys, ["realize", files["d1"], files["d2"]])
+    assert code == 1
+    data = json.loads(out)
+    assert data["gap_equals_distance"] is False
+    assert number_from_json(data["max_gap"]) == number_from_json(data["d_match"]) + 1
+    assert data["round_trip"] == {"refine": 1, "phi": True, "psi": True}
+    assert err == (f"error: realized field gap {number_from_json(data['max_gap'])} differs from "
+                   f"the matching distance {number_from_json(data['d_match'])}\n")
+
+
 def test_realize_rejects_bad_json(files, capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

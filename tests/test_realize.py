@@ -189,9 +189,41 @@ def _localized_thirds_to_64ths(rng, infinity_x):
     return Diagram(infinity_x, points)
 
 
+def _interpolate(knots, y):
+    """The value at y of the column linear between its (height, value) knots, in Fractions."""
+    for (y0, v0), (y1, v1) in zip(knots, knots[1:]):
+        if y0 <= y <= y1:
+            return v0 + (v1 - v0) * (y - y0) / (y1 - y0)
+    raise ValueError(f"y={y} is outside the knots")
+
+
+def _structure_columns(params, field_is_low):
+    """The knots (height, value) of each column of a realized field, recomputed in Fractions
+    from the params: the base, then per structure a flank, pit and flank where the field holds
+    the structure's point and a plateau triple where it does not."""
+    bottom, top = params.min_phi, params.S
+    b = params.min_phi if field_is_low else params.min_psi
+    base = [(bottom, b), (top, top)]
+    columns = [base]
+    for st in reversed(params.structures):
+        c, e = st.center, st.epsilon
+        point = st.left if field_is_low else st.right
+        if point is not None:
+            flank = [(bottom, b), (c - e, point.y), (c + e, point.y), (top, top)]
+            columns += [flank, [(bottom, b), (c - e, point.y), (c, point.x), (c + e, point.y),
+                                (top, top)], flank]
+        elif c <= b:
+            columns += [[(bottom, b), (c + e, b), (top, top)]] * 3
+        else:
+            columns += [[(bottom, b), (c - e, c), (c + e, c), (top, top)]] * 3
+    return columns + [base]
+
+
 def test_realize_structures_equal_their_fraction_formulas_seeded():
-    # realize() builds on ints; here each structure is recomputed from its witness anchor in Fractions
+    # realize() builds on ints; here each structure is recomputed from its witness anchor in
+    # Fractions, and each column from the structures, read through a plain interpolator
     rng = random.Random(30)
+    compared = 0
     swapped = 0
     for trial in range(240):
         first = F(rng.randint(-6, 6), rng.choice((3, 7, 64)))
@@ -216,19 +248,32 @@ def test_realize_structures_equal_their_fraction_formulas_seeded():
             assert (st.center, st.epsilon) == (c, e), f"trial {trial}"
             breaks |= {c - e, c, c + e}
         assert phi.y_breaks == psi.y_breaks == tuple(sorted(breaks)), f"trial {trial}"
+        low, high = (psi, phi) if params.swapped else (phi, psi)
+        for field, field_is_low in ((low, True), (high, False)):
+            expected = {}  # each distinct column's values at the y breaks
+            for ci, knots in enumerate(_structure_columns(params, field_is_low)):
+                got = field._distinct[field._layout[ci]]
+                assert [(field.y_breaks[r], F(*v)) for r, v in got] == knots, f"trial {trial}"
+                key = tuple(knots)
+                if key not in expected:
+                    expected[key] = tuple(_interpolate(knots, y) for y in field.y_breaks)
+                    compared += 1
+                assert field.values_per_column[ci] == expected[key], f"trial {trial}, column {ci}"
     assert 0 < swapped < 240
+    assert compared > 2000
 
 
 # ------------------------------------------------------------------- layout
 
-# sha256 of the realize JSON of _pinned_pair(seed), written by the earlier
-# implementation that kept one profile per column abscissa in a dict; the
-# ordered column list must reproduce it byte for byte
+# sha256 of the realize JSON of _pinned_pair(seed), the fields written as their
+# columns' knots; the params and every field's values_per_column are those of the
+# earlier implementations that kept one profile per column abscissa in a dict and
+# then every grid node of a column
 REALIZE_PINS = {
-    0: "ccb02d19a1651cf70834006854a524d26ad9db4538e8347eee51e307a375ff6b",
-    1: "f473428c543f27b10c40145752a2e55e0b6bb000dc6ee36420969157bd1007fc",
-    2: "04c3b173f937ec9b0a854499e1d7f7114d70e0e450c6223a312c0a0fab28987c",
-    3: "9f745ea0ca7b35eb7c4a70310dacd5eb1709a8fa73dd73d2d2535eda3645281c",
+    0: "ed0e728cbe6b148095c91bef4e86b0f76974820e06eb0f61b11e2dcbf86ddd1e",
+    1: "1db49940bf5bd89e1464a8ea9755d943a6af49bfb7e8a683f6e757f363345605",
+    2: "1768b7ceb378b4d6484355f94df23cecd94aa1209bf2d35a529da0a515a024ec",
+    3: "0366791e00022d364533f65a99e58a23cfe7d978167b1520b4bf825f316c8a2b",
 }
 
 
@@ -270,14 +315,14 @@ def test_realize_json_is_pinned(seed):
     assert hashlib.sha256(text.encode()).hexdigest() == REALIZE_PINS[seed]
 
 
-# sha256 of the realize JSON of _scaled_pair(group), written by the earlier
-# realize that sampled columns and scanned the gap in Fraction arithmetic;
-# the integer sampler and gap scan must reproduce them byte for byte
+# sha256 of the realize JSON of _scaled_pair(group), the fields written as their
+# columns' knots; the params and every field's values_per_column are those of the
+# earlier realize that sampled columns and scanned the gap in Fraction arithmetic
 SCALED_REALIZE_PINS = {
-    "near_copy_20": "4705527a25a6654292cde54edbcef11bb302a531b5f58e15bf98825045b02825",
-    "near_copy_40": "736c08da5f76231322f538113dfdae2d4f8c1203eee9b5737275f6b349b55691",
-    "unrelated_21_and_7": "82af8f1929eef154b84872f5ba884ee07081c9325045803de0b62980b5e2fb56",
-    "beyond_float_range": "d146617ff0c2d686ffea9933ff877d0a2d4fcfd1c03e2f41104823d570cc660c",
+    "near_copy_20": "2741149a7b36a0954095c0a5095e982884e5e38573b4e4840cf587ef9f38549f",
+    "near_copy_40": "9768224b92df0cbcf9d4bcff1694140a860852b9ecf308ecbbfe20c92e6f0add",
+    "unrelated_21_and_7": "1075bc7d3fe77421d1abc608489eb814baa330ee8a3ad48625c79f8e950287fb",
+    "beyond_float_range": "325ff37cc4fd7ea8b1390882587e585ec11ad4567885693a985c1e34b267493b",
 }
 
 
@@ -612,6 +657,46 @@ def test_realize_refuses_an_oversized_grid_before_sampling_a_field(monkeypatch):
 # ------------------------------------------------------------------- fields
 
 
+def _knot_fields(rng):
+    """(field, the columns it was given or None): realized fields of seeded pairs in thirds to
+    64ths, and fields of random columns, some straight across breaks, given on their y breaks."""
+    for trial in range(20):
+        first = F(rng.randint(-6, 6), rng.choice((3, 7, 64)))
+        second = first + F(rng.randint(-4, 4), rng.choice((5, 9, 21)))
+        for field in realize(_localized_thirds_to_64ths(rng, first),
+                             _localized_thirds_to_64ths(rng, second))[:2]:
+            yield field, None
+        ys = sorted({F(rng.randint(-40, 40), rng.choice((1, 3, 7, 64))) for _ in range(6)})
+        if len(ys) < 2:
+            continue
+        columns = []
+        for _ in range(rng.randint(2, 5)):
+            start, slope = F(rng.randint(-9, 9), rng.choice((1, 5))), F(rng.randint(-3, 3), 7)
+            straight = [start + slope * (y - ys[0]) for y in ys]
+            columns.append(straight if rng.random() < 0.4 else _random_column(rng, len(ys)))
+        yield RectField(range(len(columns)), ys, columns), columns
+
+
+def test_grid_values_equal_the_fraction_interpolation_of_the_knots_seeded():
+    # every refined row a + (b - a)·k/refine of each column, against a plain interpolator on
+    # the field's knots that shares no code with _sample or the knot builder
+    fields = dropped = 0
+    for field, given in _knot_fields(random.Random(94)):
+        if given is not None:  # a straight run keeps only its end knots, and the same values
+            assert field.values_per_column == tuple(map(tuple, given))
+            dropped += sum(map(len, set(map(tuple, given)))) - sum(map(len, field._distinct))
+        knots = [[(field.y_breaks[r], F(*v)) for r, v in column] for column in field._distinct]
+        for refine in (1, 2, 3):
+            heights = [a + (b - a) * F(k, refine)
+                       for a, b in zip(field.y_breaks, field.y_breaks[1:]) for k in range(refine)]
+            heights.append(field.y_breaks[-1])
+            expected = [[_interpolate(column, y).as_integer_ratio() for y in heights]
+                        for column in knots]
+            assert realize_module._grid_values(field, refine) == (len(heights), expected), refine
+        fields += 1
+    assert fields >= 60 and dropped >= 20
+
+
 def test_rect_field_value_at_interpolates():
     d1, d2 = worked_pair()
     phi, _, _ = realize(d1, d2)
@@ -639,19 +724,29 @@ def test_rect_field_json_round_trip_with_thirds():
 
 
 def test_rect_field_shares_equal_columns():
-    # realize() hands equal columns over as one object; the field keeps one
-    # converted tuple for them, and its JSON writes each copy in full
+    # realize() hands equal columns over as one layout entry; the field keeps one
+    # converted tuple for them, and its JSON writes each distinct column once, as its knots
     phi, psi, _ = realize(*_pinned_pair(0))
     for field in (phi, psi):
         columns = field.values_per_column
         assert columns[0] is columns[-1]
         data = json.loads(field.dumps())
-        assert data["values_per_column"][0] == data["values_per_column"][-1]
-        assert len(data["values_per_column"]) == field.n_columns
+        assert list(data) == ["x_breaks", "y_breaks", "layout", "columns"]
+        assert data["layout"][0] == data["layout"][-1] == 0
+        assert len(data["layout"]) == field.n_columns
+        assert len(data["columns"]) == len(set(columns)) < field.n_columns
+        assert sorted(set(data["layout"])) == list(range(len(data["columns"])))
+        assert all(len(knots) <= 5 for knots in data["columns"])
     # columns made one at a time and dropped by the caller stay distinct
     field = RectField((0, 1, 2), (0, 4), ([c, 4] for c in (0, 1, 2)))
     assert field.values_per_column == ((0, 4), (1, 4), (2, 4))
-    assert json.loads(field.dumps())["values_per_column"] == [[0, 4], [1, 4], [2, 4]]
+    assert json.loads(field.dumps()) == {
+        "x_breaks": [0, 1, 2], "y_breaks": [0, 4], "layout": [0, 1, 2],
+        "columns": [[[0, 0], [4, 4]], [[0, 1], [4, 4]], [[0, 2], [4, 4]]]}
+    # a column given on the y breaks keeps its ends and the breaks where its slope changes
+    field = RectField((0, 1), (0, 1, 2, 3), ((0, 1, 2, 3), (0, 2, 2, F(5, 2))))
+    assert json.loads(field.dumps())["columns"] == [[[0, 0], [3, 3]],
+                                                    [[0, 0], [1, 2], [2, 2], [3, 2.5]]]
 
 
 def test_rect_field_read_back_holds_equal_columns_once():
@@ -714,19 +809,69 @@ def test_rect_field_validation():
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda data: data["y_breaks_per_column"][3].__setitem__(1, 1.5), "share one y grid"),
-        (lambda data: data["y_breaks_per_column"].pop(), "4 y grids for 5 columns"),
-        (lambda data: data.__setitem__("S", 5), "ends of the y grid"),
-        (lambda data: data.__setitem__("min_phi", "1/3"), "ends of the y grid"),
+        # the worked example's phi: 5 columns on the 3 distinct base, flank and pit columns
+        (lambda data: data["columns"][1][1].__setitem__(0, 1.5), "knot y 3/2 is not a y break"),
+        (lambda data: data["columns"][1].reverse(), "knots of each column must ascend from the"),
+        (lambda data: data["columns"][1].pop(0), "ascend from the first y break to the last"),
+        (lambda data: data["columns"][2].pop(), "ascend from the first y break to the last"),
+        (lambda data: data["layout"].__setitem__(2, True), r"layout \[0, 1, True, 1, 0\] does not"),
+        (lambda data: data["layout"].__setitem__(2, -1), r"layout \[0, 1, -1, 1, 0\] does not"),
+        (lambda data: data["layout"].__setitem__(2, 3), "give one of the 3 columns for each of 5 x"),
+        (lambda data: data["layout"].pop(), r"layout \[0, 1, 2, 1\] does not give one of"),
     ],
-    ids=["grids-differ", "grid-count", "S", "min_phi"],
+    ids=["knot-off-grid", "knots-descend", "knots-start-late", "knots-end-early", "layout-bool",
+         "layout-negative", "layout-out-of-range", "layout-length"],
 )
 def test_rect_field_from_json_dict_refuses_a_broken_grid(edit, message):
     data = realize(*worked_pair())[0].to_json_dict()
+    assert (data["layout"], len(data["columns"])) == ([0, 1, 2, 1, 0], 3)
     RectField.from_json_dict(data)
     edit(data)
     with pytest.raises(ValueError, match=f"^field JSON: .*{message}"):
         RectField.from_json_dict(data)
+
+
+_JUNK = [None, True, False, -1, 0, 1, 2, 2.5, float("inf"), float("nan"), "1/3", "1/0", "x",
+         [], [0], [0, 0], [[0, 0]], [[0, 0], [4, 4]], {}, {"a": 1}, 10**30]
+
+
+def _mutate(rng, data):
+    """Replace, delete or duplicate one entry at a random depth of the JSON value ``data``."""
+    holder, node = None, data
+    while isinstance(node, (dict, list)) and node and (holder is None or rng.random() < 0.7):
+        holder, key = node, rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+        node = holder[key]
+    if holder is None:
+        return
+    action = rng.randrange(3)
+    if action == 0:
+        holder[key] = rng.choice(_JUNK)
+    elif action == 1:
+        del holder[key]
+    elif isinstance(holder, list):
+        holder.insert(key, json.loads(json.dumps(node)))
+    else:
+        holder[key + "_"] = node
+
+
+def test_rect_field_from_json_dict_loads_or_refuses_each_mutation_in_one_message_seeded():
+    rng = random.Random(93)
+    fields = [f for pair in (worked_pair(), _pinned_pair(0)) for f in realize(*pair)[:2]]
+    fields.append(RectField((0, 1, 2), (0, F(1, 3), 1), ((0, 1, 2), (0, 1, 2), (2, -1, F(1, 7)))))
+    loaded = refused = 0
+    for trial in range(800):
+        data = json.loads(rng.choice(fields).dumps())
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, data)
+        try:
+            field = RectField.from_json_dict(data)
+        except ValueError as exc:
+            assert str(exc).startswith("field JSON: ") and "\n" not in str(exc), f"trial {trial}"
+            refused += 1
+        else:
+            assert RectField.loads(field.dumps()) == field, f"trial {trial}"
+            loaded += 1
+    assert loaded >= 50 and refused >= 400
 
 
 def test_max_field_gap_requires_shared_columns():
@@ -828,21 +973,23 @@ def test_realized_fields_have_the_prescribed_size_functions_seeded():
 
 def _break_one_node(monkeypatch, which, column, row, shift):
     """Make realize() build its `which`-th field (0: the one anchored lower)
-    with one node moved by `shift`, before its self-check runs."""
-    made = realize_module.RectField._exact
+    with one node moved by `shift`, before its self-check runs: the column
+    gets a knot at `row`, in place of its knot there or beside its knots."""
+    made = realize_module.RectField._from_knots
     calls = []
 
-    def broken(x_breaks, y_breaks, distinct, layout):
+    def broken(cls, x_breaks, y_breaks, columns, layout):
         if len(calls) == which:
             # the moved column is a new distinct one, and only its own layout slot points at it
-            moved = list(distinct[layout[column]])
-            moved[row] = (F(*moved[row]) + shift).as_integer_ratio()
-            distinct += (tuple(moved),)
-            layout = layout[:column] + (len(distinct) - 1,) + layout[column + 1:]
+            knots = dict(columns[layout[column]])
+            value = _interpolate([(y_breaks[r], F(*v)) for r, v in knots.items()], y_breaks[row])
+            knots[row] = (value + shift).as_integer_ratio()
+            columns = [*columns, sorted(knots.items())]
+            layout = layout[:column] + (len(columns) - 1,) + layout[column + 1:]
         calls.append(layout)
-        return made(x_breaks, y_breaks, distinct, layout)
+        return made(x_breaks, y_breaks, columns, layout)
 
-    monkeypatch.setattr(realize_module.RectField, "_exact", staticmethod(broken))
+    monkeypatch.setattr(realize_module.RectField, "_from_knots", classmethod(broken))
 
 
 def test_realize_self_check_catches_a_moved_pit_bottom(monkeypatch):
