@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 from ._rational import as_fraction, common_denominator, number_from_json, number_to_json
 from ._rational import _SAFE_BITS, _ratio, int_from_text, on_scale, quoted, ratio_to_json
 from .core import ModelViolationError, SizePair
-from .diagram import Diagram, ExtendedPoint, _on_one_unit, _ratio_diagram
+from .diagram import Diagram, ExtendedPoint, _on_one_unit, _sweep
 from .matching import Matching, _check_matching_size, _expand, _solve
 
 __all__ = [
@@ -384,14 +384,13 @@ def _grid_adjacency(n_columns: int, rows: int) -> List[List[int]]:
     """Adjacency of the 4-connected grid whose position p = ci·rows + ri is column ci,
     row ri (rows >= 2): adj[p] lists p - 1, p + 1, p - rows, p + rows, those that exist."""
     nodes = n_columns * rows
-    adj = [[p - 1, p + 1] for p in range(nodes)]
+    adj = [[p - 1, p + 1, p - rows, p + rows] for p in range(nodes)]
     for p in range(0, nodes, rows):  # a column's bottom and top nodes
-        del adj[p][0]
-        adj[p + rows - 1].pop()
-    for p in range(rows, nodes):
-        adj[p].append(p - rows)
-    for p in range(nodes - rows):
-        adj[p].append(p + rows)
+        adj[p].remove(p - 1)
+        adj[p + rows - 1].remove(p + rows)
+    for p in range(rows):  # the first column's and the last column's nodes
+        adj[p].remove(p - rows)
+        adj[nodes - 1 - p].remove(nodes - 1 - p + rows)
     return adj
 
 
@@ -404,27 +403,79 @@ def _check_grid(n_columns: int, rows: int, refine: int, least: str = "") -> None
             f"refine {refine} would sample {least}{nodes} grid nodes, more than {_MAX_GRID_NODES}")
 
 
-def _grid_values(field: RectField, refine: int) -> Tuple[int, List[List[Tuple[int, int]]]]:
-    """(rows, each distinct column's reduced value pairs on them) of ``discretize(field, refine)``:
-    the rows are a + (b - a)·k/refine for each break a, the next break b and 0 <= k < refine,
-    then the top break."""
+def _grid_rows(field: RectField, refine: int) -> int:
+    """The rows of ``discretize(field, refine)``, once ``refine`` and the grid size are checked."""
     if isinstance(refine, bool) or not isinstance(refine, int) or refine < 1:
         raise ValueError(f"refine must be a positive integer, got {refine!r}")
     rows = (len(field.y_breaks) - 1) * refine + 1
     _check_grid(field.n_columns, rows, refine)
+    return rows
+
+
+def _grid_values(field: RectField, refine: int) -> Tuple[int, List[List[Tuple[int, int]]]]:
+    """(rows, each distinct column's reduced value pairs on them) of ``discretize(field, refine)``:
+    the rows are a + (b - a)·k/refine for each break a, the next break b and 0 <= k < refine,
+    then the top break."""
+    rows = _grid_rows(field, refine)
     scale, ys, columns = _on_scale(field.y_breaks, field._distinct, refine)
     heights = [a + (b - a) // refine * k for a, b in zip(ys, ys[1:]) for k in range(refine)]
     heights.append(ys[-1])
     return rows, [_sample(*zip(*knots), heights, scale) for knots in columns]
 
 
+def _grid_keys(field: RectField, refine: int) -> Tuple[List[List[int]], int, int]:
+    """(each distinct column's node keys on the rows of ``discretize(field, refine)``, bound,
+    shift) for a ``refine`` that ``_grid_rows`` has checked.
+
+    The key of a node of value v is floor(v·2^shift), every node value has a denominator of at
+    most ``bound``, and 2^shift > 2·bound².  So equal values have equal keys, the keys order
+    distinct values, and the value of a key is the one fraction of denominator at most
+    ``bound`` within 2^-shift of key/2^shift.  A column piece from height e/f, value a/b, of
+    slope c/d (each in lowest terms) has at the height p/q (in lowest terms) the value
+    (U·q + V·p)/(W·q), with U = a·d·f - b·c·e, V = b·c·f and W = b·d·f: so bound is the
+    largest W times the largest q.
+    """
+    ys = [y.as_integer_ratio() for y in field.y_breaks]
+    heights = []  # (p, q) of each row
+    for (g0, h0), (g1, h1) in zip(ys, ys[1:]):
+        heights.append((g0, h0))
+        start, rise, den = g0 * h1 * refine, g1 * h0 - g0 * h1, h0 * h1 * refine
+        for k in range(1, refine):
+            common = math.gcd(start + rise * k, den)
+            heights.append(((start + rise * k) // common, den // common))
+    heights.append(ys[-1])
+    top = len(ys) - 1
+    pieces = []  # each column's pieces (first row, the row after the last, U, V, W)
+    for knots in field._distinct:
+        column = []
+        for (r0, (a, b)), (r1, (n1, d1)) in zip(knots, knots[1:]):
+            (e, f), (g1, h1) = ys[r0], ys[r1]
+            rise, run = (n1 * b - a * d1) * f * h1, b * d1 * (g1 * f - e * h1)
+            common = math.gcd(rise, run)
+            c, d = rise // common, run // common
+            end = r1 * refine + (r1 == top)  # the last piece also holds the top row
+            column.append((r0 * refine, end, a * d * f - b * c * e, b * c * f, b * d * f))
+        pieces.append(column)
+    bound = max(w for column in pieces for *_, w in column) * max(q for _, q in heights)
+    shift = 2 * bound.bit_length() + 1
+    columns = [[((u * q + v * p) << shift) // (w * q)
+                for lo, hi, u, v, w in column for p, q in heights[lo:hi]] for column in pieces]
+    return columns, bound, shift
+
+
 def _field_diagrams(fields: Sequence[RectField], refine: int) -> List[Diagram]:
-    """``extract_diagram(discretize(field, refine))`` of each field; the fields share one grid."""
-    diagrams, adj = [], None
-    for field in fields:  # one field's values at a time
-        rows, columns = _grid_values(field, refine)
-        adj = adj or _grid_adjacency(field.n_columns, rows)
-        diagrams.append(_ratio_diagram([key for i in field._layout for key in columns[i]], adj))
+    """``extract_diagram(discretize(field, refine))`` of each field; the fields share one grid.
+
+    The sweep runs on the exact node keys of ``_grid_keys``, and each value it reports is the
+    fraction its key stands for."""
+    rows = _grid_rows(fields[0], refine)  # before any field is sampled
+    adj, diagrams = _grid_adjacency(fields[0].n_columns, rows), []
+    for field in fields:  # one field's keys at a time
+        columns, bound, shift = _grid_keys(field, refine)
+        keys = [key for i in field._layout for key in columns[i]]
+        value = lambda key: Fraction(key, 1 << shift).limit_denominator(bound)
+        pairs = [((value(b), value(d)), m) for (b, d), m in _sweep(keys, adj).items()]
+        diagrams.append(Diagram(value(min(keys)), pairs))
     return diagrams
 
 

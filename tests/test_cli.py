@@ -411,7 +411,13 @@ def test_realize_self_check_failure_exits_1(files, capsys, monkeypatch):
     # at the default refine 1 the command reports realize()'s own check; the
     # package attribute sizematch.realize is the function, so fetch the module
     realize_module = importlib.import_module("sizematch.realize")
-    monkeypatch.setattr(realize_module, "_ratio_diagram", lambda keys, adj: Diagram(7, []))
+    grid_keys = realize_module._grid_keys
+
+    def flat_keys(field, refine):  # every node keyed 7: one class, extracted as Diagram(7, [])
+        columns, bound, shift = grid_keys(field, refine)
+        return [[7 << shift] * len(keys) for keys in columns], bound, shift
+
+    monkeypatch.setattr(realize_module, "_grid_keys", flat_keys)
     code, out, err = run(capsys, ["realize", files["d1"], files["d2"]])
     assert code == 1
     assert out == ""
@@ -832,8 +838,8 @@ def test_dumps_writes_the_bytes_of_json_dumps_indent_2():
 
 
 def test_dumps_of_rows_that_share_objects_writes_the_bytes_of_json_dumps_seeded():
-    # the writer reuses a row's text when the row holds the very objects of the
-    # row before it; rows that are only equal must still be written on their own
+    # rows that share objects with the row before them, and rows that only look alike
+    # (1, 1.0, True; 0.0 and -0.0; two nans), are written as json.dumps(indent=2) writes them
     rng = random.Random(23)
     nan = float("nan")
     look_alike = [1, 1.0, True, 0.0, -0.0, nan, float("nan"), 0, False, None, "1"]

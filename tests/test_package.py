@@ -114,6 +114,27 @@ def test_realize_reads_no_diagrams_points():
     assert reads == []
 
 
+def test_the_realize_self_check_shares_only_the_sweep_with_the_extraction():
+    # _field_diagrams sweeps keys of its own: none of the sampler, the grid values or the
+    # ranking that discretize and extract_diagram use, so the seeded comparison of the two
+    # routes checks one against the other
+    path = os.path.join(os.path.dirname(sizematch.__file__), "realize.py")
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename="realize.py")
+    shared = {"_sample", "_grid_values", "_ratio_diagram", "_ratio_levels"}
+    called = {}
+    for name in ("_field_diagrams", "_grid_keys"):
+        body = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        called[name] = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                        for node in ast.walk(body) if isinstance(node, ast.Call)}
+        assert not called[name] & shared, name
+    assert {"_grid_keys", "_sweep"} <= called["_field_diagrams"]
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "_sweep" in imported and not imported & {"_ratio_diagram", "_ratio_levels"}
+
+
 def test_realize_puts_the_pair_on_one_unit_once_and_solves_it_there():
     # realize() builds every structure from the int rows of one _on_one_unit call and the
     # row-level witness solved on them: no second unit, no matching_distance, no on_scale

@@ -642,8 +642,8 @@ def test_discretize_refuses_a_grid_too_large_before_sampling(monkeypatch):
 def test_realize_refuses_an_oversized_grid_before_sampling_a_field(monkeypatch):
     # six points against an empty diagram: 20 columns of 20 rows, 400 nodes
     calls = []
-    sample = realize_module._sample
-    monkeypatch.setattr(realize_module, "_sample", lambda *a: calls.append(1) or sample(*a))
+    grid_keys = realize_module._grid_keys
+    monkeypatch.setattr(realize_module, "_grid_keys", lambda *a: calls.append(1) or grid_keys(*a))
     monkeypatch.setattr(realize_module, "_MAX_GRID_NODES", 100)
     d1 = Diagram(0, [((i, i + 2 + F(i, 7)), 1) for i in range(6)])
     with pytest.raises(ValueError, match=r"^refine 1 would sample 400 grid nodes, more than 100$"):
@@ -937,6 +937,76 @@ def test_grid_sweep_equals_the_extraction_of_the_discretized_field_seeded():
                 assert diagram == want, f"trial {trial}, refine {refine}"
         fields += 2
     assert fields >= 200
+
+
+def _odd_denominator_diagram(rng, n, bits):
+    """n points at infinity_x 0, each on its own odd denominator q of ``bits`` bits, with x and
+    the persistence in (0, 4)."""
+    points = []
+    for _ in range(n):
+        q = rng.randrange(2 ** (bits - 1), 2 ** bits) | 1
+        x = F(rng.randrange(1, 4 * q), q)
+        points.append((x, x + F(rng.randrange(1, 4 * q), q)))
+    return Diagram(0, points)
+
+
+def test_grid_keys_on_odd_denominators_equal_the_extraction_of_the_discretized_field_seeded():
+    # node values that a floor key of 64 bits cannot tell apart: every fourth pair on
+    # denominators near 2^33, the others on denominators of up to 21 bits
+    rng = random.Random(95)
+    pairs = 0
+    for trial in range(64):
+        bits = 33 if trial % 4 == 3 else rng.randint(3, 21)
+        d1 = _odd_denominator_diagram(rng, rng.randint(1, 4), bits)
+        d2 = _odd_denominator_diagram(rng, rng.randint(0, 4), bits)
+        phi, psi, _ = realize(d1, d2)
+        for refine in (1, 2, 3):
+            got = realize_module._field_diagrams((phi, psi), refine)
+            want = [extract_diagram(discretize(field, refine)) for field in (phi, psi)]
+            assert got == want == [d1, d2], f"trial {trial}, refine {refine}"
+        pairs += 1
+    assert pairs >= 60
+
+
+def test_grid_keys_of_given_fields_on_odd_denominators_equal_the_extraction_seeded():
+    # columns that run straight across breaks of odd denominators, bent only at a few integer
+    # heights: unlike a realized field's, their saddles lie on those breaks and on refined
+    # rows, at values whose denominators come from the heights rather than from the knots
+    rng = random.Random(96)
+    saddles = 0
+    for trial in range(40):
+        bits = 33 if trial % 4 == 3 else rng.randint(3, 21)
+        bends = sorted(rng.sample(range(8), rng.randint(2, 4)))
+        odd = [rng.randrange(2 ** (bits - 1), 2 ** bits) | 1 for _ in range(4)]
+        ys = sorted({*bends, *(bends[0] + F(rng.randrange(1, (bends[-1] - bends[0]) * q), q)
+                               for q in odd)})
+        knots = [[(y, F(rng.randint(-9, 9), rng.choice((1, 3, 5)))) for y in bends]
+                 for _ in range(rng.randint(2, 5))]
+        field = RectField(range(len(knots)), ys, [[_interpolate(k, y) for y in ys] for k in knots])
+        on_bends = {value for column in knots for _, value in column}
+        for refine in (1, 2, 3):
+            got, = realize_module._field_diagrams((field,), refine)
+            assert got == extract_diagram(discretize(field, refine)), f"trial {trial}, refine {refine}"
+            saddles += any(point.y not in on_bends for point, _ in got.points)
+    assert saddles >= 10
+
+
+NEAR_TIE_PAIR = (
+    '{"infinity_x": 0, "points": [["1/8589934591", "1/3", 1], ["1/8589934593", "2/3", 2], '
+    '["3/8589934583", "5/8589934581", 1]]}',
+    '{"infinity_x": "1/8589934597", "points": [["2/8589934591", "1/3", 1], '
+    '["1/8589934589", "4/8589934583", 1]]}',
+)
+
+
+def test_grid_keys_tell_apart_node_values_closer_than_2_to_the_minus_64():
+    d1, d2 = map(Diagram.loads, NEAR_TIE_PAIR)
+    phi, psi, _ = realize(d1, d2)
+    for field in (phi, psi):  # two distinct node values of a field lie within 2^-64
+        values = sorted({F(*v) for column in realize_module._grid_values(field, 3)[1] for v in column})
+        assert min(b - a for a, b in zip(values, values[1:])) < F(1, 2**64)
+    got = realize_module._field_diagrams((phi, psi), 3)
+    assert got == [extract_diagram(discretize(field, 3)) for field in (phi, psi)] == [d1, d2]
 
 
 def _size_function_mismatch(field, diagram):
