@@ -232,9 +232,9 @@ def extract_diagram(sp: SizePair) -> Diagram:
     """Cornerpoint diagram of a size pair, by one elder-rule sweep.
 
     Int and float values go to :func:`_sweep` as they are, since Python
-    compares them exactly.  A list that holds a Fraction is swept on int
-    ranks of its ``as_integer_ratio()`` pairs (so no Fraction is hashed),
-    which become values again only for the pairs emitted.
+    compares them exactly.  A list that holds a Fraction is swept on the int
+    ranks of its ``as_integer_ratio()`` pairs, made by :func:`_ratio_levels` in one
+    sort with no Fraction; they become values again only for the pairs emitted.
     """
     values, adj = sp._values, sp._adj
     if not set(map(type, values)) <= {int, float}:
@@ -253,21 +253,20 @@ def _ratio_diagram(keys: Sequence[Tuple[int, int]], adj) -> Diagram:
 
 
 def _ratio_levels(keys: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """The distinct reduced (numerator, denominator) pairs of ``keys``, by value:
-    floor(value·2^64) orders them but those closer than 2^-64, and if two
-    share it, the keys are sorted again exactly."""
-    floor = {key: (key[0] << 64) // key[1] for key in dict.fromkeys(keys)}
-    levels = sorted(floor, key=floor.__getitem__)
-    if len(set(floor.values())) < len(levels):
-        levels.sort(key=lambda key: Fraction(*key))
-    return levels
+    """The distinct reduced (numerator, denominator) pairs of ``keys``, by value, in one sort
+    on floor(value·2^K) with K = 2·bitlen(B), B the largest denominator: two distinct values
+    differ by at least 1/B² > 2^-K, so the int keys are distinct and keep their order."""
+    distinct = dict.fromkeys(keys)
+    shift = 2 * max(d for _, d in distinct).bit_length()
+    return sorted(distinct, key=lambda key: (key[0] << shift) // key[1])
 
 
 def _sweep(level: Sequence, adj) -> Dict[tuple, int]:
     """The (birth, death) -> multiplicity pairs of the graph ``adj`` whose
     vertex p has the value level[p]; the class of the least value lives on.
 
-    The values need only be totally ordered: ints and floats, or int ranks.
+    The values need only be totally ordered: ints and floats, the int ranks of
+    :func:`_ratio_levels`, or the exact int keys of the ``realize`` self-check.
     The positions are visited stable-sorted by value.  An edge appears at
     the later of its endpoints.  The root of a class is its earliest
     vertex.  When vertex p joins, the classes of its earlier neighbours

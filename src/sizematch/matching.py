@@ -327,14 +327,13 @@ def _solve(unit: int, rows1, rows2, infinity1: int, infinity2: int):
     return value, _witness(rows1, rows2, thresholds[lo], graph)
 
 
-def _witness(rows1, rows2, t: int, graph=None) -> List[Tuple[Tuple[int, int], int]]:
+def _witness(rows1, rows2, t: int, graph) -> List[Tuple[Tuple[int, int], int]]:
     """An optimal matching at the feasible threshold t as the sorted ((i, j), count) of its pairs
     of row i of rows1 and row j of rows2, the diagonal being the index one past the last row.
 
-    From the empty matching on the edges of norm <= t of ``graph`` (``_graph(rows1, rows2)`` if
-    not given), in (norm, partner) order, it covers the must points and then extends to the most
-    direct pairs by augmenting paths, which keep every covered point covered."""
-    graph = graph or _graph(rows1, rows2)
+    From the empty matching on the edges of norm <= t of ``graph``, ``_graph(rows1, rows2)``, in
+    (norm, partner) order, it covers the must points and then extends to the most direct pairs
+    by augmenting paths, which keep every covered point covered."""
     mate, dead = [[-1] * len(side) for side in graph[0]], set()
     _cover(graph, mate, t)  # covers every must point, as t is feasible
     for i in [i for i, j in enumerate(mate[0]) if j == -1]:  # a path matches no free copy but i

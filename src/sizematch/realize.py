@@ -135,6 +135,10 @@ class RectField:
         return hash(self._key())
 
     def __repr__(self):
+        if self.n_columns * len(self.y_breaks) > _MAX_GRID_NODES:  # too many nodes to sample
+            columns = len({self._distinct[i] for i in self._layout})
+            return (f"<RectField on a {self.n_columns} x {len(self.y_breaks)} grid, "
+                    f"{columns} distinct columns>")
         return (f"RectField(x_breaks={self.x_breaks!r}, y_breaks={self.y_breaks!r}, "
                 f"values_per_column={self.values_per_column!r})")
 

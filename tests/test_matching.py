@@ -26,7 +26,7 @@ from sizematch import (
 from sizematch._rational import as_fraction, int_from_text, number_from_json, number_to_json
 from sizematch._rational import ratio_to_json
 from sizematch.diagram import _on_one_unit
-from sizematch.matching import _expand, _max_norm, _witness
+from sizematch.matching import _expand, _graph, _max_norm, _witness
 from sizematch.selftest import perturbed_values, random_diagram, random_size_pair
 
 from test_core import path_fixture
@@ -707,7 +707,8 @@ def test_witness_is_a_function_of_the_rows_and_the_value():
         t = max((pseudo_distance_d(l, r) for l, r in m.pairs
                  if l is DIAGONAL or not l.is_at_infinity), default=0) * unit
         assert t.denominator == 1
-        assert _expand(d1, d2, value, _witness(rows1, rows2, int(t)))[0] == m, f"trial {trial}"
+        links = _witness(rows1, rows2, int(t), _graph(rows1, rows2))
+        assert _expand(d1, d2, value, links)[0] == m, f"trial {trial}"
         again = _respelled(rng, d1)
         assert again == d1
         value_again, m_again = matching_distance(again, d2)

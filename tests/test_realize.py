@@ -1,9 +1,12 @@
 """Realizing diagram pairs by explicit fields on a rectangle grid."""
 
+import ast
 import copy
 import hashlib
 import importlib
 import json
+import math
+import os
 import pickle
 import random
 import time
@@ -526,6 +529,66 @@ def test_ratio_levels_sort_values_closer_than_2_to_the_minus_64_exactly():
         given = keys[::-1] if trial == 0 else rng.sample(keys, len(keys))
         given += rng.choices(keys, k=5)
         assert diagram_module._ratio_levels(given) == keys, f"trial {trial}"
+
+
+def test_ratio_extraction_equals_the_int_route_on_the_lcm_at_scale_seeded():
+    # the int route sorts ints of the values times L and shares only _sweep and Diagram with
+    # the ranks of _ratio_levels; each kind of values holds many pairs closer than 2^-64
+    rng = random.Random(35)
+    odd = [rng.randrange(2**300, 2**301) | 1 for _ in range(4)]
+    p = odd[0]
+    a = pow(p + 2, -1, p)  # a/p - b/(p + 2) = 1/(p·(p + 2)), far below 1/p
+    near = [F(a, p) + c for c in range(-4, 4)] + [F((a * (p + 2) - 1) // p, p + 2) + c
+                                                  for c in range(-4, 4)]
+
+    def on_odd():
+        if rng.random() < 0.1:
+            return rng.choice(near)
+        q = rng.choice(odd)
+        return F(rng.randrange(-4 * q, 4 * q), q)
+
+    kinds = {
+        "clusters": lambda: F(rng.randrange(64), 16) + F(rng.randrange(8), 8 * 10**300),
+        "odd 300-bit denominators": on_odd,
+        "heavy ties": lambda: rng.choice([F(1, 3), F(2, 3), F(-7, 3), 0.5, 1, 2]),
+    }
+    for trial in range(12):
+        name = sorted(kinds)[trial % 3]
+        n = (1000, 4000)[trial // 6]
+        values = [kinds[name]() for _ in range(n)]
+        edges = [(i, rng.randrange(i)) for i in range(1, n)]
+        edges += list({tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 10)}
+                      - {tuple(sorted(e)) for e in edges})
+        order = list(range(n))
+        if trial // 3 % 2:
+            order.sort(key=values.__getitem__, reverse=True)
+        else:
+            rng.shuffle(order)
+        sp = SizePair([(v, values[v]) for v in order], edges)
+        lcm = math.lcm(*(F(v).denominator for v in values))
+        by_ints = extract_diagram(SizePair([(v, int(F(values[v]) * lcm)) for v in order], edges))
+        expected = Diagram(by_ints.infinity_x / lcm,
+                           [((p.x / lcm, p.y / lcm), m) for p, m in by_ints.points])
+        got = extract_diagram(sp)
+        assert got == expected, f"trial {trial}: {name}, n={n}"
+        assert got.total_multiplicity > n // 100, f"trial {trial}"
+
+
+def test_ratio_levels_is_one_sort_that_builds_and_compares_no_fraction(monkeypatch):
+    path = os.path.join(os.path.dirname(diagram_module.__file__), "diagram.py")
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename="diagram.py")
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_ratio_levels")
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    calls = [getattr(node.func, "id", getattr(node.func, "attr", None))
+             for node in ast.walk(body) if isinstance(node, ast.Call)]
+    assert "Fraction" not in names and "as_fraction" not in names
+    assert calls.count("sorted") == 1 and "sort" not in calls
+    # and run: a Fraction built while ranking values closer than 2^-64 fails the test
+    monkeypatch.setattr(diagram_module, "Fraction", None)
+    keys = sorted({F(v).as_integer_ratio() for v in MIXED_VALUES}, key=lambda k: F(*k))
+    assert diagram_module._ratio_levels(keys[::-1]) == keys
 
 
 # -------------------------------------------------------------- discretize
@@ -1133,6 +1196,25 @@ def test_rect_field_repr_is_the_dataclass_repr():
     phi, _, _ = realize(*worked_pair())
     assert repr(phi) == WORKED_PHI_REPR
     assert repr(RectField.loads(phi.dumps())) == WORKED_PHI_REPR
+
+
+def test_rect_field_repr_above_the_node_cap_names_the_grid_from_the_knots(monkeypatch):
+    # a 4000 x 4000 field loads from ~58 KB of JSON; its repr must not sample 1.6·10^7 nodes
+    n = 4000
+    text = json.dumps({"x_breaks": list(range(n)), "y_breaks": list(range(n)),
+                       "layout": [c % 3 % 2 for c in range(n)],
+                       "columns": [[[0, 0], [n - 1, n - 1]], [[0, 0], [1, 5], [n - 1, n - 1]]]})
+    assert len(text) < 60_000
+    field = RectField.loads(text)
+    assert repr(field) == "<RectField on a 4000 x 4000 grid, 2 distinct columns>"
+    with pytest.raises(ValueError, match="would sample 16000000 grid nodes"):
+        field.values_per_column
+    # at the cap the repr is the full one; one node more and it is the short one
+    phi, _, _ = realize(*worked_pair())
+    monkeypatch.setattr(realize_module, "_MAX_GRID_NODES", 25)
+    assert repr(phi) == WORKED_PHI_REPR
+    monkeypatch.setattr(realize_module, "_MAX_GRID_NODES", 24)
+    assert repr(phi) == "<RectField on a 5 x 5 grid, 3 distinct columns>"
 
 
 def test_rect_field_refuses_assignment_but_copies_and_pickles():
