@@ -147,12 +147,19 @@ class RectField:
         return len(self.x_breaks)
 
     def value_at(self, column: int, y) -> Fraction:
-        """Exact value on a column 0 <= column < n_columns at height y (linear between breaks)."""
+        """Exact value on a column 0 <= column < n_columns at height y (linear between breaks),
+        read on the column's piece at or below y."""
+        if isinstance(column, bool) or not isinstance(column, int):
+            raise TypeError(f"column must be an int, got {column!r}")
         if not 0 <= column < self.n_columns:
             raise IndexError(f"column {column} is outside 0 <= column < n_columns = {self.n_columns}")
-        columns = [self._distinct[self._layout[column]]]
-        scale, ys, (knots,) = _on_scale((*self.y_breaks, as_fraction(y)), columns)  # y is ys[-1]
-        return Fraction(*_sample(*zip(*knots), ys[-1:], scale)[0])
+        y, ys = as_fraction(y), self.y_breaks
+        if not ys[0] <= y <= ys[-1]:
+            raise ValueError(f"y={y} outside the field range [{ys[0]}, {ys[-1]}]")
+        p, q = y.as_integer_ratio()
+        pieces = _pieces(self, self._distinct[self._layout[column]], 1)
+        _, _, u, v, w = next(piece for piece in reversed(pieces) if ys[piece[0]] <= y)
+        return Fraction(u * q + v * p, w * q)
 
     def to_json_dict(self) -> dict:
         # equal columns are written once, in the order the layout first uses them
@@ -242,45 +249,6 @@ class RealizationParams:
             "structures": [st.to_json_dict() for st in self.structures],
             "matching": self.matching.to_json_dict(),
         }
-
-
-def _sample(
-    ys: Sequence[int], vs: Sequence[int], grid: Sequence[int], scale: int
-) -> List[Tuple[int, int]]:
-    """Values at the ascending, non-empty heights ``grid`` of the column that
-    is linear between the points (ys[i], vs[i]), in one walk.
-
-    Heights and values are ints on one ``scale``: the int y stands for the
-    rational y / scale.  A height in [ys[i], ys[i + 1]) gets the value
-    (vs[i]·Δy + Δv·(y − ys[i])) / (scale·Δy), with Δy and Δv the rises of
-    that piece, as its (numerator, denominator) in lowest terms; the top
-    height is read on the last piece.  ``ys`` is strictly increasing; a
-    height outside [ys[0], ys[-1]] raises ValueError.
-    """
-    for y in (grid[0], grid[-1]):
-        if not ys[0] <= y <= ys[-1]:
-            low, high = Fraction(ys[0], scale), Fraction(ys[-1], scale)
-            raise ValueError(f"y={Fraction(y, scale)} outside the field range [{low}, {high}]")
-    last = len(ys) - 2  # the index of the last piece
-    i, out = 0, []
-    for y in grid:
-        while i < last and ys[i + 1] <= y:
-            i += 1
-        span = ys[i + 1] - ys[i]
-        num, den = vs[i] * span + (vs[i + 1] - vs[i]) * (y - ys[i]), scale * span
-        common = math.gcd(num, den)
-        out.append((num // common, den // common))
-    return out
-
-
-def _on_scale(y_breaks, columns, refine: int = 1):
-    """(scale, y breaks, columns) on one int scale, the lcm of every knot value's denominator
-    and of ``refine`` times every break's: each of the ``columns`` of knots (row, (n, d))
-    becomes its knots (y_breaks[row], n/d) as ints on that scale."""
-    unit = common_denominator(y_breaks) * refine
-    scale = math.lcm(unit, *(d for knots in columns for _, (_, d) in knots))
-    ys = [on_scale(y, scale) for y in y_breaks]
-    return scale, ys, [[(ys[r], n * (scale // d)) for r, (n, d) in knots] for knots in columns]
 
 
 def realize(d1: Diagram, d2: Diagram) -> Tuple[RectField, RectField, RealizationParams]:
@@ -416,15 +384,47 @@ def _grid_rows(field: RectField, refine: int) -> int:
     return rows
 
 
-def _grid_values(field: RectField, refine: int) -> Tuple[int, List[List[Tuple[int, int]]]]:
-    """(rows, each distinct column's reduced value pairs on them) of ``discretize(field, refine)``:
-    the rows are a + (b - a)·k/refine for each break a, the next break b and 0 <= k < refine,
-    then the top break."""
-    rows = _grid_rows(field, refine)
-    scale, ys, columns = _on_scale(field.y_breaks, field._distinct, refine)
-    heights = [a + (b - a) // refine * k for a, b in zip(ys, ys[1:]) for k in range(refine)]
+def _pieces(field: RectField, knots, refine: int) -> List[Tuple[int, int, int, int, int]]:
+    """The pieces of the column of ``knots`` on the rows of ``discretize(field, refine)``, each
+    as (first row, the row after the last, U, V, W); the last piece also holds the top row.
+
+    A piece from height e/f, value a/b, of slope c/d (each in lowest terms) has at the height
+    p/q (in lowest terms) the value (U·q + V·p)/(W·q), with U = a·d·f - b·c·e, V = b·c·f and
+    W = b·d·f.
+    """
+    ys, pieces = field.y_breaks, []
+    for (r0, (a, b)), (r1, (n1, d1)) in zip(knots, knots[1:]):
+        (e, f), (g1, h1) = ys[r0].as_integer_ratio(), ys[r1].as_integer_ratio()
+        rise, run = (n1 * b - a * d1) * f * h1, b * d1 * (g1 * f - e * h1)
+        common = math.gcd(rise, run)
+        c, d = rise // common, run // common
+        end = r1 * refine + (r1 == len(ys) - 1)
+        pieces.append((r0 * refine, end, a * d * f - b * c * e, b * c * f, b * d * f))
+    return pieces
+
+
+def _grid_pieces(field: RectField, refine: int):
+    """(the height (p, q) of each row, each distinct column's ``_pieces``) on the rows of
+    ``discretize(field, refine)``: a + (b - a)·k/refine for each break a, the next break b and
+    0 <= k < refine, then the top break."""
+    ys = [y.as_integer_ratio() for y in field.y_breaks]
+    heights = []
+    for (g0, h0), (g1, h1) in zip(ys, ys[1:]):
+        heights.append((g0, h0))
+        start, rise, den = g0 * h1 * refine, g1 * h0 - g0 * h1, h0 * h1 * refine
+        for k in range(1, refine):
+            common = math.gcd(start + rise * k, den)
+            heights.append(((start + rise * k) // common, den // common))
     heights.append(ys[-1])
-    return rows, [_sample(*zip(*knots), heights, scale) for knots in columns]
+    return heights, [_pieces(field, knots, refine) for knots in field._distinct]
+
+
+def _grid_values(field: RectField, refine: int) -> Tuple[int, List[List[Tuple[int, int]]]]:
+    """(rows, each distinct column's reduced value pairs on them) of ``discretize(field, refine)``."""
+    rows = _grid_rows(field, refine)
+    heights, pieces = _grid_pieces(field, refine)
+    return rows, [[((n := u * q + v * p) // (g := math.gcd(n, d := w * q)), d // g)
+                   for lo, hi, u, v, w in column for p, q in heights[lo:hi]] for column in pieces]
 
 
 def _grid_keys(field: RectField, refine: int) -> Tuple[List[List[int]], int, int]:
@@ -434,32 +434,10 @@ def _grid_keys(field: RectField, refine: int) -> Tuple[List[List[int]], int, int
     The key of a node of value v is floor(v·2^shift), every node value has a denominator of at
     most ``bound``, and 2^shift > 2·bound².  So equal values have equal keys, the keys order
     distinct values, and the value of a key is the one fraction of denominator at most
-    ``bound`` within 2^-shift of key/2^shift.  A column piece from height e/f, value a/b, of
-    slope c/d (each in lowest terms) has at the height p/q (in lowest terms) the value
-    (U·q + V·p)/(W·q), with U = a·d·f - b·c·e, V = b·c·f and W = b·d·f: so bound is the
-    largest W times the largest q.
+    ``bound`` within 2^-shift of key/2^shift.  A node on a piece's row p/q has the value
+    (U·q + V·p)/(W·q) (see ``_pieces``): so bound is the largest W times the largest q.
     """
-    ys = [y.as_integer_ratio() for y in field.y_breaks]
-    heights = []  # (p, q) of each row
-    for (g0, h0), (g1, h1) in zip(ys, ys[1:]):
-        heights.append((g0, h0))
-        start, rise, den = g0 * h1 * refine, g1 * h0 - g0 * h1, h0 * h1 * refine
-        for k in range(1, refine):
-            common = math.gcd(start + rise * k, den)
-            heights.append(((start + rise * k) // common, den // common))
-    heights.append(ys[-1])
-    top = len(ys) - 1
-    pieces = []  # each column's pieces (first row, the row after the last, U, V, W)
-    for knots in field._distinct:
-        column = []
-        for (r0, (a, b)), (r1, (n1, d1)) in zip(knots, knots[1:]):
-            (e, f), (g1, h1) = ys[r0], ys[r1]
-            rise, run = (n1 * b - a * d1) * f * h1, b * d1 * (g1 * f - e * h1)
-            common = math.gcd(rise, run)
-            c, d = rise // common, run // common
-            end = r1 * refine + (r1 == top)  # the last piece also holds the top row
-            column.append((r0 * refine, end, a * d * f - b * c * e, b * c * f, b * d * f))
-        pieces.append(column)
+    heights, pieces = _grid_pieces(field, refine)
     bound = max(w for column in pieces for *_, w in column) * max(q for _, q in heights)
     shift = 2 * bound.bit_length() + 1
     columns = [[((u * q + v * p) << shift) // (w * q)
@@ -518,8 +496,13 @@ def max_field_gap(field_a: RectField, field_b: RectField) -> Fraction:
         raise ValueError("fields do not share their grid")
     # each distinct pair of layout entries, a column of each field, is scanned once: at a knot
     # (y, v) of one column on the other's piece (y0, v0)-(y1, v1), scale·|a - b| is
-    # |(v - v0)·(y1 - y0) - (v1 - v0)·(y - y0)| / (y1 - y0), compared by cross-multiplying
-    scale, _, columns = _on_scale(field_a.y_breaks, field_a._distinct + field_b._distinct)
+    # |(v - v0)·(y1 - y0) - (v1 - v0)·(y - y0)| / (y1 - y0), compared by cross-multiplying; every
+    # knot of both fields is lifted to ints on one scale, the lcm of the breaks' and the values'
+    distinct = field_a._distinct + field_b._distinct
+    unit = common_denominator(field_a.y_breaks)
+    scale = math.lcm(unit, *(d for knots in distinct for _, (_, d) in knots))
+    ys = [on_scale(y, scale) for y in field_a.y_breaks]
+    columns = [[(ys[r], n * (scale // d)) for r, (n, d) in knots] for knots in distinct]
     shift = len(field_a._distinct)
     best_num, best_den = 0, 1
     for ia, ib in dict.fromkeys(zip(field_a._layout, field_b._layout)):

@@ -114,14 +114,15 @@ def test_realize_reads_no_diagrams_points():
     assert reads == []
 
 
-def test_the_realize_self_check_shares_only_the_sweep_with_the_extraction():
-    # _field_diagrams sweeps keys of its own: none of the sampler, the grid values or the
-    # ranking that discretize and extract_diagram use, so the seeded comparison of the two
-    # routes checks one against the other
+def test_the_realize_self_check_shares_only_the_column_pieces_and_the_sweep_with_the_extraction():
+    # _field_diagrams sweeps keys of its own, made from the column pieces that discretize's
+    # grid values are made from too: it shares those pieces and the sweep, but neither the grid
+    # values nor the ranking that discretize and extract_diagram use, so the seeded comparison
+    # of the two routes checks one against the other
     path = os.path.join(os.path.dirname(sizematch.__file__), "realize.py")
     with open(path) as handle:
         tree = ast.parse(handle.read(), filename="realize.py")
-    shared = {"_sample", "_grid_values", "_ratio_diagram", "_ratio_levels"}
+    shared = {"_grid_values", "_ratio_diagram", "_ratio_levels"}
     called = {}
     for name in ("_field_diagrams", "_grid_keys"):
         body = next(node for node in tree.body
@@ -133,6 +134,26 @@ def test_the_realize_self_check_shares_only_the_sweep_with_the_extraction():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert "_sweep" in imported and not imported & {"_ratio_diagram", "_ratio_levels"}
+
+
+def test_every_sampled_value_of_a_field_goes_through_one_piece_builder():
+    # the grid keys, the grid values (and so values_per_column and discretize) and value_at
+    # all read a column through _pieces; no second interpolator lifts knots to one lcm scale
+    path = os.path.join(os.path.dirname(sizematch.__file__), "realize.py")
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), filename="realize.py")
+    calls = {node.name: {getattr(call.func, "id", getattr(call.func, "attr", None))
+                         for call in ast.walk(node) if isinstance(call, ast.Call)}
+             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_pieces" in calls and not calls.keys() & {"_sample", "_on_scale"}
+    for name in ("_grid_keys", "_grid_values", "value_at"):
+        reached, todo = set(), [name]
+        while todo:
+            for callee in calls.get(todo.pop(), ()):
+                if callee in calls and callee not in reached:
+                    reached.add(callee)
+                    todo.append(callee)
+        assert "_pieces" in reached, name
 
 
 def test_realize_puts_the_pair_on_one_unit_once_and_solves_it_there():

@@ -467,26 +467,6 @@ def test_value_at_equals_the_interpolation_formula_seeded():
                 assert field.value_at(column, float(y) if y.denominator == 1 else y) == expected
 
 
-def test_sample_equals_the_fraction_interpolation_at_every_knot_seeded():
-    rng = random.Random(86)
-    for trial in range(400):
-        scale = rng.choice((1, 2, 3, 7, 12, 64, 1000))
-        n = rng.randint(2, 6)
-        ys = sorted(rng.sample(range(-60, 60), n))
-        vs = [rng.randint(-90, 90) for _ in range(n)]
-        inside = {rng.randint(ys[0], ys[-1]) for _ in range(rng.randint(0, 8))}
-        knots = set(ys) if rng.random() < 0.7 else set(rng.sample(ys, rng.randint(1, n)))
-        grid = sorted(inside | knots | {ys[-1]})
-        for y, pair in zip(grid, realize_module._sample(ys, vs, grid, scale)):
-            i = max(k for k in range(n - 1) if ys[k] <= y)
-            slope = F(vs[i + 1] - vs[i], ys[i + 1] - ys[i])
-            expected = (vs[i] + slope * (y - ys[i])) / scale
-            assert pair == (expected.numerator, expected.denominator), (trial, y)
-        for outside in (ys[0] - 1, ys[-1] + 1):
-            with pytest.raises(ValueError, match="outside the field range"):
-                realize_module._sample(ys, vs, sorted({outside, ys[0]}), scale)
-
-
 # equal values given as int, float and Fraction, values no float holds, and
 # distinct values closer than 2^-64 around 0 and 1
 MIXED_VALUES = [0, 0.0, F(0), 1, 1.0, F(1), 0.5, F(1, 2), F(1, 3), F(2, 3), 2, 2.0, F(7, 3),
@@ -722,7 +702,8 @@ def test_realize_refuses_an_oversized_grid_before_sampling_a_field(monkeypatch):
 
 def _knot_fields(rng):
     """(field, the columns it was given or None): realized fields of seeded pairs in thirds to
-    64ths, and fields of random columns, some straight across breaks, given on their y breaks."""
+    64ths, fields of random columns, some straight across breaks, given on their y breaks, and
+    last the realized fields of a 6+6-point pair, each point on its own odd 21-bit denominator."""
     for trial in range(20):
         first = F(rng.randint(-6, 6), rng.choice((3, 7, 64)))
         second = first + F(rng.randint(-4, 4), rng.choice((5, 9, 21)))
@@ -738,11 +719,15 @@ def _knot_fields(rng):
             straight = [start + slope * (y - ys[0]) for y in ys]
             columns.append(straight if rng.random() < 0.4 else _random_column(rng, len(ys)))
         yield RectField(range(len(columns)), ys, columns), columns
+    odd = random.Random(5)  # a generator of its own, so the cases above keep their inputs
+    pair = [_odd_denominator_diagram(odd, 6, 21) for _ in range(2)]
+    for field in realize(*pair)[:2]:
+        yield field, None
 
 
 def test_grid_values_equal_the_fraction_interpolation_of_the_knots_seeded():
     # every refined row a + (b - a)·k/refine of each column, against a plain interpolator on
-    # the field's knots that shares no code with _sample or the knot builder
+    # the field's knots that shares no code with the column pieces or the knot builder
     fields = dropped = 0
     for field, given in _knot_fields(random.Random(94)):
         if given is not None:  # a straight run keeps only its end knots, and the same values
@@ -775,6 +760,14 @@ def test_rect_field_value_at_refuses_a_column_outside_the_field():
         with pytest.raises(IndexError, match=r"^column -?\d+ is outside 0 <= column < n_columns = 5$"):
             phi.value_at(column, 1)
     assert phi.value_at(phi.n_columns - 1, 1) == phi.value_at(0, 1)
+
+
+def test_rect_field_value_at_refuses_a_column_that_is_not_an_int():
+    phi, _, _ = realize(*worked_pair())
+    for column in (True, False, 1.0, "1", None):
+        with pytest.raises(TypeError, match=r"^column must be an int, got "):
+            phi.value_at(column, 1)
+    assert phi.value_at(1, phi.y_breaks[1]) == phi.values_per_column[1][1]
 
 
 def test_rect_field_json_round_trip_with_thirds():
